@@ -106,11 +106,18 @@ def q_block(xa, ya, xb, yb, spec: KernelSpec, ids_a=None, ids_b=None) -> np.ndar
 
 
 def decision_profile(xq, x_model, coefficients, bias, spec: KernelSpec) -> np.ndarray:
-    """Raw decision values sum_j c_j K(x, x_j) + b for query rows ``xq``."""
-    if len(coefficients) == 0:
+    """Raw decision values sum_j c_j K(x, x_j) + b for query rows ``xq``.
+
+    Only model rows with a nonzero coefficient contribute, so kernel columns
+    are evaluated for those rows alone; with none the result is the bias.
+    """
+    coeffs = np.asarray(coefficients, dtype=float)
+    support = np.flatnonzero(coeffs)
+    if support.size == 0:
         base = np.atleast_2d(np.asarray(xq, dtype=float)).shape[0]
         return np.full(base, float(bias))
-    return kernel_matrix(xq, x_model, spec) @ np.asarray(coefficients) + bias
+    x_support = np.asarray(x_model, dtype=float)[support]
+    return kernel_matrix(xq, x_support, spec) @ coeffs[support] + bias
 
 
 def decision_values(xq, state, spec: KernelSpec) -> np.ndarray:
@@ -130,10 +137,8 @@ def training_decision_values(state, spec: KernelSpec) -> np.ndarray:
     its own signed multiplier, so these values are consistent with the
     diagonal of the ridge Gram matrix.
     """
-    coeffs = np.asarray(state.dual_coefficients, dtype=float)
     if state.n == 0:
         return np.zeros(0)
-    values = kernel_matrix(state.X, state.X, spec) @ coeffs + state.b
-    if spec.ridge:
-        values = values + spec.ridge * coeffs
-    return values
+    coeffs = np.asarray(state.dual_coefficients, dtype=float)
+    values = decision_profile(state.X, state.X, coeffs, state.b, spec)
+    return values + spec.ridge * coeffs

@@ -36,11 +36,14 @@ class BorderedInverse:
 
     ``z`` is the top-left scalar of the inverse, ``order`` the size of the
     inner block ``Q``, and ``inv`` the full (order+1) x (order+1) inverse.
+    ``ids`` optionally names the samples behind the rows of ``Q``, in order,
+    so a holder can tell whether the inverse still matches its row set.
     """
 
     z: float
     order: int
     inv: np.ndarray
+    ids: np.ndarray | None = None
 
     def apply(self, rhs: np.ndarray) -> np.ndarray:
         return self.inv @ rhs

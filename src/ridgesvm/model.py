@@ -14,7 +14,8 @@ condition misses by more than ``HARD_TOL`` signals a broken equilibrium.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,6 +66,17 @@ class UpdateBatch:
         return not self.add and not self.remove
 
 
+def _check_batch(state, batch: UpdateBatch) -> None:
+    """Reject an arrival id already stored or repeated, or an unknown removal."""
+    add_ids = np.array([s.id for s in batch.add], dtype=int)
+    repeated = np.ones(add_ids.size, dtype=bool)
+    repeated[np.unique(add_ids, return_index=True)[1]] = False
+    stale = np.flatnonzero(state._find(add_ids)[1] | repeated)
+    if stale.size:
+        raise ValueError(f"arriving sample id {add_ids[stale[0]]} is not fresh")
+    state.rows_of(batch.remove)  # raises UnknownId on missing ids
+
+
 @dataclass
 class Violation:
     """One invariant breach found by :func:`validate`."""
@@ -92,20 +104,31 @@ class _StateBase:
     def n(self) -> int:
         return len(self.samples)
 
+    def _find(self, wanted) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate rows for the ``wanted`` ids and whether each is stored there."""
+        if self.n == 0:
+            return np.zeros(wanted.size, dtype=int), np.zeros(wanted.size, dtype=bool)
+        # stable sort: linear time on the mostly ascending ids a stream leaves
+        order = np.argsort(self.ids, kind="stable")
+        pos = np.searchsorted(self.ids, wanted, sorter=order)
+        rows = order[np.minimum(pos, self.n - 1)]
+        return rows, self.ids[rows] == wanted
+
     def rows_of(self, sample_ids) -> np.ndarray:
-        lookup = {sid: row for row, sid in enumerate(self.ids)}
-        rows = []
-        for sid in sample_ids:
-            if sid not in lookup:
-                raise UnknownId(f"sample id {sid} not in model")
-            rows.append(lookup[sid])
-        return np.array(rows, dtype=int)
+        """Rows holding ``sample_ids``, in request order."""
+        wanted = np.asarray(sample_ids, dtype=int).ravel()
+        rows, found = self._find(wanted)
+        if not found.all():
+            raise UnknownId(f"sample id {wanted[np.argmin(found)]} not in model")
+        return rows
 
     def region_rows(self, tag) -> np.ndarray:
         return np.flatnonzero(self.partition == tag)
 
     def _keep(self, rows_to_drop) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.n), np.asarray(rows_to_drop, dtype=int))
+        keep = np.ones(self.n, dtype=bool)
+        keep[np.asarray(rows_to_drop, dtype=int)] = False
+        return keep
 
     @property
     def s_rows(self) -> np.ndarray:
@@ -138,7 +161,7 @@ class SvmState(_StateBase):
 
     def delete_rows(self, rows) -> None:
         keep = self._keep(rows)
-        self.samples = [self.samples[i] for i in keep]
+        self.samples = list(itertools.compress(self.samples, keep))
         self.X = self.X[keep]
         self.ids = self.ids[keep]
         self.partition = self.partition[keep]
@@ -191,7 +214,7 @@ class SvrState(_StateBase):
 
     def delete_rows(self, rows) -> None:
         keep = self._keep(rows)
-        self.samples = [self.samples[i] for i in keep]
+        self.samples = list(itertools.compress(self.samples, keep))
         self.X = self.X[keep]
         self.ids = self.ids[keep]
         self.partition = self.partition[keep]
@@ -314,14 +337,21 @@ def refresh_cached_inverse(state, spec) -> None:
         q_s = kernels.q_block(xs, ys, xs, ys, spec, ids, ids)
     else:
         q_s = kernels.gram_block(xs, xs, spec, ids, ids)
-    state.cached_inverse = linalg.bordered_inverse(q_s, _border_vector(state))
+    inverse = linalg.bordered_inverse(q_s, _border_vector(state))
+    state.cached_inverse = replace(inverse, ids=ids)
+
+
+def _cache_covers(state, rows) -> bool:
+    """Whether the cached inverse was built for exactly the samples at ``rows``."""
+    cache = state.cached_inverse
+    return cache is not None and np.array_equal(cache.ids, state.ids[rows])
 
 
 def ensure_cached_inverse(state, spec) -> linalg.BorderedInverse:
     s = state.s_rows
     if s.size == 0:
         raise EmptyS("no unbounded support vectors")
-    if state.cached_inverse is None or state.cached_inverse.order != s.size:
+    if not _cache_covers(state, s):
         refresh_cached_inverse(state, spec)
     return state.cached_inverse
 
@@ -331,21 +361,22 @@ def shrink_cached_inverse(state, leaving_rows) -> None:
 
     ``leaving_rows`` are state rows currently tagged ``S``; the caller
     retags them afterwards.  Falls back to a deferred full rebuild when no
-    usable cache exists.
+    cache built for the current ``S`` exists.
     """
     s = list(state.s_rows)
     leaving = sorted(int(r) for r in leaving_rows)
     if not leaving:
         return
-    cache = state.cached_inverse
-    if cache is None or cache.order != len(s) or len(leaving) == len(s):
+    if not _cache_covers(state, s) or len(leaving) == len(s):
         state.cached_inverse = None
         return
-    positions = [s.index(r) + 1 for r in leaving]  # +1: border row leads
-    inv = linalg.inverse_shrink(cache.inv, positions)
+    cache = state.cached_inverse
+    members = [s.index(r) for r in leaving]
+    inv = linalg.inverse_shrink(cache.inv, [m + 1 for m in members])  # +1: border row leads
     inv = 0.5 * (inv + inv.T)
     state.cached_inverse = linalg.BorderedInverse(
-        z=float(inv[0, 0]), order=len(s) - len(leaving), inv=inv
+        z=float(inv[0, 0]), order=len(s) - len(leaving), inv=inv,
+        ids=np.delete(cache.ids, members),
     )
 
 
@@ -361,10 +392,10 @@ def grow_cached_inverse(state, spec, join_rows) -> None:
         return
     s = list(state.s_rows)
     old = [r for r in s if r not in set(joins)]
-    cache = state.cached_inverse
-    if cache is None or cache.order != len(old):
+    if not _cache_covers(state, old):
         refresh_cached_inverse(state, spec)
         return
+    cache = state.cached_inverse
     xj = state.X[joins]
     ids_j = state.ids[joins]
     if isinstance(state, SvmState):
@@ -395,7 +426,7 @@ def grow_cached_inverse(state, spec, join_rows) -> None:
         inv = inv[np.ix_(perm, perm)]
     inv = 0.5 * (inv + inv.T)
     state.cached_inverse = linalg.BorderedInverse(
-        z=float(inv[0, 0]), order=len(s), inv=inv
+        z=float(inv[0, 0]), order=len(s), inv=inv, ids=state.ids[s]
     )
 
 

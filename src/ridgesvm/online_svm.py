@@ -277,16 +277,6 @@ def rebuild_empty_S(state: model.SvmState, incoming, spec, hyper, config=None):
     return batch_solver.train_svm_batch(all_samples, spec, hyper, config)
 
 
-def _check_batch(state, batch: model.UpdateBatch) -> None:
-    existing = set(state.ids.tolist())
-    seen = set()
-    for s in batch.add:
-        if s.id in existing or s.id in seen:
-            raise ValueError(f"arriving sample id {s.id} is not fresh")
-        seen.add(s.id)
-    state.rows_of(batch.remove)  # raises UnknownId on missing ids
-
-
 def update_multi_svm(state: model.SvmState, batch: model.UpdateBatch, spec, hyper,
                      mode: WecMode = WEC_DERIVED) -> model.SvmState:
     """Apply one add/remove batch atomically; returns a new state.
@@ -296,7 +286,7 @@ def update_multi_svm(state: model.SvmState, batch: model.UpdateBatch, spec, hype
     solve, splice the rows, patch the cached inverse, and run membership
     repair.  The input state is not modified.
     """
-    _check_batch(state, batch)
+    model._check_batch(state, batch)
     if batch.is_empty():
         return state.copy()
     work = state.copy()
@@ -371,11 +361,9 @@ def update_multi_svm(state: model.SvmState, batch: model.UpdateBatch, spec, hype
 
     if add_samples:
         # exact margins for the arrivals against the spliced state
-        f_train = (
-            kernels.kernel_matrix(x_d, work.X, spec) @ work.dual_coefficients
-            + spec.ridge * y_d * alpha_d
-            + work.b
-        )
+        f_train = kernels.decision_profile(
+            x_d, work.X, work.dual_coefficients, work.b, spec
+        ) + spec.ridge * y_d * alpha_d
         work.margins[-len(add_samples):] = y_d * f_train - 1.0
         joins = [work.n - len(add_samples) + k
                  for k, tag in enumerate(tags) if tag == REGION_S]

@@ -283,20 +283,10 @@ def rebuild_empty_S_svr(state: model.SvrState, incoming, spec, hyper, config=Non
     )
 
 
-def _check_batch(state, batch: model.UpdateBatch) -> None:
-    existing = set(state.ids.tolist())
-    seen = set()
-    for s in batch.add:
-        if s.id in existing or s.id in seen:
-            raise ValueError(f"arriving sample id {s.id} is not fresh")
-        seen.add(s.id)
-    state.rows_of(batch.remove)
-
-
 def update_multi_svr(state: model.SvrState, batch: model.UpdateBatch, spec, hyper
                      ) -> model.SvrState:
     """Apply one add/remove batch atomically; returns a new state."""
-    _check_batch(state, batch)
+    model._check_batch(state, batch)
     if batch.is_empty():
         return state.copy()
     work = state.copy()
@@ -366,11 +356,9 @@ def update_multi_svr(state: model.SvrState, batch: model.UpdateBatch, spec, hype
         work.outputs += shift
 
     if add_samples:
-        f_train = (
-            kernels.kernel_matrix(x_d, work.X, spec) @ work.dual_coefficients
-            + spec.ridge * theta_d
-            + work.b
-        )
+        f_train = kernels.decision_profile(
+            x_d, work.X, work.dual_coefficients, work.b, spec
+        ) + spec.ridge * theta_d
         work.outputs[-len(add_samples):] = f_train - t_d
         joins = [work.n - len(add_samples) + k
                  for k, tag in enumerate(tags) if tag == REGION_S]

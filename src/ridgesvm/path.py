@@ -332,12 +332,12 @@ def _finalize(work, path: PathState, spec, hyper):
 def _path_update(state, batch: model.UpdateBatch, spec, hyper):
     svm = _is_svm(state)
     if svm:
-        from .online_svm import _check_batch, rebuild_empty_S
+        from .online_svm import rebuild_empty_S
         rebuild = rebuild_empty_S
     else:
-        from .online_svr import _check_batch, rebuild_empty_S_svr
+        from .online_svr import rebuild_empty_S_svr
         rebuild = rebuild_empty_S_svr
-    _check_batch(state, batch)
+    model._check_batch(state, batch)
     if batch.is_empty():
         return state.copy()
     work = state.copy()

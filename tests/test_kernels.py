@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ridgesvm import kernels, linalg
+from ridgesvm import kernels, linalg, model
 from ridgesvm.errors import DimensionMismatch
 from ridgesvm.kernels import KernelSpec
+from ridgesvm.model import Sample
 
 
 class TestKernelEval:
@@ -119,3 +120,56 @@ class TestGramBlock:
         spec = KernelSpec(family="linear", ridge=0.5)
         block = kernels.gram_block(x[:1], x[1:], spec, ids_a=[0], ids_b=[1])
         assert np.allclose(block, [[1.0]])
+
+
+RESTRICTED_SPECS = (
+    KernelSpec(family="linear", ridge=0.5),
+    KernelSpec(family="polynomial", degree=3, ridge=0.5),
+    KernelSpec(family="rbf", sigma=0.8, ridge=0.5),
+)
+
+
+def coefficient_state(kind, pattern, seed=0, n=12):
+    """State whose dual coefficients are zero, nonzero or mixed by ``pattern``."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3))
+    labels = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    mult = rng.uniform(0.1, 0.9, n)
+    if pattern == "zero":
+        mult[:] = 0.0
+    elif pattern == "mixed":
+        mult[rng.permutation(n)[: 2 * n // 3]] = 0.0
+    samples = [Sample(i, x[i], labels[i]) for i in range(n)]
+    if kind == "svm":
+        return model.SvmState(samples, alpha=mult, b=0.3)
+    return model.SvrState(samples, theta=mult * labels, b=0.3)
+
+
+class TestRestrictedDecisionValues:
+    """Evaluation over nonzero-coefficient rows equals the dense formula."""
+
+    @pytest.mark.parametrize("spec", RESTRICTED_SPECS, ids=lambda s: s.family)
+    @pytest.mark.parametrize("pattern", ["zero", "mixed", "all"])
+    @pytest.mark.parametrize("kind", ["svm", "svr"])
+    def test_matches_dense(self, kind, pattern, spec):
+        state = coefficient_state(kind, pattern)
+        coeffs = state.dual_coefficients
+        xq = np.random.default_rng(1).standard_normal((7, 3))
+
+        dense_test = kernels.kernel_matrix(xq, state.X, spec) @ coeffs + state.b
+        got_test = kernels.decision_values(xq, state, spec)
+        assert np.max(np.abs(got_test - dense_test)) <= 1e-12
+
+        dense_train = (kernels.kernel_matrix(state.X, state.X, spec) @ coeffs
+                       + state.b + spec.ridge * coeffs)
+        got_train = kernels.training_decision_values(state, spec)
+        assert np.max(np.abs(got_train - dense_train)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["svm", "svr"])
+    def test_all_zero_coefficients_give_the_bias(self, kind):
+        state = coefficient_state(kind, "zero")
+        spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
+        xq = np.ones((4, 3))
+        assert np.array_equal(kernels.decision_values(xq, state, spec), np.full(4, 0.3))
+        assert np.array_equal(kernels.training_decision_values(state, spec),
+                              np.full(state.n, 0.3))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from ridgesvm import batch, kernels, model
-from ridgesvm.errors import InconsistentState
+from ridgesvm import batch, data, kernels, model
+from ridgesvm.errors import InconsistentState, UnknownId
 from ridgesvm.kernels import KernelSpec
-from ridgesvm.model import Hyperparams, Sample
+from ridgesvm.model import Hyperparams, Sample, UpdateBatch
+from ridgesvm.online_svm import update_multi_svm
+from ridgesvm.online_svr import update_multi_svr
+from ridgesvm.path import path_update_svm, path_update_svr
 
 
 def two_point_samples():
@@ -158,3 +161,173 @@ def validate_empty(state, spec, hyper):
         state, spec=spec, C=hyper.C, epsilon=hyper.epsilon
     )
     return report == []
+
+
+def stored_state(kind, n=8):
+    """State with ids 10, 20, ... and row-distinct multipliers and residuals."""
+    rng = np.random.default_rng(4)
+    samples = [Sample(10 * (i + 1), rng.standard_normal(2), 1.0 if i % 2 else -1.0)
+               for i in range(n)]
+    if kind == "svm":
+        state = model.SvmState(samples, alpha=np.linspace(0.1, 0.8, n))
+        state.margins = np.arange(n, dtype=float)
+    else:
+        state = model.SvrState(samples, theta=np.linspace(-0.8, 0.8, n))
+        state.outputs = np.arange(n, dtype=float)
+    state.partition = np.array(["S", "B", "O", "S"] * (n // 4), dtype="<U1")
+    return state
+
+
+class TestRowsOf:
+    def test_request_order_kept(self):
+        state = stored_state("svm")
+        assert list(state.rows_of([50, 10, 80, 20])) == [4, 0, 7, 1]
+
+    def test_repeated_ids(self):
+        state = stored_state("svm")
+        assert list(state.rows_of([30, 30, 10, 30])) == [2, 2, 0, 2]
+
+    def test_empty_request(self):
+        rows = stored_state("svr").rows_of([])
+        assert rows.shape == (0,) and rows.dtype.kind == "i"
+
+    def test_after_splice(self):
+        state = stored_state("svr")
+        state.delete_rows([0, 3])
+        state.append_samples([Sample(5, np.zeros(2), 0.0)], [0.0], ["O"])
+        assert list(state.rows_of([5, 20, 80])) == [6, 0, 5]
+
+    @pytest.mark.parametrize("request_ids, missing", [
+        ([10, 15, 20], 15), ([999], 999), ([80, 81], 81), ([0, 10], 0),
+    ])
+    def test_missing_id_named(self, request_ids, missing):
+        with pytest.raises(UnknownId, match=f"sample id {missing} "):
+            stored_state("svm").rows_of(request_ids)
+
+    def test_missing_id_in_empty_state(self):
+        with pytest.raises(UnknownId, match="sample id 3 "):
+            model.SvmState([]).rows_of([3])
+
+
+class TestDeleteRows:
+    @pytest.mark.parametrize("kind", ["svm", "svr"])
+    def test_columns_stay_row_aligned(self, kind):
+        state = stored_state(kind)
+        before = state.copy()
+        state.delete_rows([6, 1, 2])
+        kept = [0, 3, 4, 5, 7]
+        assert [s.id for s in state.samples] == list(state.ids)
+        assert list(state.ids) == list(before.ids[kept])
+        assert np.array_equal(state.X, np.array([s.features for s in state.samples]))
+        assert np.array_equal(state.X, before.X[kept])
+        assert np.array_equal(state.partition, before.partition[kept])
+        if kind == "svm":
+            assert np.array_equal(state.y, before.y[kept])
+            assert np.array_equal(state.alpha, before.alpha[kept])
+            assert np.array_equal(state.margins, before.margins[kept])
+        else:
+            assert np.array_equal(state.targets, before.targets[kept])
+            assert np.array_equal(state.theta, before.theta[kept])
+            assert np.array_equal(state.outputs, before.outputs[kept])
+
+    def test_delete_nothing(self):
+        state = stored_state("svm")
+        state.delete_rows([])
+        assert state.n == 8
+
+
+class TestCachedInverseMembership:
+    """The cached inverse is trusted only for the S it was built for."""
+
+    @staticmethod
+    def swapped_state():
+        spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
+        state = batch.train_svm_batch(data.two_gaussians(40, seed=3), spec,
+                                      Hyperparams(C=1.0))
+        assert state.s_rows.size >= 2 and state.o_rows.size >= 1
+        stale = state.cached_inverse
+        leaver, joiner = int(state.s_rows[0]), int(state.o_rows[0])
+        state.partition[leaver], state.partition[joiner] = "O", "S"
+        return state, spec, stale, leaver, joiner
+
+    @staticmethod
+    def rebuilt(state, spec):
+        fresh = state.copy()
+        model.refresh_cached_inverse(fresh, spec)
+        return fresh.cached_inverse
+
+    def test_ensure_refreshes_on_equal_size_swap(self):
+        state, spec, stale, _, _ = self.swapped_state()
+        inv = model.ensure_cached_inverse(state, spec)
+        assert inv is not stale and inv.order == stale.order
+        assert list(inv.ids) == list(state.ids[state.s_rows])
+        assert np.allclose(inv.inv, self.rebuilt(state, spec).inv, atol=1e-10)
+        assert not np.allclose(inv.inv, stale.inv, atol=1e-6)
+
+    def test_grow_refreshes_on_equal_size_swap(self):
+        state, spec, _, _, _ = self.swapped_state()
+        second = int(state.o_rows[0])
+        state.partition[second] = "S"
+        model.grow_cached_inverse(state, spec, [second])
+        assert list(state.cached_inverse.ids) == list(state.ids[state.s_rows])
+        assert np.allclose(state.cached_inverse.inv, self.rebuilt(state, spec).inv,
+                           atol=1e-10)
+
+    def test_shrink_drops_a_stale_cache(self):
+        state, spec, _, _, joiner = self.swapped_state()
+        other = int(next(r for r in state.s_rows if r != joiner))
+        model.shrink_cached_inverse(state, [other])
+        assert state.cached_inverse is None
+
+    def test_patches_track_members(self):
+        spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
+        state = batch.train_svm_batch(data.two_gaussians(40, seed=3), spec,
+                                      Hyperparams(C=1.0))
+        leaver = int(state.s_rows[0])
+        model.shrink_cached_inverse(state, [leaver])
+        state.partition[leaver] = "O"
+        assert list(state.cached_inverse.ids) == list(state.ids[state.s_rows])
+        state.partition[leaver] = "S"
+        model.grow_cached_inverse(state, spec, [leaver])
+        assert list(state.cached_inverse.ids) == list(state.ids[state.s_rows])
+        assert np.allclose(state.cached_inverse.inv, self.rebuilt(state, spec).inv,
+                           atol=1e-8)
+
+
+def engine_cases():
+    """(engine, trained state, spec, hyperparameters) for every update engine."""
+    spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
+    svm_hyper = Hyperparams(C=1.0)
+    svr_hyper = Hyperparams(C=1.0, epsilon=0.2)
+    svm = batch.train_svm_batch(data.two_gaussians(20, seed=1), spec, svm_hyper)
+    svr = batch.train_svr_batch(data.noisy_sine(20, seed=2), spec, svr_hyper)
+    return [
+        (update_multi_svm, svm, spec, svm_hyper),
+        (path_update_svm, svm, spec, svm_hyper),
+        (update_multi_svr, svr, spec, svr_hyper),
+        (path_update_svr, svr, spec, svr_hyper),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+class TestBatchCheck:
+    """Every engine rejects a malformed batch before touching the state."""
+
+    @staticmethod
+    def run(case, add_ids, remove):
+        engine, state, spec, hyper = engine_cases()[case]
+        x = np.zeros(state.X.shape[1])
+        add = [Sample(sid, x, 1.0 if k % 2 else -1.0) for k, sid in enumerate(add_ids)]
+        engine(state, UpdateBatch(add=add, remove=remove), spec, hyper)
+
+    def test_arrival_id_clashes_with_stored(self, case):
+        with pytest.raises(ValueError, match="id 3 is not fresh"):
+            self.run(case, [901, 3], [])
+
+    def test_arrival_id_repeated_in_batch(self, case):
+        with pytest.raises(ValueError, match="id 901 is not fresh"):
+            self.run(case, [902, 901, 903, 901], [])
+
+    def test_unknown_removal_id(self, case):
+        with pytest.raises(UnknownId, match="sample id 777 "):
+            self.run(case, [904], [1, 777])
