@@ -42,8 +42,12 @@ class KernelSpec:
             raise ValueError("ridge must be >= 0")
 
 
-def kernel_matrix(xa, xb, spec: KernelSpec) -> np.ndarray:
-    """Kernel values between the rows of ``xa`` and ``xb`` (no ridge)."""
+def kernel_matrix(xa, xb, spec: KernelSpec, out=None) -> np.ndarray:
+    """Kernel values between the rows of ``xa`` and ``xb`` (no ridge).
+
+    The values are computed in place in one array: ``out`` if given (a
+    C-contiguous float array of shape ``(len(xa), len(xb))``), else a new one.
+    """
     a = np.atleast_2d(np.asarray(xa, dtype=float))
     b = np.atleast_2d(np.asarray(xb, dtype=float))
     if a.shape[1] != b.shape[1]:
@@ -51,11 +55,16 @@ def kernel_matrix(xa, xb, spec: KernelSpec) -> np.ndarray:
             f"feature dimensions differ: {a.shape[1]} vs {b.shape[1]}"
         )
     if spec.family == "linear":
-        return a @ b.T
+        return np.matmul(a, b.T, out=out)
     if spec.family == "polynomial":
-        return (a @ b.T + spec.offset) ** spec.degree
-    sq = distance.cdist(a, b, metric="sqeuclidean")
-    return np.exp(-sq / (2.0 * spec.sigma**2))
+        k = np.matmul(a, b.T, out=out)
+        k += spec.offset
+        k **= spec.degree
+        return k
+    k = distance.cdist(a, b, metric="sqeuclidean", out=out)
+    np.negative(k, out=k)
+    k /= 2.0 * spec.sigma**2
+    return np.exp(k, out=k)
 
 
 def kernel_eval(a, b, spec: KernelSpec) -> float:
@@ -103,6 +112,63 @@ def q_block(xa, ya, xb, yb, spec: KernelSpec, ids_a=None, ids_b=None) -> np.ndar
     """Label-signed cross block y_a y_b^T * (K + ridge on id matches)."""
     k = gram_block(xa, xb, spec, ids_a, ids_b)
     return np.outer(np.asarray(ya, dtype=float), np.asarray(yb, dtype=float)) * k
+
+
+class ColumnCache:
+    """Ridge-Gram columns ``K[:, r] + ridge * e_r`` of one fixed row set.
+
+    Each requested row's column is evaluated once and kept in a contiguous
+    n x k buffer, so a product over many columns is one matrix-vector
+    product over the buffer instead of a per-call stack of columns.  The
+    ridge goes by row index: two rows with identical features stay
+    unridged off the diagonal.  With ``labels`` every product is signed,
+    ``y * (K[:, rows] @ (y[rows] * coef))``, the classification Gram.
+
+    The rows of ``x`` must not change while the cache is in use.
+    """
+
+    def __init__(self, x, spec: KernelSpec, labels=None):
+        self.x = x
+        self.spec = spec
+        self.labels = None if labels is None else np.asarray(labels, dtype=float)
+        n = x.shape[0]
+        self._slot = np.full(n, -1, dtype=np.intp)
+        self._buf = np.empty((n, 0), order="F")
+        self._filled = 0
+
+    def _fill(self, rows: np.ndarray) -> None:
+        missing = np.unique(rows[self._slot[rows] < 0])
+        k = missing.size
+        if k == 0:
+            return
+        start, end = self._filled, self._filled + k
+        if end > self._buf.shape[1]:
+            n = self.x.shape[0]
+            grown = np.empty((n, min(n, 2 * end)), order="F")
+            grown[:, :start] = self._buf[:, :start]
+            self._buf = grown
+        cols = self._buf[:, start:end]
+        # evaluated in place: the transposed slice is C-contiguous, and
+        # K(x_missing, x) is K(x, x_missing) transposed
+        kernel_matrix(self.x[missing], self.x, self.spec, out=cols.T)
+        cols[missing, np.arange(k)] += self.spec.ridge
+        self._slot[missing] = np.arange(start, end)
+        self._filled = end
+
+    def apply(self, rows, coef) -> np.ndarray:
+        """``G[:, rows] @ coef`` for the (signed) ridge Gram ``G``."""
+        rows = np.asarray(rows, dtype=np.intp).ravel()
+        coef = np.asarray(coef, dtype=float).ravel()
+        if rows.size == 0:
+            return np.zeros(self.x.shape[0])
+        self._fill(rows)
+        if self.labels is not None:
+            coef = self.labels[rows] * coef
+        weights = np.bincount(self._slot[rows], weights=coef, minlength=self._filled)
+        out = self._buf[:, :self._filled] @ weights
+        if self.labels is not None:
+            out *= self.labels
+        return out
 
 
 def decision_profile(xq, x_model, coefficients, bias, spec: KernelSpec) -> np.ndarray:

@@ -147,7 +147,7 @@ def inverse_grow(q_inv_prev, q_cross, q_new) -> np.ndarray:
     h = -body
     hv = h @ v_inv
     out = np.empty((n + k, n + k))
-    out[:n, :n] = prev + hv @ h.T
+    np.add(prev, hv @ h.T, out=out[:n, :n])
     out[:n, n:] = hv
     out[n:, :n] = hv.T
     out[n:, n:] = v_inv
@@ -164,7 +164,8 @@ def inverse_shrink(q_inv_prev, removed_ids) -> np.ndarray:
          [h_R^T, v_R]]
 
     and returns ``Lam - h_R v_R^{-1} h_R^T``.  Surviving rows keep their
-    relative order, so index maps held by callers stay valid.
+    relative order, so index maps held by callers stay valid.  The result
+    is a fresh array; ``q_inv_prev`` is only read.
     """
     prev = _as_square(q_inv_prev)
     n = prev.shape[0]
@@ -173,12 +174,16 @@ def inverse_shrink(q_inv_prev, removed_ids) -> np.ndarray:
         return prev.copy()
     if removed.min() < 0 or removed.max() >= n:
         raise IndexError(f"removed ids out of range for order {n}")
-    keep = np.setdiff1d(np.arange(n), removed, assume_unique=False)
-    lam = prev[np.ix_(keep, keep)]
-    h_r = prev[np.ix_(keep, removed)]
+    keep = np.ones(n, dtype=bool)
+    keep[removed] = False
+    keep = np.flatnonzero(keep)
+    rows = prev.take(keep, axis=0)
+    lam = rows.take(keep, axis=1)
+    h_r = rows.take(removed, axis=1)
     v_r = prev[np.ix_(removed, removed)]
     v_inv = _checked_inverse(v_r, SingularCornerBlock)
-    return lam - h_r @ v_inv @ h_r.T
+    lam -= h_r @ v_inv @ h_r.T
+    return lam
 
 
 def inverse_grow_shrink(q_inv_prev, q_cross, q_new, removed_ids) -> np.ndarray:

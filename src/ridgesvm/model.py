@@ -318,6 +318,12 @@ def classify_regions_svr(theta, outputs, C, epsilon, strict: bool = True) -> np.
     return tags
 
 
+def column_cache(state, spec) -> kernels.ColumnCache:
+    """Ridge-Gram column cache over the current rows, signed for SVM."""
+    labels = state.y if isinstance(state, SvmState) else None
+    return kernels.ColumnCache(state.X, spec, labels)
+
+
 def _border_vector(state) -> np.ndarray:
     if isinstance(state, SvmState):
         return state.y[state.s_rows]
@@ -357,27 +363,36 @@ def ensure_cached_inverse(state, spec) -> linalg.BorderedInverse:
 
 
 def shrink_cached_inverse(state, leaving_rows) -> None:
-    """Drop members of ``S`` from the cached bordered inverse in place.
+    """Drop members of ``S`` from the cached bordered inverse.
 
     ``leaving_rows`` are state rows currently tagged ``S``; the caller
     retags them afterwards.  Falls back to a deferred full rebuild when no
-    cache built for the current ``S`` exists.
+    cache built for the current ``S`` exists.  The old inverse array is
+    never written: state copies share it.
     """
-    s = list(state.s_rows)
-    leaving = sorted(int(r) for r in leaving_rows)
-    if not leaving:
+    s = state.s_rows
+    leaving = np.unique(np.asarray(leaving_rows, dtype=int))
+    if not leaving.size:
         return
-    if not _cache_covers(state, s) or len(leaving) == len(s):
+    if not _cache_covers(state, s) or leaving.size == s.size:
         state.cached_inverse = None
         return
+    members = np.searchsorted(s, leaving)
+    if members.max() >= s.size or not np.array_equal(s[members], leaving):
+        raise ValueError("shrink_cached_inverse: a leaving row is not in S")
     cache = state.cached_inverse
-    members = [s.index(r) for r in leaving]
-    inv = linalg.inverse_shrink(cache.inv, [m + 1 for m in members])  # +1: border row leads
-    inv = 0.5 * (inv + inv.T)
+    inv = linalg.inverse_shrink(cache.inv, members + 1)  # +1: border row leads
+    _symmetrize(inv)
     state.cached_inverse = linalg.BorderedInverse(
-        z=float(inv[0, 0]), order=len(s) - len(leaving), inv=inv,
+        z=float(inv[0, 0]), order=s.size - leaving.size, inv=inv,
         ids=np.delete(cache.ids, members),
     )
+
+
+def _symmetrize(m: np.ndarray) -> None:
+    """Replace ``m`` by ``(m + m^T) / 2`` in place."""
+    m += m.T
+    m *= 0.5
 
 
 def grow_cached_inverse(state, spec, join_rows) -> None:
@@ -387,47 +402,90 @@ def grow_cached_inverse(state, spec, join_rows) -> None:
     permutation restores ascending row order so the cache always mirrors
     ``state.s_rows``.
     """
-    joins = sorted(int(r) for r in join_rows)
-    if not joins:
+    joins = np.unique(np.asarray(join_rows, dtype=int))
+    if not joins.size:
         return
-    s = list(state.s_rows)
-    old = [r for r in s if r not in set(joins)]
+    s = state.s_rows
+    old = np.setdiff1d(s, joins, assume_unique=True)
     if not _cache_covers(state, old):
         refresh_cached_inverse(state, spec)
         return
     cache = state.cached_inverse
     xj = state.X[joins]
     ids_j = state.ids[joins]
+    # old and joining rows are distinct samples: no ridge in the cross block
     if isinstance(state, SvmState):
         yj = state.y[joins]
         border_vals = yj
         corner = kernels.q_block(xj, yj, xj, yj, spec, ids_j, ids_j)
-        if old:
-            cross_body = kernels.q_block(
-                state.X[old], state.y[old], xj, yj, spec, state.ids[old], ids_j
-            )
-        else:
-            cross_body = np.zeros((0, len(joins)))
+        cross_body = kernels.q_block(state.X[old], state.y[old], xj, yj, spec)
     else:
-        border_vals = np.ones(len(joins))
+        border_vals = np.ones(joins.size)
         corner = kernels.gram_block(xj, xj, spec, ids_j, ids_j)
-        if old:
-            cross_body = kernels.gram_block(
-                state.X[old], xj, spec, state.ids[old], ids_j
-            )
-        else:
-            cross_body = np.zeros((0, len(joins)))
+        cross_body = kernels.gram_block(state.X[old], xj, spec)
     cross = np.vstack([border_vals[None, :], cross_body])
     inv = linalg.inverse_grow(cache.inv, cross, corner)
-    grown_order = old + joins
-    if grown_order != s:
-        rank = {row: k for k, row in enumerate(grown_order)}
-        perm = np.concatenate(([0], [1 + rank[row] for row in s]))
-        inv = inv[np.ix_(perm, perm)]
-    inv = 0.5 * (inv + inv.T)
+    grown = np.concatenate([old, joins])
+    if np.any(grown[1:] < grown[:-1]):
+        perm = np.concatenate(([0], 1 + np.argsort(grown)))
+        inv = inv.take(perm, axis=0).take(perm, axis=1)
+    _symmetrize(inv)
     state.cached_inverse = linalg.BorderedInverse(
-        z=float(inv[0, 0]), order=len(s), inv=inv, ids=state.ids[s]
+        z=float(inv[0, 0]), order=s.size, inv=inv, ids=state.ids[s]
     )
+
+
+def _box_violations(mult, C, is_svm, checked) -> list[Violation]:
+    lo = -C if not is_svm else 0.0
+    bad = checked & ((mult < lo - BOUND_TOL) | (mult > C + BOUND_TOL))
+    return [
+        Violation("box", int(row), max(lo - mult[row], mult[row] - C),
+                  f"multiplier {mult[row]:.6g} outside [{lo}, {C}]")
+        for row in np.flatnonzero(bad)
+    ]
+
+
+def _region_violations(tags, mult, resid, C, eps, tol, is_svm, checked) -> list[Violation]:
+    """Region-tag breaches against stored residuals, by row, then check order."""
+    g = resid if is_svm else np.abs(resid) - eps
+    in_s = checked & (tags == REGION_S)
+    in_b = checked & (tags == REGION_B)
+    in_o = checked & ~(tags == REGION_S) & ~(tags == REGION_B)
+    off_bound = np.abs(np.abs(mult) - C) if not is_svm else np.abs(mult - C)
+    # (rows to report, rank within a row, kind, magnitude, detail)
+    checks = [
+        (in_s & (np.abs(g) > tol), 0, "region:S", np.abs(g),
+         lambda r: f"S member residual {g[r]:.3e}"),
+        (in_b & ~(off_bound <= BOUND_TOL), 0, "region:B", np.abs(np.abs(mult) - C),
+         lambda r: f"B member multiplier {mult[r]:.6g} not at bound"),
+        (in_o & (np.abs(mult) > BOUND_TOL), 0, "region:O", np.abs(mult),
+         lambda r: f"O member multiplier {mult[r]:.6g} nonzero"),
+    ]
+    if is_svm:
+        checks += [
+            (in_b & (g > tol), 1, "region:B", g,
+             lambda r: f"B member margin {g[r]:.3e} > 0"),
+            (in_o & (g < -tol), 1, "region:O", -g,
+             lambda r: f"O member margin {g[r]:.3e} < 0"),
+        ]
+    else:
+        checks += [
+            (in_b & (g < -tol), 1, "region:B", -g,
+             lambda r: f"B member tube slack {g[r]:.3e} < 0"),
+            (in_o & (g > tol), 1, "region:O", g,
+             lambda r: f"O member tube slack {g[r]:.3e} > 0"),
+            # saturated/active regression multipliers must oppose the error
+            ((in_s | in_b) & (np.abs(mult) > BOUND_TOL) & (np.abs(resid) > tol)
+             & (mult * resid > 0), 2, "sign", np.abs(mult * resid),
+             lambda r: f"theta {mult[r]:.4g} and residual {resid[r]:.4g} share a sign"),
+        ]
+    found = [
+        (int(row), rank, Violation(kind, int(row), magnitude[row], detail(row)))
+        for mask, rank, kind, magnitude, detail in checks
+        for row in np.flatnonzero(mask)
+    ]
+    found.sort(key=lambda item: item[:2])
+    return [v for _, _, v in found]
 
 
 def validate(state, spec=None, C=None, epsilon=None, tol=REGION_TOL, ignore_rows=()):
@@ -442,7 +500,6 @@ def validate(state, spec=None, C=None, epsilon=None, tol=REGION_TOL, ignore_rows
     is_svm = isinstance(state, SvmState)
     mult = state.alpha if is_svm else state.theta
     resid = state.margins if is_svm else state.outputs
-    ignore = set(int(r) for r in ignore_rows)
 
     # multiplier balance (orthogonal-hyperplane equality)
     weights = state.y if is_svm else np.ones(state.n)
@@ -456,68 +513,13 @@ def validate(state, spec=None, C=None, epsilon=None, tol=REGION_TOL, ignore_rows
         )
 
     if C is not None:
-        lo = -C if not is_svm else 0.0
-        for row in range(state.n):
-            if row in ignore:
-                continue
-            v = mult[row]
-            if v < lo - BOUND_TOL or v > C + BOUND_TOL:
-                report.append(
-                    Violation(
-                        "box", row, max(lo - v, v - C),
-                        f"multiplier {v:.6g} outside [{lo}, {C}]",
-                    )
-                )
-
-    # region-tag consistency against stored residuals
-    if C is not None:
+        checked = np.ones(state.n, dtype=bool)
+        ignore = np.asarray(list(ignore_rows), dtype=int).ravel()
+        checked[ignore[(ignore >= 0) & (ignore < state.n)]] = False
+        report += _box_violations(mult, C, is_svm, checked)
         eps = 0.0 if is_svm else float(epsilon if epsilon is not None else 0.0)
-        for row in range(state.n):
-            if row in ignore:
-                continue
-            tag = state.partition[row]
-            v = mult[row]
-            g = resid[row] if is_svm else abs(resid[row]) - eps
-            if tag == REGION_S:
-                if abs(g) > tol:
-                    report.append(
-                        Violation("region:S", row, abs(g),
-                                  f"S member residual {g:.3e}"))
-            elif tag == REGION_B:
-                sat = abs(abs(v) - C) <= BOUND_TOL if not is_svm else abs(v - C) <= BOUND_TOL
-                if not sat:
-                    report.append(
-                        Violation("region:B", row, abs(abs(v) - C),
-                                  f"B member multiplier {v:.6g} not at bound"))
-                if is_svm and g > tol:
-                    report.append(
-                        Violation("region:B", row, g,
-                                  f"B member margin {g:.3e} > 0"))
-                if not is_svm and g < -tol:
-                    report.append(
-                        Violation("region:B", row, -g,
-                                  f"B member tube slack {g:.3e} < 0"))
-            else:
-                if abs(v) > BOUND_TOL:
-                    report.append(
-                        Violation("region:O", row, abs(v),
-                                  f"O member multiplier {v:.6g} nonzero"))
-                if is_svm and g < -tol:
-                    report.append(
-                        Violation("region:O", row, -g,
-                                  f"O member margin {g:.3e} < 0"))
-                if not is_svm and g > tol:
-                    report.append(
-                        Violation("region:O", row, g,
-                                  f"O member tube slack {g:.3e} > 0"))
-            # saturated/active regression multipliers must oppose the error
-            if not is_svm and tag in (REGION_S, REGION_B):
-                if abs(v) > BOUND_TOL and abs(resid[row]) > tol:
-                    if v * resid[row] > 0:
-                        report.append(
-                            Violation("sign", row, abs(v * resid[row]),
-                                      f"theta {v:.4g} and residual "
-                                      f"{resid[row]:.4g} share a sign"))
+        report += _region_violations(state.partition, mult, resid, C, eps, tol,
+                                     is_svm, checked)
 
     if spec is not None and state.n:
         fresh = compute_margins_svm(state, spec) if is_svm else compute_outputs_svr(state, spec)

@@ -98,28 +98,14 @@ def equilibrium_solve_svm(state, spec, add_samples, delta_add, remove_rows, delt
     return float(sol[0]), sol[1:]
 
 
-class _ColumnCache:
-    """Signed ridge-Gram columns against all current rows, built lazily."""
-
-    def __init__(self, state, spec):
-        self.state = state
-        self.spec = spec
-        self.cols: dict[int, np.ndarray] = {}
-
-    def block(self, rows) -> np.ndarray:
-        rows = [int(r) for r in rows]
-        missing = [r for r in rows if r not in self.cols]
-        if missing:
-            st = self.state
-            fresh = kernels.q_block(
-                st.X, st.y, st.X[missing], st.y[missing], self.spec,
-                st.ids, st.ids[missing],
-            )
-            for k, r in enumerate(missing):
-                self.cols[r] = fresh[:, k]
-        if not rows:
-            return np.zeros((self.state.n, 0))
-        return np.column_stack([self.cols[r] for r in rows])
+def _snap(state: model.SvmState, cache, rows, bounds) -> None:
+    """Pin ``S`` members onto a box bound: zero exits to ``O``, ``C`` to ``B``."""
+    deltas = bounds - state.alpha[rows]
+    state.alpha[rows] = bounds
+    if deltas.any():
+        state.margins += cache.apply(rows, deltas)
+    model.shrink_cached_inverse(state, rows)  # while tagged S
+    state.partition[rows] = np.where(bounds == 0.0, REGION_O, REGION_B)
 
 
 def _release_candidates(state: model.SvmState) -> list[int]:
@@ -133,7 +119,7 @@ def _release_candidates(state: model.SvmState) -> list[int]:
 
 
 def kkt_repair(state: model.SvmState, spec, hyper, max_repair_passes=MAX_REPAIR_PASSES,
-               _cache: _ColumnCache | None = None):
+               _cache: kernels.ColumnCache | None = None):
     """Restore the optimality regions after a one-shot update (in place).
 
     Each pass solves the equilibrium over the current ``S`` and walks
@@ -146,8 +132,8 @@ def kkt_repair(state: model.SvmState, spec, hyper, max_repair_passes=MAX_REPAIR_
     loop cannot cycle; :class:`RepairDivergence` guards the pass budget.
     """
     C = hyper.C
-    cache = _cache if _cache is not None and _cache.state is state \
-        else _ColumnCache(state, spec)
+    cache = _cache if _cache is not None and _cache.x is state.X \
+        else model.column_cache(state, spec)
     single_release = False
     for _ in range(max_repair_passes):
         s_rows = state.s_rows
@@ -156,25 +142,14 @@ def kkt_repair(state: model.SvmState, spec, hyper, max_repair_passes=MAX_REPAIR_
                 np.clip(state.alpha, 0.0, C, out=state.alpha)
                 return state
             raise EmptyS("no unbounded set left to repair against")
+        alpha_s = state.alpha[s_rows]
 
         # the one-shot solve applies unclamped deltas: members it pushed out
         # of the box are reset onto the violated bound before anything else
-        snap_rows, snap_deltas, snap_tags = [], [], []
-        for s in s_rows:
-            if state.alpha[s] < -_MIGRATE_TOL:
-                snap_rows.append(int(s))
-                snap_deltas.append(-state.alpha[s])
-                snap_tags.append(REGION_O)
-                state.alpha[s] = 0.0
-            elif state.alpha[s] > C + _MIGRATE_TOL:
-                snap_rows.append(int(s))
-                snap_deltas.append(C - state.alpha[s])
-                snap_tags.append(REGION_B)
-                state.alpha[s] = C
-        if snap_rows:
-            state.margins += cache.block(snap_rows) @ np.asarray(snap_deltas)
-            model.shrink_cached_inverse(state, snap_rows)  # while tagged S
-            state.partition[snap_rows] = snap_tags
+        below = alpha_s < -_MIGRATE_TOL
+        outside = below | (alpha_s > C + _MIGRATE_TOL)
+        if outside.any():
+            _snap(state, cache, s_rows[outside], np.where(below[outside], 0.0, C))
             continue
         inv = model.ensure_cached_inverse(state, spec)
 
@@ -191,22 +166,21 @@ def kkt_repair(state: model.SvmState, spec, hyper, max_repair_passes=MAX_REPAIR_
         sol = inv.inv @ np.concatenate(([rhs_top], rhs_body))
         target_b, target_alpha = float(sol[0]), sol[1:]
 
-        d_alpha = target_alpha - state.alpha[s_rows]
+        d_alpha = target_alpha - alpha_s
         d_b = target_b - state.b
 
         # longest feasible step toward the solve target
-        step = 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             room = np.where(
-                d_alpha > 1e-14, (C - state.alpha[s_rows]) / d_alpha,
-                np.where(d_alpha < -1e-14, -state.alpha[s_rows] / d_alpha, np.inf),
+                d_alpha > 1e-14, (C - alpha_s) / d_alpha,
+                np.where(d_alpha < -1e-14, -alpha_s / d_alpha, np.inf),
             )
         step = min(1.0, float(np.min(room, initial=np.inf)))
         step = max(step, 0.0)
 
         if step > 0.0:
             move = step * d_alpha
-            state.margins += cache.block(s_rows) @ move + state.y * (step * d_b)
+            state.margins += cache.apply(s_rows, move) + state.y * (step * d_b)
             state.alpha[s_rows] += move
             state.b += step * d_b
 
@@ -214,18 +188,7 @@ def kkt_repair(state: model.SvmState, spec, hyper, max_repair_passes=MAX_REPAIR_
             if step <= 1e-12:
                 single_release = True
             blocked = np.flatnonzero(room <= step + 1e-12)
-            snap_rows, snap_deltas, snap_tags = [], [], []
-            for k in blocked:
-                s = int(s_rows[k])
-                bound = C if d_alpha[k] > 0 else 0.0
-                snap_rows.append(s)
-                snap_deltas.append(bound - state.alpha[s])
-                snap_tags.append(REGION_B if bound == C else REGION_O)
-                state.alpha[s] = bound
-            if any(snap_deltas):
-                state.margins += cache.block(snap_rows) @ np.asarray(snap_deltas)
-            model.shrink_cached_inverse(state, snap_rows)  # while tagged S
-            state.partition[snap_rows] = snap_tags
+            _snap(state, cache, s_rows[blocked], np.where(d_alpha[blocked] > 0, C, 0.0))
             continue
 
         releases = _release_candidates(state)
@@ -249,9 +212,9 @@ def rebuild_empty_S(state: model.SvmState, incoming, spec, hyper, config=None):
     state.  Falls back to a full retrain on the combined data whenever the
     restricted route cannot produce a consistent model.
     """
-    free_rows = list(state.b_rows)
-    free_samples = [state.samples[r] for r in free_rows] + list(incoming)
-    o_rows = [r for r in range(state.n) if r not in set(free_rows)]
+    free = state.partition == REGION_B
+    free_samples = [state.samples[r] for r in np.flatnonzero(free)] + list(incoming)
+    o_rows = np.flatnonzero(~free)
 
     labels = np.array([s.target for s in free_samples], dtype=float)
     restricted_ok = (
@@ -344,15 +307,11 @@ def update_multi_svm(state: model.SvmState, batch: model.UpdateBatch, spec, hype
         ).astype("<U1")
         work.append_samples(add_samples, alpha_d, tags)
 
-    cache = _ColumnCache(work, spec)
+    cache = model.column_cache(work, spec)
     if effective:
-        s_rows = work.rows_of(s_ids)
-        shift = work.y * db
-        if s_rows.size:
-            shift = shift + cache.block(s_rows) @ dalpha_s
-        if add_samples:
-            d_rows = np.arange(work.n - len(add_samples), work.n)
-            shift = shift + cache.block(d_rows) @ alpha_d
+        moved = np.concatenate([work.rows_of(s_ids),
+                                np.arange(work.n - len(add_samples), work.n)])
+        shift = work.y * db + cache.apply(moved, np.concatenate([dalpha_s, alpha_d]))
         if remove_rows.size:
             shift = shift + kernels.q_block(
                 work.X, work.y, x_r, y_r, spec, work.ids, ids_r

@@ -74,29 +74,6 @@ def equilibrium_solve_svr(state, spec, add_samples, delta_add, remove_rows, delt
     return float(sol[0]), sol[1:]
 
 
-class _ColumnCache:
-    """Ridge-Gram columns against all current rows, built lazily."""
-
-    def __init__(self, state, spec):
-        self.state = state
-        self.spec = spec
-        self.cols: dict[int, np.ndarray] = {}
-
-    def block(self, rows) -> np.ndarray:
-        rows = [int(r) for r in rows]
-        missing = [r for r in rows if r not in self.cols]
-        if missing:
-            st = self.state
-            fresh = kernels.gram_block(
-                st.X, st.X[missing], self.spec, st.ids, st.ids[missing]
-            )
-            for k, r in enumerate(missing):
-                self.cols[r] = fresh[:, k]
-        if not rows:
-            return np.zeros((self.state.n, 0))
-        return np.column_stack([self.cols[r] for r in rows])
-
-
 def _tube_targets(state: model.SvrState, epsilon: float, s_rows) -> np.ndarray:
     """Which tube edge each unbounded member is pinned to.
 
@@ -105,14 +82,19 @@ def _tube_targets(state: model.SvrState, epsilon: float, s_rows) -> np.ndarray:
     """
     if epsilon == 0.0:
         return np.zeros(s_rows.size)
-    targets = np.empty(s_rows.size)
-    for k, s in enumerate(s_rows):
-        th = state.theta[s]
-        if abs(th) > model.BOUND_TOL:
-            targets[k] = -epsilon * np.sign(th)
-        else:
-            targets[k] = epsilon * np.sign(state.outputs[s])
-    return targets
+    theta = state.theta[s_rows]
+    return np.where(np.abs(theta) > model.BOUND_TOL, -epsilon * np.sign(theta),
+                    epsilon * np.sign(state.outputs[s_rows]))
+
+
+def _snap(state: model.SvrState, cache, rows, bounds) -> None:
+    """Pin ``S`` members onto a segment edge: zero exits to ``O``, a corner to ``B``."""
+    deltas = bounds - state.theta[rows]
+    state.theta[rows] = bounds
+    if deltas.any():
+        state.outputs += cache.apply(rows, deltas)
+    model.shrink_cached_inverse(state, rows)  # while tagged S
+    state.partition[rows] = np.where(bounds == 0.0, REGION_O, REGION_B)
 
 
 def _release_candidates_svr(state: model.SvrState, eps: float) -> list[int]:
@@ -134,7 +116,7 @@ def _release_candidates_svr(state: model.SvrState, eps: float) -> list[int]:
 
 
 def kkt_repair_svr(state: model.SvrState, spec, hyper, max_repair_passes=MAX_REPAIR_PASSES,
-                   _cache: _ColumnCache | None = None):
+                   _cache: kernels.ColumnCache | None = None):
     """Restore the five-branch tube conditions after a one-shot update.
 
     Mirrors the classification repair: walk toward each equilibrium solve
@@ -144,8 +126,8 @@ def kkt_repair_svr(state: model.SvrState, spec, hyper, max_repair_passes=MAX_REP
     target is reached.
     """
     C, eps = hyper.C, hyper.epsilon
-    cache = _cache if _cache is not None and _cache.state is state \
-        else _ColumnCache(state, spec)
+    cache = _cache if _cache is not None and _cache.x is state.X \
+        else model.column_cache(state, spec)
     single_release = False
     for _ in range(max_repair_passes):
         s_rows = state.s_rows
@@ -155,31 +137,22 @@ def kkt_repair_svr(state: model.SvrState, spec, hyper, max_repair_passes=MAX_REP
                 return state
             raise EmptyS("no unbounded set left to repair against")
 
+        # per-member segment: one tube side when eps > 0, the full box else
         tube = _tube_targets(state, eps, s_rows)
+        if eps > 0:
+            lo = np.where(tube > 0, -C, 0.0)
+            hi = np.where(tube > 0, 0.0, C)
+        else:
+            lo = np.full(s_rows.size, -C)
+            hi = np.full(s_rows.size, C)
+        theta_s = state.theta[s_rows]
 
         # reset members the unclamped one-shot deltas pushed out of their
         # tube-side segment onto the violated edge before anything else
-        snap_rows, snap_deltas, snap_tags = [], [], []
-        for k, s in enumerate(s_rows):
-            if eps > 0:
-                lo_k, hi_k = (-C, 0.0) if tube[k] > 0 else (0.0, C)
-            else:
-                lo_k, hi_k = -C, C
-            th = state.theta[s]
-            if th < lo_k - _MIGRATE_TOL:
-                snap_rows.append(int(s))
-                snap_deltas.append(lo_k - th)
-                snap_tags.append(REGION_O if lo_k == 0.0 else REGION_B)
-                state.theta[s] = lo_k
-            elif th > hi_k + _MIGRATE_TOL:
-                snap_rows.append(int(s))
-                snap_deltas.append(hi_k - th)
-                snap_tags.append(REGION_O if hi_k == 0.0 else REGION_B)
-                state.theta[s] = hi_k
-        if snap_rows:
-            state.outputs += cache.block(snap_rows) @ np.asarray(snap_deltas)
-            model.shrink_cached_inverse(state, snap_rows)  # while tagged S
-            state.partition[snap_rows] = snap_tags
+        below = theta_s < lo - _MIGRATE_TOL
+        outside = below | (theta_s > hi + _MIGRATE_TOL)
+        if outside.any():
+            _snap(state, cache, s_rows[outside], np.where(below, lo, hi)[outside])
             continue
         inv = model.ensure_cached_inverse(state, spec)
 
@@ -195,28 +168,20 @@ def kkt_repair_svr(state: model.SvrState, spec, hyper, max_repair_passes=MAX_REP
         sol = inv.inv @ np.concatenate(([rhs_top], rhs_body))
         target_b, target_theta = float(sol[0]), sol[1:]
 
-        d_theta = target_theta - state.theta[s_rows]
+        d_theta = target_theta - theta_s
         d_b = target_b - state.b
 
-        # per-member segment: one tube side when eps > 0, the full box else
-        if eps > 0:
-            lo = np.where(tube > 0, -C, 0.0)
-            hi = np.where(tube > 0, 0.0, C)
-        else:
-            lo = np.full(s_rows.size, -C)
-            hi = np.full(s_rows.size, C)
         with np.errstate(divide="ignore", invalid="ignore"):
             room = np.where(
-                d_theta > 1e-14, (hi - state.theta[s_rows]) / d_theta,
-                np.where(d_theta < -1e-14,
-                         (lo - state.theta[s_rows]) / d_theta, np.inf),
+                d_theta > 1e-14, (hi - theta_s) / d_theta,
+                np.where(d_theta < -1e-14, (lo - theta_s) / d_theta, np.inf),
             )
         step = min(1.0, float(np.min(room, initial=np.inf)))
         step = max(step, 0.0)
 
         if step > 0.0:
             move = step * d_theta
-            state.outputs += cache.block(s_rows) @ move + step * d_b
+            state.outputs += cache.apply(s_rows, move) + step * d_b
             state.theta[s_rows] += move
             state.b += step * d_b
 
@@ -224,18 +189,8 @@ def kkt_repair_svr(state: model.SvrState, spec, hyper, max_repair_passes=MAX_REP
             if step <= 1e-12:
                 single_release = True
             blocked = np.flatnonzero(room <= step + 1e-12)
-            snap_rows, snap_deltas, snap_tags = [], [], []
-            for k in blocked:
-                s = int(s_rows[k])
-                bound = float(hi[k] if d_theta[k] > 0 else lo[k])
-                snap_rows.append(s)
-                snap_deltas.append(bound - state.theta[s])
-                snap_tags.append(REGION_O if bound == 0.0 else REGION_B)
-                state.theta[s] = bound
-            if any(snap_deltas):
-                state.outputs += cache.block(snap_rows) @ np.asarray(snap_deltas)
-            model.shrink_cached_inverse(state, snap_rows)  # while tagged S
-            state.partition[snap_rows] = snap_tags
+            bounds = np.where(d_theta[blocked] > 0, hi[blocked], lo[blocked])
+            _snap(state, cache, s_rows[blocked], bounds)
             continue
 
         releases = _release_candidates_svr(state, eps)
@@ -258,9 +213,9 @@ def rebuild_empty_S_svr(state: model.SvrState, incoming, spec, hyper, config=Non
     vectors held at zero; falls back to a full retrain when the restricted
     route fails.
     """
-    free_rows = list(state.b_rows)
-    free_samples = [state.samples[r] for r in free_rows] + list(incoming)
-    o_rows = [r for r in range(state.n) if r not in set(free_rows)]
+    free = state.partition == REGION_B
+    free_samples = [state.samples[r] for r in np.flatnonzero(free)] + list(incoming)
+    o_rows = np.flatnonzero(~free)
 
     if len(free_samples) >= 2:
         try:
@@ -340,15 +295,11 @@ def update_multi_svr(state: model.SvrState, batch: model.UpdateBatch, spec, hype
         ).astype("<U1")
         work.append_samples(add_samples, theta_d, tags)
 
-    cache = _ColumnCache(work, spec)
+    cache = model.column_cache(work, spec)
     if effective:
-        s_rows = work.rows_of(s_ids)
-        shift = np.full(work.n, db)
-        if s_rows.size:
-            shift = shift + cache.block(s_rows) @ dtheta_s
-        if add_samples:
-            d_rows = np.arange(work.n - len(add_samples), work.n)
-            shift = shift + cache.block(d_rows) @ theta_d
+        moved = np.concatenate([work.rows_of(s_ids),
+                                np.arange(work.n - len(add_samples), work.n)])
+        shift = cache.apply(moved, np.concatenate([dtheta_s, theta_d])) + db
         if remove_rows.size:
             shift = shift + kernels.gram_block(
                 work.X, x_r, spec, work.ids, ids_r

@@ -72,36 +72,6 @@ def _residuals(state) -> np.ndarray:
     return state.margins if _is_svm(state) else state.outputs
 
 
-class _Columns:
-    """Per-path cache of signed ridge-Gram columns against all rows."""
-
-    def __init__(self, state, spec):
-        self.state = state
-        self.spec = spec
-        self.svm = _is_svm(state)
-        self.cols: dict[int, np.ndarray] = {}
-
-    def block(self, rows) -> np.ndarray:
-        rows = [int(r) for r in rows]
-        missing = [r for r in rows if r not in self.cols]
-        if missing:
-            st = self.state
-            if self.svm:
-                fresh = kernels.q_block(
-                    st.X, st.y, st.X[missing], st.y[missing], self.spec,
-                    st.ids, st.ids[missing],
-                )
-            else:
-                fresh = kernels.gram_block(
-                    st.X, st.X[missing], self.spec, st.ids, st.ids[missing]
-                )
-            for k, r in enumerate(missing):
-                self.cols[r] = fresh[:, k]
-        if not rows:
-            return np.zeros((self.state.n, 0))
-        return np.column_stack([self.cols[r] for r in rows])
-
-
 def _drive_targets(state, path: PathState, hyper) -> np.ndarray:
     """Bound each driven arrival heads for: C, or the signed corner for SVR."""
     if _is_svm(state):
@@ -111,7 +81,8 @@ def _drive_targets(state, path: PathState, hyper) -> np.ndarray:
     return np.where(resid > 0, -hyper.C, hyper.C)
 
 
-def _direction(state, spec, path: PathState, hyper, columns: _Columns) -> Directions:
+def _direction(state, spec, path: PathState, hyper,
+               columns: kernels.ColumnCache) -> Directions:
     """Per-unit-step directions for one path segment.
 
     Arrivals move by (target - current), removals by (-current); the
@@ -129,44 +100,35 @@ def _direction(state, spec, path: PathState, hyper, columns: _Columns) -> Direct
 
     weights = state.y if _is_svm(state) else np.ones(state.n)
     rhs_top = float(weights[path.drive_rows] @ d_add + weights[path.removal_rows] @ d_rem)
-    rhs_body = np.zeros(s_rows.size)
-    if path.drive_rows.size:
-        rhs_body += columns.block(path.drive_rows)[s_rows] @ d_add
-    if path.removal_rows.size:
-        rhs_body += columns.block(path.removal_rows)[s_rows] @ d_rem
+    moved = np.concatenate([path.drive_rows, path.removal_rows])
+    rhs_body = columns.apply(moved, np.concatenate([d_add, d_rem]))[s_rows]
     sol = -inv.inv @ np.concatenate(([rhs_top], rhs_body))
     return Directions(db=float(sol[0]), dalpha_s=sol[1:], d_add=d_add, d_rem=d_rem)
 
 
 def direction_svm(state, spec, path: PathState, hyper) -> Directions:
     """Segment directions for classification paths."""
-    return _direction(state, spec, path, hyper, _Columns(state, spec))
+    return _direction(state, spec, path, hyper, model.column_cache(state, spec))
 
 
 def direction_svr(state, spec, path: PathState, hyper) -> Directions:
     """Segment directions for regression paths."""
-    return _direction(state, spec, path, hyper, _Columns(state, spec))
+    return _direction(state, spec, path, hyper, model.column_cache(state, spec))
 
 
 def sensitivity_phi(state, spec, path: PathState, directions: Directions,
-                    columns: _Columns | None = None) -> np.ndarray:
+                    columns: kernels.ColumnCache | None = None) -> np.ndarray:
     """Per-unit-step derivative of every sample's residual.
 
     For classification this is d(y_i f_i)/d eta, for regression
     d(f_i - y_i)/d eta; unbounded members come out at zero because the
     directions solve pins them.
     """
-    columns = columns or _Columns(state, spec)
+    columns = columns or model.column_cache(state, spec)
     weights = state.y if _is_svm(state) else np.ones(state.n)
-    phi = weights * directions.db
-    s_rows = state.s_rows
-    if s_rows.size:
-        phi = phi + columns.block(s_rows) @ directions.dalpha_s
-    if path.drive_rows.size:
-        phi = phi + columns.block(path.drive_rows) @ directions.d_add
-    if path.removal_rows.size:
-        phi = phi + columns.block(path.removal_rows) @ directions.d_rem
-    return phi
+    moved = np.concatenate([state.s_rows, path.drive_rows, path.removal_rows])
+    coef = np.concatenate([directions.dalpha_s, directions.d_add, directions.d_rem])
+    return weights * directions.db + columns.apply(moved, coef)
 
 
 def _candidate_events(state, phi, directions, path: PathState, hyper):
@@ -379,7 +341,7 @@ def _path_update(state, batch: model.UpdateBatch, spec, hyper):
         drive_rows = np.zeros(0, dtype=int)
 
     path = PathState(drive_rows=drive_rows, removal_rows=removal_rows)
-    columns = _Columns(work, spec)
+    columns = model.column_cache(work, spec)
     max_events = 100 * (work.n + len(add_samples) + removal_rows.size)
     stall_budget = work.n + len(add_samples) + removal_rows.size + 10
 

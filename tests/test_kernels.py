@@ -173,3 +173,103 @@ class TestRestrictedDecisionValues:
         assert np.array_equal(kernels.decision_values(xq, state, spec), np.full(4, 0.3))
         assert np.array_equal(kernels.training_decision_values(state, spec),
                               np.full(state.n, 0.3))
+
+
+CACHE_SPECS = [
+    KernelSpec(family="linear", ridge=0.5),
+    KernelSpec(family="polynomial", degree=3, offset=1.0, ridge=0.3),
+    KernelSpec(family="rbf", sigma=1.5, ridge=0.7),
+]
+
+
+def cache_rows(n=60, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3))
+    x[7] = x[3]  # two distinct rows with identical features
+    y = np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
+    return x, y, np.arange(100, 100 + n)
+
+
+def dense_block(x, y, ids, rows, spec, signed):
+    if signed:
+        return kernels.q_block(x, y, x[rows], y[rows], spec, ids, ids[rows])
+    return kernels.gram_block(x, x[rows], spec, ids, ids[rows])
+
+
+@pytest.mark.parametrize("signed", [True, False], ids=["svm", "svr"])
+@pytest.mark.parametrize("spec", CACHE_SPECS, ids=lambda s: s.family)
+class TestColumnCache:
+    """``apply`` against the dense ridge-Gram block it replaces."""
+
+    def make(self, signed, spec):
+        x, y, ids = cache_rows()
+        cache = kernels.ColumnCache(x, spec, y if signed else None)
+        return cache, x, y, ids
+
+    def test_matches_dense_block(self, signed, spec):
+        cache, x, y, ids = self.make(signed, spec)
+        rng = np.random.default_rng(1)
+        for rows in ([5, 2, 40, 3], [3, 7, 11], [59, 0, 5], [2]):
+            rows = np.array(rows)
+            coef = rng.standard_normal(rows.size)
+            expect = dense_block(x, y, ids, rows, spec, signed) @ coef
+            assert np.max(np.abs(cache.apply(rows, coef) - expect)) <= 1e-12
+
+    def test_empty_rows(self, signed, spec):
+        cache, x, _, _ = self.make(signed, spec)
+        out = cache.apply(np.zeros(0, dtype=int), np.zeros(0))
+        assert out.shape == (x.shape[0],) and not out.any()
+
+    def test_growth_past_the_initial_buffer(self, signed, spec):
+        cache, x, y, ids = self.make(signed, spec)
+        rng = np.random.default_rng(2)
+        order = rng.permutation(x.shape[0])
+        for stop in (10, 25, 45, 60):
+            rows = order[:stop]
+            coef = rng.standard_normal(stop)
+            expect = dense_block(x, y, ids, rows, spec, signed) @ coef
+            assert np.max(np.abs(cache.apply(rows, coef) - expect)) <= 1e-12
+
+    def test_identical_features_stay_unridged_off_the_diagonal(self, signed, spec):
+        cache, x, y, _ = self.make(signed, spec)
+        sign = y[3] * y[7] if signed else 1.0
+        plain = kernels.kernel_matrix(x[3], x[3], spec)[0, 0]
+        assert cache.apply([3], [1.0])[7] == pytest.approx(sign * plain, abs=1e-12)
+        assert cache.apply([7], [1.0])[3] == pytest.approx(sign * plain, abs=1e-12)
+        assert cache.apply([7], [1.0])[7] == pytest.approx(plain + spec.ridge, abs=1e-12)
+
+
+def reference_kernel(a, b, spec):
+    """The kernel formula written with temporaries, as a plain reference."""
+    if spec.family == "linear":
+        return a @ b.T
+    if spec.family == "polynomial":
+        return (a @ b.T + spec.offset) ** spec.degree
+    sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    return np.exp(-sq / (2.0 * spec.sigma**2))
+
+
+@pytest.mark.parametrize("spec", CACHE_SPECS + [KernelSpec(family="polynomial", degree=2)],
+                         ids=lambda s: f"{s.family}{s.degree if s.family == 'polynomial' else ''}")
+class TestKernelMatrixInPlace:
+    """``kernel_matrix`` computes in one array, its own or the caller's."""
+
+    def test_fresh_result_matches_the_formula(self, spec):
+        x, _, _ = cache_rows()
+        got = kernels.kernel_matrix(x[:9], x, spec)
+        assert got.shape == (9, x.shape[0])
+        assert np.max(np.abs(got - reference_kernel(x[:9], x, spec))) <= 1e-12
+
+    def test_out_is_filled_and_returned(self, spec):
+        x, _, _ = cache_rows()
+        fresh = kernels.kernel_matrix(x[:9], x, spec)
+        out = np.full((9, x.shape[0]), np.nan)
+        assert kernels.kernel_matrix(x[:9], x, spec, out=out) is out
+        assert np.array_equal(out, fresh)
+
+    def test_out_can_be_a_transposed_column_block(self, spec):
+        x, _, _ = cache_rows()
+        buf = np.full((x.shape[0], 12), np.nan, order="F")
+        kernels.kernel_matrix(x[[4, 0, 9]], x, spec, out=buf[:, 5:8].T)
+        assert np.max(np.abs(buf[:, 5:8] - kernels.kernel_matrix(x, x[[4, 0, 9]], spec))) <= 1e-12
+        assert np.isnan(buf[:, :5]).all() and np.isnan(buf[:, 8:]).all()

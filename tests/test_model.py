@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from ridgesvm import batch, data, kernels, model
+from ridgesvm import batch, data, kernels, linalg, model, online_svm, online_svr
 from ridgesvm.errors import InconsistentState, UnknownId
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample, UpdateBatch
@@ -331,3 +333,163 @@ class TestBatchCheck:
     def test_unknown_removal_id(self, case):
         with pytest.raises(UnknownId, match="sample id 777 "):
             self.run(case, [904], [1, 777])
+
+
+def loop_validate(state, C, epsilon=0.0, tol=model.REGION_TOL, ignore_rows=()):
+    """Row-by-row box and region checks, kept as the reference for validate."""
+    report = []
+    is_svm = isinstance(state, model.SvmState)
+    mult = state.alpha if is_svm else state.theta
+    resid = state.margins if is_svm else state.outputs
+    ignore = set(int(r) for r in ignore_rows)
+    lo = -C if not is_svm else 0.0
+    for row in range(state.n):
+        v = mult[row]
+        if row not in ignore and (v < lo - model.BOUND_TOL or v > C + model.BOUND_TOL):
+            report.append(("box", row, max(lo - v, v - C)))
+    eps = 0.0 if is_svm else epsilon
+    for row in range(state.n):
+        if row in ignore:
+            continue
+        tag, v = state.partition[row], mult[row]
+        g = resid[row] if is_svm else abs(resid[row]) - eps
+        if tag == "S":
+            if abs(g) > tol:
+                report.append(("region:S", row, abs(g)))
+        elif tag == "B":
+            sat = abs(abs(v) - C) <= model.BOUND_TOL if not is_svm \
+                else abs(v - C) <= model.BOUND_TOL
+            if not sat:
+                report.append(("region:B", row, abs(abs(v) - C)))
+            if is_svm and g > tol:
+                report.append(("region:B", row, g))
+            if not is_svm and g < -tol:
+                report.append(("region:B", row, -g))
+        else:
+            if abs(v) > model.BOUND_TOL:
+                report.append(("region:O", row, abs(v)))
+            if is_svm and g < -tol:
+                report.append(("region:O", row, -g))
+            if not is_svm and g > tol:
+                report.append(("region:O", row, g))
+        if not is_svm and tag in ("S", "B") and abs(v) > model.BOUND_TOL \
+                and abs(resid[row]) > tol and v * resid[row] > 0:
+            report.append(("sign", row, abs(v * resid[row])))
+    return report
+
+
+def row_reports(state, C, epsilon=None, ignore_rows=()):
+    report = model.validate(state, C=C, epsilon=epsilon, ignore_rows=ignore_rows)
+    return [(v.kind, v.index, v.magnitude) for v in report if v.index is not None]
+
+
+class TestValidateEachKind:
+    """One state holding every row-level breach, each reported once."""
+
+    @staticmethod
+    def svm_state():
+        samples = [Sample(i, np.array([float(i)]), 1.0 if i % 2 else -1.0)
+                   for i in range(6)]
+        state = model.SvmState(samples, alpha=[1.25, 0.5, 0.5, 0.0, 0.25, 0.0])
+        state.margins = np.array([0.0, 0.0, 0.25, 0.0, -0.5, 0.0])
+        state.partition = np.array(["O", "S", "S", "S", "B", "O"], dtype="<U1")
+        return state
+
+    @staticmethod
+    def svr_state():
+        samples = [Sample(i, np.array([float(i)]), 0.0) for i in range(6)]
+        state = model.SvrState(samples, theta=[-1.5, 0.5, -0.5, 0.5, 0.0, 0.25])
+        state.outputs = np.array([0.2, 0.75, 0.2, 0.2, 0.5, 0.2])
+        state.partition = np.array(["B", "S", "S", "B", "O", "O"], dtype="<U1")
+        return state
+
+    def test_svm(self):
+        got = row_reports(self.svm_state(), C=1.0)
+        assert got == pytest.approx([
+            ("box", 0, 0.25),
+            ("region:O", 0, 1.25),
+            ("region:S", 2, 0.25),
+            ("region:B", 4, 0.75),
+        ])
+
+    def test_svr(self):
+        got = row_reports(self.svr_state(), C=1.0, epsilon=0.2)
+        assert got == pytest.approx([
+            ("box", 0, 0.5),
+            ("region:B", 0, 0.5),
+            ("region:S", 1, 0.55),
+            ("sign", 1, 0.375),
+            ("region:B", 3, 0.5),
+            ("sign", 3, 0.1),
+            ("region:O", 4, 0.3),
+            ("region:O", 5, 0.25),
+        ])
+
+    def test_ignored_rows_are_skipped(self):
+        got = row_reports(self.svr_state(), C=1.0, epsilon=0.2, ignore_rows=[0, 3, 99])
+        assert {row for _, row, _ in got} == {1, 4, 5}
+
+    @pytest.mark.parametrize("kind", ["svm", "svr"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_row_loop(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        n = 200
+        samples = [Sample(i, rng.standard_normal(2), 1.0 if i % 2 else -1.0)
+                   for i in range(n)]
+        mult = rng.choice([0.0, 1.0, 0.5, 1.0 + 1e-6, -1e-6], size=n)
+        if kind == "svm":
+            state = model.SvmState(samples, alpha=mult)
+            state.margins = rng.choice([0.0, 1e-3, -1e-3, 1e-8], size=n)
+        else:
+            state = model.SvrState(samples, theta=mult * rng.choice([-1.0, 1.0], size=n))
+            state.outputs = rng.choice([0.2, -0.2, 0.1, -0.3, 0.2 + 1e-8], size=n)
+        state.partition = rng.choice(np.array(["S", "B", "O"]), size=n).astype("<U1")
+        ignore = rng.choice(n, size=10, replace=False)
+        assert row_reports(state, 1.0, 0.2, ignore) == loop_validate(state, 1.0, 0.2,
+                                                                     ignore_rows=ignore)
+
+
+ENGINE_TASKS = {
+    "svm": (data.two_gaussians, batch.train_svm_batch, update_multi_svm,
+            online_svm.rebuild_empty_S, Hyperparams(C=1.0)),
+    # noisy enough that bounded rows sit between zero-multiplier rows
+    "svr": (functools.partial(data.noisy_sine, noise=0.6), batch.train_svr_batch,
+            update_multi_svr, online_svr.rebuild_empty_S_svr,
+            Hyperparams(C=1.0, epsilon=0.2)),
+}
+
+
+@pytest.mark.parametrize("task", ["svm", "svr"])
+class TestEngineInverseAndFallback:
+    spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
+
+    def test_input_inverse_is_never_written(self, task, monkeypatch):
+        make, train, engine, _, hyper = ENGINE_TASKS[task]
+        state = train(make(40, seed=1), self.spec, hyper)
+        patches = []
+        for name in ("inverse_shrink", "inverse_grow"):
+            original = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda *a, _f=original, _n=name:
+                                patches.append(_n) or _f(*a))
+        before = state.cached_inverse.inv.copy()
+        arrivals = make(6, seed=51, start_id=500)
+        leaving = [int(state.ids[r]) for r in state.s_rows[:2]]
+        # the first patch of a round is a shrink when S members leave, a
+        # grow when only arrivals join
+        for upd in (UpdateBatch(add=arrivals, remove=leaving), UpdateBatch(add=arrivals)):
+            patches.clear()
+            engine(state, upd, self.spec, hyper)
+            assert np.array_equal(state.cached_inverse.inv, before)
+            first = "inverse_shrink" if upd.remove else "inverse_grow"
+            assert patches[0] == first
+
+    def test_empty_s_fallback_keeps_o_rows_first(self, task):
+        make, train, _, rebuild, hyper = ENGINE_TASKS[task]
+        state = train(make(40, seed=11), self.spec, hyper)
+        state.delete_rows(state.s_rows)
+        state.cached_inverse = None
+        o_ids = state.ids[state.partition == "O"]
+        assert o_ids.size and (state.partition == "B").any()
+        out = rebuild(state, [], self.spec, hyper)
+        assert np.array_equal(out.ids[:o_ids.size], o_ids)
+        assert model.validate(out, spec=self.spec, C=hyper.C, epsilon=hyper.epsilon) == []

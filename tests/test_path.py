@@ -8,7 +8,6 @@ from ridgesvm.online_svm import update_multi_svm
 from ridgesvm.online_svr import update_multi_svr
 from ridgesvm.path import (
     PathState,
-    _Columns,
     direction_svm,
     migrate,
     path_update_svm,
@@ -315,7 +314,7 @@ class TestPathUpdateSvr:
         arrivals = data.noisy_sine(4, seed=24, start_id=9100)
         work, ps = prepared_path(state, arrivals, [samples[0].id],
                                  hyper=SVR_HYPER)
-        d = path._direction(work, SPEC, ps, SVR_HYPER, _Columns(work, SPEC))
+        d = path._direction(work, SPEC, ps, SVR_HYPER, model.column_cache(work, SPEC))
         phi = sensitivity_phi(work, SPEC, ps, d)
         h = 1e-6
         bumped = work.copy()
