@@ -25,13 +25,7 @@ from .data import (
 )
 from .kernels import KernelSpec, decision_value, decision_values, kernel_eval
 from .model import Hyperparams, Sample, SvmState, SvrState, UpdateBatch, validate
-from .online_svm import (
-    WEC_DERIVED,
-    WEC_LITERAL,
-    WecMode,
-    update_multi_svm,
-    wec_predict_svm,
-)
+from .online_svm import update_multi_svm, wec_predict_svm
 from .online_svr import update_multi_svr, wec_predict_svr
 from .path import path_update_svm, path_update_svr
 
@@ -50,9 +44,6 @@ __all__ = [
     "SvmState",
     "SvrState",
     "UpdateBatch",
-    "WEC_DERIVED",
-    "WEC_LITERAL",
-    "WecMode",
     "apply_standardizer",
     "bench",
     "data",

@@ -21,74 +21,35 @@ _BOX_EPS = 1e-12
 class SolverConfig:
     """Convergence tolerance and an iteration budget for the pair solver.
 
-    ``max_passes`` is measured in multiples of the variable count; ``seed``
-    is reserved for stochastic pair-selection schemes (the default
-    maximal-violating-pair rule is deterministic and ignores it).
+    ``max_passes`` is measured in multiples of the variable count.
     """
 
     kkt_tolerance: float = 1e-6
     max_passes: int = 10000
-    seed: int = 0
 
     def __post_init__(self):
         if self.kkt_tolerance <= 0:
             raise ValueError("kkt_tolerance must be > 0")
 
 
-def _pair_ascent_svm(gram, y, C, tol, max_iter):
-    """Maximal-violating-pair updates for the signed box-constrained dual.
+def _pair_ascent(gram, targets, lo, hi, epsilon, tol, max_iter):
+    """Maximal-violating-pair updates on signed multipliers beta.
 
-    Returns (alpha, grad, gap) with grad_i = sum_j Q_ij alpha_j - 1.
+    Maximises the dual ``-beta^T G beta / 2 + t^T beta - epsilon |beta|_1``
+    subject to ``sum(beta) = 0`` and the per-sample box ``lo <= beta <= hi``
+    for the ridge Gram ``G = K + ridge I``.  The SVM is the epsilon = 0 case
+    with ``beta = y alpha`` and targets ``y``; the SVR has ``beta = theta``.
+    Returns (beta, resid, gap) with resid_i = sum_j G_ij beta_j - t_i.
     """
-    n = y.shape[0]
-    alpha = np.zeros(n)
-    signed = np.zeros(n)  # y_i * alpha_i
-    grad = np.full(n, -1.0)
+    beta = np.zeros(targets.shape[0])
+    resid = -targets.astype(float)
     gap = np.inf
-    pos = y > 0
+    up_limit = hi - _BOX_EPS
+    down_limit = lo + _BOX_EPS
     for _ in range(max_iter):
-        vals = -y * grad
-        up = (pos & (alpha < C - _BOX_EPS)) | (~pos & (alpha > _BOX_EPS))
-        low = (pos & (alpha > _BOX_EPS)) | (~pos & (alpha < C - _BOX_EPS))
-        if not up.any() or not low.any():
-            gap = 0.0
-            break
-        i = int(np.argmax(np.where(up, vals, -np.inf)))
-        j = int(np.argmin(np.where(low, vals, np.inf)))
-        gap = vals[i] - vals[j]
-        if gap <= tol:
-            break
-        quad = gram[i, i] + gram[j, j] - 2.0 * gram[i, j]
-        delta = gap / quad if quad > _BOX_EPS else np.inf
-        delta = min(
-            delta,
-            (C - alpha[i]) if pos[i] else alpha[i],
-            alpha[j] if pos[j] else (C - alpha[j]),
-        )
-        alpha[i] += y[i] * delta
-        alpha[j] -= y[j] * delta
-        signed[i] += delta
-        signed[j] -= delta
-        grad += y * (delta * (gram[:, i] - gram[:, j]))
-    return alpha, grad, gap
-
-
-def _pair_ascent_svr(gram, targets, C, epsilon, tol, max_iter):
-    """Pair updates on theta directly, honoring the tube-term kink at zero.
-
-    Returns (theta, resid, gap_pair) with resid_i = sum_j Q_ij theta_j - y_i.
-    """
-    n = targets.shape[0]
-    theta = np.zeros(n)
-    resid = -targets.astype(float).copy()
-    gap = np.inf
-    for _ in range(max_iter):
-        up_sub = np.where(theta >= 0, epsilon, -epsilon)
-        dn_sub = np.where(theta <= 0, epsilon, -epsilon)
-        vals_up = -(resid + up_sub)
-        vals_dn = resid - dn_sub
-        can_up = theta < C - _BOX_EPS
-        can_dn = theta > -C + _BOX_EPS
+        vals_up, vals_dn = _pair_values(beta, resid, epsilon)
+        can_up = beta < up_limit
+        can_dn = beta > down_limit
         if not can_up.any() or not can_dn.any():
             gap = 0.0
             break
@@ -99,95 +60,78 @@ def _pair_ascent_svr(gram, targets, C, epsilon, tol, max_iter):
             break
         quad = gram[i, i] + gram[j, j] - 2.0 * gram[i, j]
         delta = gap / quad if quad > _BOX_EPS else np.inf
-        delta = min(delta, C - theta[i], theta[j] + C)
-        # the |theta| term changes slope at zero: stop there and re-select
-        if theta[i] < 0:
-            delta = min(delta, -theta[i])
-        if theta[j] > 0:
-            delta = min(delta, theta[j])
-        theta[i] += delta
-        theta[j] -= delta
+        delta = min(delta, hi[i] - beta[i], beta[j] - lo[j])
+        # the |beta| term changes slope at zero: stop there and re-select
+        if beta[i] < 0:
+            delta = min(delta, -beta[i])
+        if beta[j] > 0:
+            delta = min(delta, beta[j])
+        beta[i] += delta
+        beta[j] -= delta
         resid += delta * (gram[:, i] - gram[:, j])
-    return theta, resid, gap
+    return beta, resid, gap
+
+
+def _pair_values(beta, resid, epsilon):
+    """Gains of raising and of lowering each beta, tube term included."""
+    if not epsilon:  # no kink at zero: spares two n-vector passes per step
+        return -resid, resid
+    up_sub = np.where(beta >= 0, epsilon, -epsilon)
+    dn_sub = np.where(beta <= 0, epsilon, -epsilon)
+    return -(resid + up_sub), resid - dn_sub
+
+
+def _bias(beta, resid, lo, hi, C, epsilon) -> float:
+    """Bias from the unbounded members, else the middle of the feasible range."""
+    interior = (np.abs(beta) > model.BOUND_TOL) & (np.abs(beta) < C - model.BOUND_TOL)
+    if interior.any():
+        return float(np.mean(-resid[interior] - epsilon * np.sign(beta[interior])))
+    vals_up, vals_dn = _pair_values(beta, resid, epsilon)
+    can_up = beta < hi - _BOX_EPS
+    can_dn = beta > lo + _BOX_EPS
+    top = np.max(vals_up[can_up]) if can_up.any() else 0.0
+    bottom = np.max(vals_dn[can_dn]) if can_dn.any() else 0.0
+    return float(0.5 * (top - bottom))
+
+
+def _train(state, spec, hyper, config: SolverConfig | None):
+    """Batch-solve the dual over the samples of a fresh ``state`` (in place)."""
+    config = config or SolverConfig()
+    lo, C, eps = state.box(hyper)
+    signs = state.signs_of(state.targets)
+    # beta = s * mult, so its box is [lo, C] for s = +1 and [-C, -lo] for s = -1
+    beta_lo = np.where(signs > 0, lo, -C)
+    beta_hi = np.where(signs > 0, C, -lo)
+    gram = kernels.q_matrix_svr(state.X, spec)
+    max_iter = config.max_passes * max(state.n, 1)
+    beta, resid, gap = _pair_ascent(
+        gram, state.targets, beta_lo, beta_hi, eps, config.kkt_tolerance, max_iter
+    )
+    if gap > config.kkt_tolerance:
+        raise NoConvergence(
+            f"pair solver stopped with optimality gap {gap:.3e}", worst_gap=gap
+        )
+    state.b = _bias(beta, resid, beta_lo, beta_hi, C, eps)
+    state.mult = signs * beta
+    state.resid = signs * (resid + state.b)
+    # the SVM tags are the regression tags at epsilon = 0
+    state.partition = model.classify_regions_svr(state.mult, state.resid, C, eps)
+    model.refresh_cached_inverse(state, spec)
+    return state
 
 
 def train_svm_batch(samples, spec, hyper, config: SolverConfig | None = None) -> model.SvmState:
     """Train a ridge SVM from scratch; the returned state satisfies the
     optimality regions at the configured tolerance."""
-    config = config or SolverConfig()
-    samples = list(samples)
-    if len(samples) < 2:
-        raise SingleClassInput("need at least two samples spanning both classes")
-    y = np.array([s.target for s in samples], dtype=float)
-    if not ((y > 0).any() and (y < 0).any()):
-        raise SingleClassInput("training data contains a single class")
-
     state = model.SvmState(samples)
-    gram = kernels.q_matrix_svr(state.X, spec)  # K + ridge*I; labels enter via y
-    max_iter = config.max_passes * max(len(samples), 1)
-    alpha, grad, gap = _pair_ascent_svm(gram, y, hyper.C, config.kkt_tolerance, max_iter)
-    if gap > config.kkt_tolerance:
-        raise NoConvergence(
-            f"pair solver stopped with optimality gap {gap:.3e}", worst_gap=gap
-        )
-
-    vals = -y * grad
-    interior = (alpha > model.BOUND_TOL) & (alpha < hyper.C - model.BOUND_TOL)
-    if interior.any():
-        b = float(np.mean(vals[interior]))
-    else:
-        up = ((y > 0) & (alpha < hyper.C - _BOX_EPS)) | ((y < 0) & (alpha > _BOX_EPS))
-        low = ((y > 0) & (alpha > _BOX_EPS)) | ((y < 0) & (alpha < hyper.C - _BOX_EPS))
-        hi = np.max(vals[up]) if up.any() else 0.0
-        lo = np.min(vals[low]) if low.any() else 0.0
-        b = float(0.5 * (hi + lo))
-
-    state.alpha = alpha
-    state.b = b
-    state.margins = grad + y * b
-    state.partition = model.classify_regions_svm(alpha, state.margins, hyper.C)
-    model.refresh_cached_inverse(state, spec)
-    return state
+    if not ((state.y > 0).any() and (state.y < 0).any()):
+        raise SingleClassInput("need at least two samples spanning both classes")
+    return _train(state, spec, hyper, config)
 
 
 def train_svr_batch(samples, spec, hyper, config: SolverConfig | None = None) -> model.SvrState:
     """Train a ridge SVR from scratch over theta with box [-C, C]."""
-    config = config or SolverConfig()
-    samples = list(samples)
-    if len(samples) < 2:
-        raise NoConvergence("need at least two samples")
-    targets = np.array([s.target for s in samples], dtype=float)
-
     state = model.SvrState(samples)
-    gram = kernels.q_matrix_svr(state.X, spec)
-    max_iter = config.max_passes * max(len(samples), 1)
-    theta, resid, gap = _pair_ascent_svr(
-        gram, targets, hyper.C, hyper.epsilon, config.kkt_tolerance, max_iter
-    )
-    if gap > config.kkt_tolerance:
-        raise NoConvergence(
-            f"pair solver stopped with optimality gap {gap:.3e}", worst_gap=gap
-        )
-
-    interior = (np.abs(theta) > model.BOUND_TOL) & (np.abs(theta) < hyper.C - model.BOUND_TOL)
-    if interior.any():
-        b = float(np.mean(-resid[interior] - hyper.epsilon * np.sign(theta[interior])))
-    else:
-        up_sub = np.where(theta >= 0, hyper.epsilon, -hyper.epsilon)
-        dn_sub = np.where(theta <= 0, hyper.epsilon, -hyper.epsilon)
-        vals_up = -(resid + up_sub)
-        vals_dn = resid - dn_sub
-        can_up = theta < hyper.C - _BOX_EPS
-        can_dn = theta > -hyper.C + _BOX_EPS
-        hi = np.max(vals_up[can_up]) if can_up.any() else 0.0
-        lo = np.max(vals_dn[can_dn]) if can_dn.any() else 0.0
-        b = float(0.5 * (hi - lo))
-
-    state.theta = theta
-    state.b = b
-    state.outputs = resid + b
-    state.partition = model.classify_regions_svr(
-        theta, state.outputs, hyper.C, hyper.epsilon
-    )
-    model.refresh_cached_inverse(state, spec)
-    return state
+    if state.n < 2:
+        raise NoConvergence("need at least two samples")
+    return _train(state, spec, hyper, config)

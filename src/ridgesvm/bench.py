@@ -18,7 +18,7 @@ from . import batch as batch_solver
 from . import kernels
 from .data import schedule_rounds
 from .errors import RidgeSvmError
-from .online_svm import WEC_DERIVED, update_multi_svm
+from .online_svm import update_multi_svm
 from .online_svr import update_multi_svr
 from .path import path_update_svm, path_update_svr
 
@@ -55,12 +55,12 @@ def _metric(preds, targets, task):
 
 
 def run_bench(task, train_samples, pool, test_samples, spec, hyper, schedule,
-              arms=ARMS, mode=WEC_DERIVED) -> BenchReport:
+              arms=ARMS) -> BenchReport:
     """Replay the schedule once per arm from a shared base model."""
     train_samples = list(train_samples)
     if task == "classification":
         train = batch_solver.train_svm_batch
-        update = lambda st, b: update_multi_svm(st, b, spec, hyper, mode)
+        update = lambda st, b: update_multi_svm(st, b, spec, hyper)
         follow = lambda st, b: path_update_svm(st, b, spec, hyper)
     else:
         train = batch_solver.train_svr_batch

@@ -209,13 +209,11 @@ def cmd_bench(args) -> int:
 def cmd_wec(args) -> int:
     state, spec, hyper, stats, task = load_model(args.model)
     outputs = kernels.decision_values(state.X, state, spec)
-    mult = state.alpha if task == "classification" else state.theta
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("id,output,multiplier,target,region\n")
-        targets = state.y if task == "classification" else state.targets
         for k in range(state.n):
             fh.write(f"{int(state.ids[k])},{float(outputs[k])!r},"
-                     f"{float(mult[k])!r},{float(targets[k])!r},"
+                     f"{float(state.mult[k])!r},{float(state.targets[k])!r},"
                      f"{state.partition[k]}\n")
     print(f"{state.n} curve points written to {args.out}")
     return 0

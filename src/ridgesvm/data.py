@@ -266,7 +266,6 @@ def save_model(state, path, spec: KernelSpec, hyper: Hyperparams,
     """Write a versioned JSON model document (atomic whole-file replace)."""
     if task is None:
         task = "classification" if isinstance(state, model.SvmState) else "regression"
-    multipliers = state.alpha if isinstance(state, model.SvmState) else state.theta
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "task": task,
@@ -284,7 +283,7 @@ def save_model(state, path, spec: KernelSpec, hyper: Hyperparams,
              "target": float(s.target)}
             for s in state.samples
         ],
-        "multipliers": list(map(float, multipliers)),
+        "multipliers": list(map(float, state.mult)),
         "bias": float(state.b),
         "partition": list(state.partition),
     }
@@ -332,12 +331,8 @@ def load_model(path):
     except (KeyError, TypeError, ValueError) as err:
         raise CorruptFile(f"{path}: {err}") from err
 
-    if task == "classification":
-        state = model.SvmState(samples, alpha=multipliers, b=bias)
-        state.partition = partition
-        state.margins = model.compute_margins_svm(state, spec)
-    else:
-        state = model.SvrState(samples, theta=multipliers, b=bias)
-        state.partition = partition
-        state.outputs = model.compute_outputs_svr(state, spec)
+    state_class = model.SvmState if task == "classification" else model.SvrState
+    state = state_class(samples, multipliers, bias)
+    state.partition = partition
+    state.resid = model.compute_residuals(state, spec)
     return state, spec, hyper, standardizer, task

@@ -79,17 +79,13 @@ def kernel_eval(a, b, spec: KernelSpec) -> float:
 def q_matrix(x, labels, spec: KernelSpec) -> np.ndarray:
     """Label-signed ridge Gram matrix: Q[i,j] = y_i y_j (K_ij + ridge*[i==j])."""
     y = np.asarray(labels, dtype=float).ravel()
-    k = kernel_matrix(x, x, spec)
-    if spec.ridge:
-        k = k + spec.ridge * np.eye(k.shape[0])
-    return np.outer(y, y) * k
+    return np.outer(y, y) * q_matrix_svr(x, spec)
 
 
 def q_matrix_svr(x, spec: KernelSpec) -> np.ndarray:
-    """Ridge Gram matrix K + ridge*I for regression."""
+    """Ridge Gram matrix K + ridge*I, unsigned (the batch solver's, both tasks)."""
     k = kernel_matrix(x, x, spec)
-    if spec.ridge:
-        k = k + spec.ridge * np.eye(k.shape[0])
+    k.flat[::k.shape[0] + 1] += spec.ridge  # a scaled identity would be another n x n array
     return k
 
 

@@ -88,21 +88,40 @@ class Violation:
 
 
 class _StateBase:
-    """Shared sample bookkeeping for the two model states."""
+    """Sample bookkeeping and the one storage of both model states.
 
-    def __init__(self, samples):
+    Multipliers and residuals are stored in each task's native coordinates:
+    ``mult`` is alpha in ``[0, C]`` for the SVM and theta in ``[-C, C]`` for
+    the SVR, and ``resid = s * (f - t)`` with signs ``s`` from
+    :meth:`signs_of` (the labels for the SVM, all ones for the SVR), i.e.
+    ``y f - 1`` and ``f - t``.  The signed ridge Gram ``s s^T * (K + ridge I)``
+    then serves both tasks, the SVM being the epsilon = 0 case.
+    """
+
+    def __init__(self, samples, mult=None, b=0.0):
         self.samples = list(samples)
         if self.samples:
             self.X = np.array([s.features for s in self.samples], dtype=float)
         else:
             self.X = np.zeros((0, 0))
         self.ids = np.array([s.id for s in self.samples], dtype=int)
+        self.targets = np.array([s.target for s in self.samples], dtype=float)
         self.partition = np.full(len(self.samples), REGION_O, dtype="<U1")
         self.cached_inverse: linalg.BorderedInverse | None = None
+        self.mult = (
+            np.zeros(self.n) if mult is None else np.asarray(mult, dtype=float).copy()
+        )
+        self.b = float(b)
+        self.resid = np.zeros(self.n)
 
     @property
     def n(self) -> int:
         return len(self.samples)
+
+    @property
+    def dual_coefficients(self) -> np.ndarray:
+        """Signed multipliers ``s * mult``: the kernel-expansion weights."""
+        return self.signs_of(self.targets) * self.mult
 
     def _find(self, wanted) -> tuple[np.ndarray, np.ndarray]:
         """Candidate rows for the ``wanted`` ids and whether each is stored there."""
@@ -125,11 +144,6 @@ class _StateBase:
     def region_rows(self, tag) -> np.ndarray:
         return np.flatnonzero(self.partition == tag)
 
-    def _keep(self, rows_to_drop) -> np.ndarray:
-        keep = np.ones(self.n, dtype=bool)
-        keep[np.asarray(rows_to_drop, dtype=int)] = False
-        return keep
-
     @property
     def s_rows(self) -> np.ndarray:
         return self.region_rows(REGION_S)
@@ -142,87 +156,19 @@ class _StateBase:
     def o_rows(self) -> np.ndarray:
         return self.region_rows(REGION_O)
 
-
-class SvmState(_StateBase):
-    """Classification state: multipliers, bias, margins, and partition."""
-
-    def __init__(self, samples, alpha=None, b=0.0):
-        super().__init__(samples)
-        self.y = np.array([s.target for s in self.samples], dtype=float)
-        self.alpha = (
-            np.zeros(self.n) if alpha is None else np.asarray(alpha, dtype=float).copy()
-        )
-        self.b = float(b)
-        self.margins = np.zeros(self.n)
-
-    @property
-    def dual_coefficients(self) -> np.ndarray:
-        return self.y * self.alpha
-
     def delete_rows(self, rows) -> None:
-        keep = self._keep(rows)
+        keep = np.ones(self.n, dtype=bool)
+        keep[np.asarray(rows, dtype=int)] = False
         self.samples = list(itertools.compress(self.samples, keep))
         self.X = self.X[keep]
         self.ids = self.ids[keep]
-        self.partition = self.partition[keep]
-        self.y = self.y[keep]
-        self.alpha = self.alpha[keep]
-        self.margins = self.margins[keep]
-
-    def append_samples(self, samples, alpha, tags) -> None:
-        samples = list(samples)
-        if not samples:
-            return
-        x_new = np.array([s.features for s in samples], dtype=float)
-        self.X = x_new if self.n == 0 else np.vstack([self.X, x_new])
-        self.samples.extend(samples)
-        self.ids = np.concatenate([self.ids, [s.id for s in samples]])
-        self.y = np.concatenate([self.y, [s.target for s in samples]])
-        self.alpha = np.concatenate([self.alpha, alpha])
-        self.margins = np.concatenate([self.margins, np.zeros(len(samples))])
-        self.partition = np.concatenate([self.partition, tags])
-
-    def copy(self) -> "SvmState":
-        out = SvmState.__new__(SvmState)
-        out.samples = list(self.samples)
-        out.X = self.X.copy()
-        out.ids = self.ids.copy()
-        out.partition = self.partition.copy()
-        out.cached_inverse = self.cached_inverse
-        out.y = self.y.copy()
-        out.alpha = self.alpha.copy()
-        out.b = self.b
-        out.margins = self.margins.copy()
-        return out
-
-
-class SvrState(_StateBase):
-    """Regression state: signed multipliers theta, bias, tube residuals."""
-
-    def __init__(self, samples, theta=None, b=0.0):
-        super().__init__(samples)
-        self.targets = np.array([s.target for s in self.samples], dtype=float)
-        self.theta = (
-            np.zeros(self.n) if theta is None else np.asarray(theta, dtype=float).copy()
-        )
-        self.b = float(b)
-        self.outputs = np.zeros(self.n)
-
-    @property
-    def dual_coefficients(self) -> np.ndarray:
-        return self.theta
-
-    def delete_rows(self, rows) -> None:
-        keep = self._keep(rows)
-        self.samples = list(itertools.compress(self.samples, keep))
-        self.X = self.X[keep]
-        self.ids = self.ids[keep]
-        self.partition = self.partition[keep]
         self.targets = self.targets[keep]
-        self.theta = self.theta[keep]
-        self.outputs = self.outputs[keep]
+        self.partition = self.partition[keep]
+        self.mult = self.mult[keep]
+        self.resid = self.resid[keep]
 
-    def append_samples(self, samples, theta, tags) -> None:
+    def append_samples(self, samples, mult, tags) -> None:
+        """Append rows with the given multipliers and tags; residuals start at 0."""
         samples = list(samples)
         if not samples:
             return
@@ -231,36 +177,111 @@ class SvrState(_StateBase):
         self.samples.extend(samples)
         self.ids = np.concatenate([self.ids, [s.id for s in samples]])
         self.targets = np.concatenate([self.targets, [s.target for s in samples]])
-        self.theta = np.concatenate([self.theta, theta])
-        self.outputs = np.concatenate([self.outputs, np.zeros(len(samples))])
+        self.mult = np.concatenate([self.mult, mult])
+        self.resid = np.concatenate([self.resid, np.zeros(len(samples))])
         self.partition = np.concatenate([self.partition, tags])
 
-    def copy(self) -> "SvrState":
-        out = SvrState.__new__(SvrState)
+    def copy(self):
+        """An independent copy; only the (never written) cached inverse is shared."""
+        out = type(self).__new__(type(self))
         out.samples = list(self.samples)
         out.X = self.X.copy()
         out.ids = self.ids.copy()
+        out.targets = self.targets.copy()
         out.partition = self.partition.copy()
         out.cached_inverse = self.cached_inverse
-        out.targets = self.targets.copy()
-        out.theta = self.theta.copy()
+        out.mult = self.mult.copy()
         out.b = self.b
-        out.outputs = self.outputs.copy()
+        out.resid = self.resid.copy()
         return out
 
 
-def compute_margins_svm(state: SvmState, spec) -> np.ndarray:
-    """Margin residuals y_i f_i - 1 over the full ridge Gram matrix."""
-    if state.n == 0:
-        return np.zeros(0)
-    return state.y * kernels.training_decision_values(state, spec) - 1.0
+class SvmState(_StateBase):
+    """Classification state: multipliers alpha, bias, margins, and partition."""
+
+    def __init__(self, samples, alpha=None, b=0.0):
+        super().__init__(samples, alpha, b)
+
+    @staticmethod
+    def signs_of(targets) -> np.ndarray:
+        """The labels: the SVM works in label-signed coordinates."""
+        return targets
+
+    @staticmethod
+    def box(hyper) -> tuple[float, float, float]:
+        """``(lo, C, epsilon)``: alpha in ``[0, C]``, no tube."""
+        return 0.0, hyper.C, 0.0
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.targets
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self.mult
+
+    @alpha.setter
+    def alpha(self, value) -> None:
+        self.mult = value
+
+    @property
+    def margins(self) -> np.ndarray:
+        """Margin residuals ``y f - 1``."""
+        return self.resid
+
+    @margins.setter
+    def margins(self, value) -> None:
+        self.resid = value
 
 
-def compute_outputs_svr(state: SvrState, spec) -> np.ndarray:
-    """Tube residuals f_i - y_i, ridge self-term included."""
+class SvrState(_StateBase):
+    """Regression state: signed multipliers theta, bias, tube residuals."""
+
+    def __init__(self, samples, theta=None, b=0.0):
+        super().__init__(samples, theta, b)
+
+    @staticmethod
+    def signs_of(targets) -> np.ndarray:
+        """All ones: regression multipliers are already signed."""
+        return np.ones(np.shape(targets))
+
+    @staticmethod
+    def box(hyper) -> tuple[float, float, float]:
+        """``(lo, C, epsilon)``: theta in ``[-C, C]`` around a tube of half-width epsilon."""
+        return -hyper.C, hyper.C, hyper.epsilon
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.mult
+
+    @theta.setter
+    def theta(self, value) -> None:
+        self.mult = value
+
+    @property
+    def outputs(self) -> np.ndarray:
+        """Tube residuals ``f - t``."""
+        return self.resid
+
+    @outputs.setter
+    def outputs(self, value) -> None:
+        self.resid = value
+
+
+def compute_residuals(state, spec) -> np.ndarray:
+    """Residuals ``s * (f - t)`` over the full ridge Gram matrix.
+
+    ``y f - 1`` for the SVM and ``f - t`` for the SVR, the ridge self-term
+    included in ``f``.
+    """
     if state.n == 0:
         return np.zeros(0)
-    return kernels.training_decision_values(state, spec) - state.targets
+    f = kernels.training_decision_values(state, spec)
+    return state.signs_of(state.targets) * (f - state.targets)
+
+
+compute_margins_svm = compute_residuals
+compute_outputs_svr = compute_residuals
 
 
 def classify_regions_svm(alpha, margins, C, strict: bool = True) -> np.ndarray:
@@ -319,15 +340,21 @@ def classify_regions_svr(theta, outputs, C, epsilon, strict: bool = True) -> np.
 
 
 def column_cache(state, spec) -> kernels.ColumnCache:
-    """Ridge-Gram column cache over the current rows, signed for SVM."""
-    labels = state.y if isinstance(state, SvmState) else None
-    return kernels.ColumnCache(state.X, spec, labels)
+    """Signed ridge-Gram column cache over the current rows."""
+    return kernels.ColumnCache(state.X, spec, state.signs_of(state.targets))
 
 
-def _border_vector(state) -> np.ndarray:
-    if isinstance(state, SvmState):
-        return state.y[state.s_rows]
-    return np.ones(state.s_rows.size)
+def _signed_block(state, spec, rows_a, rows_b=None) -> np.ndarray:
+    """Block of the signed ridge Gram between two row sets of ``state``.
+
+    Without ``rows_b`` it is the symmetric block over ``rows_a``, evaluated
+    from a single feature array so that the kernel product stays symmetric.
+    """
+    xa, sa, ids_a = state.X[rows_a], state.signs_of(state.targets[rows_a]), state.ids[rows_a]
+    if rows_b is None:
+        return kernels.q_block(xa, sa, xa, sa, spec, ids_a, ids_a)
+    return kernels.q_block(xa, sa, state.X[rows_b], state.signs_of(state.targets[rows_b]),
+                           spec, ids_a, state.ids[rows_b])
 
 
 def refresh_cached_inverse(state, spec) -> None:
@@ -336,15 +363,9 @@ def refresh_cached_inverse(state, spec) -> None:
     if s.size == 0:
         state.cached_inverse = None
         return
-    xs = state.X[s]
-    ids = state.ids[s]
-    if isinstance(state, SvmState):
-        ys = state.y[s]
-        q_s = kernels.q_block(xs, ys, xs, ys, spec, ids, ids)
-    else:
-        q_s = kernels.gram_block(xs, xs, spec, ids, ids)
-    inverse = linalg.bordered_inverse(q_s, _border_vector(state))
-    state.cached_inverse = replace(inverse, ids=ids)
+    border = state.signs_of(state.targets[s])
+    inverse = linalg.bordered_inverse(_signed_block(state, spec, s), border)
+    state.cached_inverse = replace(inverse, ids=state.ids[s])
 
 
 def _cache_covers(state, rows) -> bool:
@@ -411,19 +432,9 @@ def grow_cached_inverse(state, spec, join_rows) -> None:
         refresh_cached_inverse(state, spec)
         return
     cache = state.cached_inverse
-    xj = state.X[joins]
-    ids_j = state.ids[joins]
-    # old and joining rows are distinct samples: no ridge in the cross block
-    if isinstance(state, SvmState):
-        yj = state.y[joins]
-        border_vals = yj
-        corner = kernels.q_block(xj, yj, xj, yj, spec, ids_j, ids_j)
-        cross_body = kernels.q_block(state.X[old], state.y[old], xj, yj, spec)
-    else:
-        border_vals = np.ones(joins.size)
-        corner = kernels.gram_block(xj, xj, spec, ids_j, ids_j)
-        cross_body = kernels.gram_block(state.X[old], xj, spec)
-    cross = np.vstack([border_vals[None, :], cross_body])
+    corner = _signed_block(state, spec, joins)
+    cross = np.vstack([state.signs_of(state.targets[joins])[None, :],
+                       _signed_block(state, spec, old, joins)])
     inv = linalg.inverse_grow(cache.inv, cross, corner)
     grown = np.concatenate([old, joins])
     if np.any(grown[1:] < grown[:-1]):
@@ -498,11 +509,10 @@ def validate(state, spec=None, C=None, epsilon=None, tol=REGION_TOL, ignore_rows
     """
     report: list[Violation] = []
     is_svm = isinstance(state, SvmState)
-    mult = state.alpha if is_svm else state.theta
-    resid = state.margins if is_svm else state.outputs
+    mult, resid = state.mult, state.resid
 
     # multiplier balance (orthogonal-hyperplane equality)
-    weights = state.y if is_svm else np.ones(state.n)
+    weights = state.signs_of(state.targets)
     balance = float(weights @ mult) if state.n else 0.0
     if abs(balance) > BALANCE_TOL:
         report.append(
@@ -522,7 +532,7 @@ def validate(state, spec=None, C=None, epsilon=None, tol=REGION_TOL, ignore_rows
                                      is_svm, checked)
 
     if spec is not None and state.n:
-        fresh = compute_margins_svm(state, spec) if is_svm else compute_outputs_svr(state, spec)
+        fresh = compute_residuals(state, spec)
         drift = float(np.max(np.abs(fresh - resid)))
         if drift > tol:
             report.append(

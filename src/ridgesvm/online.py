@@ -1,0 +1,335 @@
+"""One-shot multiple incremental/decremental updates for ridge SVM and SVR.
+
+Arriving samples get their multipliers predicted in one shot from the
+weight-error-curve ramp (no step sizes, no per-sample path events); leaving
+samples drop their multipliers to zero outright.  A single bordered solve
+then shifts the unbounded support vectors and the bias so the equilibrium
+conditions keep holding, and a bounded membership-repair loop restores the
+optimality regions exactly.
+
+Both tasks run through this one engine in their native coordinates (see
+:class:`ridgesvm.model.SvmState` and :class:`ridgesvm.model.SvrState`):
+the task enters only through ``state.box(hyper)``, which gives the
+multiplier box ``[lo, C]`` and the tube half-width ``epsilon`` (0 for the
+SVM), and through the signs ``state.signs_of(targets)``.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from . import batch as batch_solver
+from . import kernels, model
+from .errors import EmptyS, NoConvergence, NonpositiveRho, RepairDivergence, SingleClassInput
+from .model import REGION_B, REGION_O, REGION_S
+
+MAX_REPAIR_PASSES = 50
+_MIGRATE_TOL = 1e-10
+
+
+def wec_predict(f, targets, signs, rho, lo, C, epsilon) -> np.ndarray:
+    """Multipliers of new samples predicted from their test-point outputs ``f``.
+
+    In the residual ``r = s (f - t)`` the weight-error curve is a ramp of
+    slope ``-1/rho`` on each side of the tube ``[-epsilon, epsilon]`` (the
+    margin, for the SVM), zero inside it, clipped into the box ``[lo, C]``.
+    """
+    if rho <= 0:
+        raise NonpositiveRho("multiplier prediction requires ridge > 0")
+    r = signs * (f - targets)
+    raw = (epsilon * np.sign(r) - r) / rho
+    return np.where(np.abs(r) > epsilon, np.clip(raw, lo, C), 0.0)
+
+
+def retrain(state, samples, spec, hyper, config=None):
+    """Batch-train ``samples`` from scratch for the task of ``state``."""
+    train = (batch_solver.train_svm_batch if isinstance(state, model.SvmState)
+             else batch_solver.train_svr_batch)
+    return train(samples, spec, hyper, config)
+
+
+def equilibrium_solve(state, spec, add_samples, delta_add, remove_rows, delta_remove):
+    """Bias/multiplier shifts that keep the unbounded set in equilibrium.
+
+    Solves the bordered system over the current ``S`` for the response to
+    the given arrival and removal deltas.  ``remove_rows`` must already be
+    outside ``S``.  Returns ``(delta_b, delta_mult_S)`` in ``S`` row order.
+    """
+    s_rows = state.s_rows
+    if s_rows.size == 0:
+        raise EmptyS("equilibrium solve needs a nonempty unbounded set")
+    inv = model.ensure_cached_inverse(state, spec)
+
+    # signs go on the vectors, so the kernel blocks stay unsigned
+    xs, ids_s = state.X[s_rows], state.ids[s_rows]
+    rhs_top = 0.0
+    rhs_body = np.zeros(s_rows.size)
+    if len(add_samples):
+        x_d = np.array([s.features for s in add_samples], dtype=float)
+        signed = state.signs_of(np.array([s.target for s in add_samples], dtype=float))
+        signed = signed * np.asarray(delta_add, dtype=float)
+        rhs_top += float(signed.sum())
+        rhs_body += kernels.gram_block(xs, x_d, spec) @ signed
+    remove_rows = np.asarray(remove_rows, dtype=int)
+    if remove_rows.size:
+        signed = state.signs_of(state.targets[remove_rows]) * np.asarray(delta_remove, dtype=float)
+        rhs_top += float(signed.sum())
+        rhs_body += kernels.gram_block(
+            xs, state.X[remove_rows], spec, ids_s, state.ids[remove_rows]
+        ) @ signed
+    rhs_body *= state.signs_of(state.targets[s_rows])
+
+    sol = -inv.inv @ np.concatenate(([rhs_top], rhs_body))
+    return float(sol[0]), sol[1:]
+
+
+def tube_segments(state, hyper, rows):
+    """Residual target and multiplier segment ``[lo, hi]`` of unbounded members.
+
+    Without a tube every member targets residual 0 over the whole box.  With
+    one, a member is pinned to one tube edge and its multiplier kept on that
+    side of zero: a nonzero multiplier fixes the side (the residual opposes
+    it), and a member entering at zero takes the edge its residual touched.
+    """
+    lo, C, eps = state.box(hyper)
+    if eps == 0.0:
+        return np.zeros(rows.size), np.full(rows.size, lo), np.full(rows.size, C)
+    mult = state.mult[rows]
+    edge = np.where(np.abs(mult) > model.BOUND_TOL, -eps * np.sign(mult),
+                    eps * np.sign(state.resid[rows]))
+    return edge, np.where(edge > 0, lo, 0.0), np.where(edge > 0, 0.0, C)
+
+
+def _snap(state, cache, rows, bounds) -> None:
+    """Pin ``S`` members onto a segment end: zero exits to ``O``, a box bound to ``B``."""
+    deltas = bounds - state.mult[rows]
+    state.mult[rows] = bounds
+    if deltas.any():
+        state.resid += cache.apply(rows, deltas)
+    model.shrink_cached_inverse(state, rows)  # while tagged S
+    state.partition[rows] = np.where(bounds == 0.0, REGION_O, REGION_B)
+
+
+def _release_candidates(state, lo, eps) -> list[int]:
+    """Margin/tube violators among bounded and zero members, worst first.
+
+    A member at a positive bound must keep its residual <= -eps, one at a
+    negative bound >= eps; a zero multiplier must keep it >= -eps and, when
+    the box lets it go negative (lo < 0), <= eps.
+    """
+    b_rows, o_rows = state.b_rows, state.o_rows
+    g_b, g_o = state.resid[b_rows], state.resid[o_rows]
+    viol_b = np.where(state.mult[b_rows] < 0, eps - g_b, g_b + eps)
+    viol_o = np.abs(g_o) - eps if lo < 0 else -eps - g_o
+    viols = np.concatenate([viol_b, viol_o])
+    rows = np.concatenate([b_rows, o_rows])
+    keep = viols > _MIGRATE_TOL
+    order = np.lexsort((rows[keep], -viols[keep]))
+    return [int(r) for r in rows[keep][order]]
+
+
+def kkt_repair(state, spec, hyper, max_repair_passes=MAX_REPAIR_PASSES,
+               _cache: kernels.ColumnCache | None = None):
+    """Restore the optimality regions after a one-shot update (in place).
+
+    Each pass solves the equilibrium over the current ``S`` and walks
+    toward that solution only as far as each member's segment (see
+    :func:`tube_segments`) allows; members that block are snapped onto the
+    segment end they hit and retagged.  Once the solution is reached,
+    violators among B/O are released back into ``S`` -- in bulk while
+    progress is healthy, one at a time (which is safe at a subproblem
+    optimum) as soon as a zero-length step signals that a bulk release
+    overshot.  Passes never increase the dual objective, so the loop cannot
+    cycle; :class:`RepairDivergence` guards the pass budget.
+    """
+    lo, C, eps = state.box(hyper)
+    signs = state.signs_of(state.targets)
+    cache = _cache if _cache is not None and _cache.x is state.X \
+        else model.column_cache(state, spec)
+    single_release = False
+    for _ in range(max_repair_passes):
+        s_rows = state.s_rows
+        if s_rows.size == 0:
+            if not _release_candidates(state, lo, eps):
+                np.clip(state.mult, lo, C, out=state.mult)
+                return state
+            raise EmptyS("no unbounded set left to repair against")
+        edge, seg_lo, seg_hi = tube_segments(state, hyper, s_rows)
+        mult_s = state.mult[s_rows]
+
+        # the one-shot solve applies unclamped deltas: members it pushed out
+        # of their segment are reset onto the violated end before anything else
+        below = mult_s < seg_lo - _MIGRATE_TOL
+        outside = below | (mult_s > seg_hi + _MIGRATE_TOL)
+        if outside.any():
+            _snap(state, cache, s_rows[outside], np.where(below, seg_lo, seg_hi)[outside])
+            continue
+        inv = model.ensure_cached_inverse(state, spec)
+
+        b_rows = state.b_rows
+        signed_b = signs[b_rows] * state.mult[b_rows]
+        rhs_top = -float(signed_b.sum()) if b_rows.size else 0.0
+        rhs_body = signs[s_rows] * state.targets[s_rows] + edge
+        if b_rows.size:
+            k_sb = kernels.gram_block(
+                state.X[s_rows], state.X[b_rows], spec, state.ids[s_rows], state.ids[b_rows]
+            )
+            rhs_body = rhs_body - signs[s_rows] * (k_sb @ signed_b)
+        sol = inv.inv @ np.concatenate(([rhs_top], rhs_body))
+        target_b, target_mult = float(sol[0]), sol[1:]
+
+        d_mult = target_mult - mult_s
+        d_b = target_b - state.b
+
+        # longest feasible step toward the solve target
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(
+                d_mult > 1e-14, (seg_hi - mult_s) / d_mult,
+                np.where(d_mult < -1e-14, (seg_lo - mult_s) / d_mult, np.inf),
+            )
+        step = min(1.0, float(np.min(room, initial=np.inf)))
+        step = max(step, 0.0)
+
+        if step > 0.0:
+            move = step * d_mult
+            state.resid += cache.apply(s_rows, move) + signs * (step * d_b)
+            state.mult[s_rows] += move
+            state.b += step * d_b
+
+        if step < 1.0:
+            if step <= 1e-12:
+                single_release = True
+            blocked = np.flatnonzero(room <= step + 1e-12)
+            bounds = np.where(d_mult[blocked] > 0, seg_hi[blocked], seg_lo[blocked])
+            _snap(state, cache, s_rows[blocked], bounds)
+            continue
+
+        releases = _release_candidates(state, lo, eps)
+        if not releases:
+            np.clip(state.mult, lo, C, out=state.mult)
+            return state
+        if single_release:
+            releases = releases[:1]
+        state.partition[releases] = REGION_S
+        model.grow_cached_inverse(state, spec, releases)
+    raise RepairDivergence(
+        f"membership did not settle within {max_repair_passes} passes"
+    )
+
+
+def rebuild_empty_S(state, incoming, spec, hyper, config=None):
+    """Re-establish an unbounded set when ``S`` is empty.
+
+    Batch-solves the subproblem over the bounded members plus the incoming
+    samples while non-support vectors stay at zero, then repairs the merged
+    state.  Falls back to a full retrain on the combined data whenever the
+    restricted route cannot produce a consistent model.
+    """
+    free = state.partition == REGION_B
+    free_samples = [state.samples[r] for r in np.flatnonzero(free)] + list(incoming)
+    o_rows = np.flatnonzero(~free)
+    try:
+        sub = retrain(state, free_samples, spec, hyper, config)
+        merged = type(state)([state.samples[r] for r in o_rows] + list(sub.samples))
+        merged.mult = np.concatenate([np.zeros(len(o_rows)), sub.mult])
+        merged.b = sub.b
+        merged.resid = model.compute_residuals(merged, spec)
+        merged.partition = np.concatenate(
+            [np.full(len(o_rows), REGION_O, dtype="<U1"), sub.partition]
+        )
+        model.refresh_cached_inverse(merged, spec)
+        return kkt_repair(merged, spec, hyper)
+    except (EmptyS, RepairDivergence, SingleClassInput, NoConvergence):
+        pass
+    return retrain(state, list(state.samples) + list(incoming), spec, hyper, config)
+
+
+def update_multi(state, batch: model.UpdateBatch, spec, hyper):
+    """Apply one add/remove batch atomically; returns a new state.
+
+    Pipeline: predict arriving multipliers from the weight-error curve,
+    negate leaving ones, absorb both through a single bordered equilibrium
+    solve, splice the rows, patch the cached inverse, and run membership
+    repair.  The input state is not modified.
+    """
+    model._check_batch(state, batch)
+    if batch.is_empty():
+        return state.copy()
+    work = state.copy()
+    lo, C, eps = work.box(hyper)
+
+    if work.n == 0:
+        return rebuild_empty_S(work, batch.add, spec, hyper)
+
+    remove_rows = work.rows_of(batch.remove)
+    delta_remove = -work.mult[remove_rows]
+
+    # leaving members exit the unbounded set before the solve
+    s_leavers = remove_rows[work.partition[remove_rows] == REGION_S]
+    if s_leavers.size:
+        model.shrink_cached_inverse(work, s_leavers)
+        work.partition[s_leavers] = REGION_O
+
+    if work.s_rows.size == 0:
+        work.delete_rows(remove_rows)
+        return rebuild_empty_S(work, batch.add, spec, hyper)
+
+    add_samples = list(batch.add)
+    if add_samples:
+        x_d = np.array([s.features for s in add_samples], dtype=float)
+        t_d = np.array([s.target for s in add_samples], dtype=float)
+        signs_d = work.signs_of(t_d)
+        f_d = kernels.decision_values(x_d, work, spec)
+        mult_d = wec_predict(f_d, t_d, signs_d, spec.ridge, lo, C, eps)
+    else:
+        mult_d = np.zeros(0)
+
+    # a batch whose deltas all vanish cannot move the model: splice rows only
+    effective = bool(np.any(mult_d)) or bool(np.any(delta_remove))
+
+    if effective:
+        db, dmult_s = equilibrium_solve(
+            work, spec, add_samples, mult_d, remove_rows, delta_remove
+        )
+        s_rows = work.s_rows
+        work.mult[s_rows] += dmult_s
+        work.b += db
+        s_ids = work.ids[s_rows]
+
+    # splice rows; leaving features are stashed for the residual shift below
+    x_r, ids_r = work.X[remove_rows], work.ids[remove_rows]
+    signs_r = work.signs_of(work.targets[remove_rows])
+    work.delete_rows(remove_rows)
+    if add_samples:
+        tags = np.where(
+            np.abs(mult_d) <= model.BOUND_TOL, REGION_O,
+            np.where(np.abs(mult_d) >= C - model.BOUND_TOL, REGION_B, REGION_S),
+        ).astype("<U1")
+        work.append_samples(add_samples, mult_d, tags)
+
+    if effective:
+        cache = model.column_cache(work, spec)
+        signs = work.signs_of(work.targets)
+        moved = np.concatenate([work.rows_of(s_ids),
+                                np.arange(work.n - len(add_samples), work.n)])
+        shift = cache.apply(moved, np.concatenate([dmult_s, mult_d])) + signs * db
+        if remove_rows.size:
+            shift = shift + signs * (kernels.gram_block(
+                work.X, x_r, spec, work.ids, ids_r
+            ) @ (signs_r * delta_remove))
+        work.resid += shift
+
+    if add_samples:
+        # exact residuals for the arrivals against the spliced state
+        f_train = kernels.decision_profile(
+            x_d, work.X, work.dual_coefficients, work.b, spec
+        ) + spec.ridge * (signs_d * mult_d)
+        work.resid[-len(add_samples):] = signs_d * (f_train - t_d)
+        joins = np.flatnonzero(tags == REGION_S) + (work.n - len(add_samples))
+        model.grow_cached_inverse(work, spec, joins)
+
+    if not effective:
+        return work
+    try:
+        return kkt_repair(work, spec, hyper, _cache=cache)
+    except EmptyS:
+        return rebuild_empty_S(work, [], spec, hyper)

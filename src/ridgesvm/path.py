@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import batch as batch_solver
 from . import kernels, model
 from .errors import EmptyS, InconsistentEvent, StalledPath
-from .model import REGION_B, REGION_O, REGION_S, SvmState
+from .model import REGION_B, REGION_O, REGION_S
+from .online import rebuild_empty_S, retrain, tube_segments
 
 _DIR_TOL = 1e-12
 _EVENT_TOL = 1e-12
@@ -60,25 +60,16 @@ class PathState:
         self.cumulative_eta += (1.0 - self.cumulative_eta) * eta
 
 
-def _is_svm(state) -> bool:
-    return isinstance(state, SvmState)
-
-
-def _multipliers(state) -> np.ndarray:
-    return state.alpha if _is_svm(state) else state.theta
-
-
-def _residuals(state) -> np.ndarray:
-    return state.margins if _is_svm(state) else state.outputs
-
-
 def _drive_targets(state, path: PathState, hyper) -> np.ndarray:
-    """Bound each driven arrival heads for: C, or the signed corner for SVR."""
-    if _is_svm(state):
-        return np.full(path.drive_rows.size, hyper.C)
-    # regression arrivals move toward the corner opposite their error sign
-    resid = state.outputs[path.drive_rows]
-    return np.where(resid > 0, -hyper.C, hyper.C)
+    """Box bound each driven arrival heads for: the side that shrinks its residual.
+
+    A driven multiplier moves monotonically away from zero, so once it has
+    moved its sign names the side; before that, its residual does.
+    """
+    lo, C, _ = state.box(hyper)
+    mult = state.mult[path.drive_rows]
+    rising = np.where(mult == 0.0, state.resid[path.drive_rows] < 0, mult > 0)
+    return np.where(rising, C, lo)
 
 
 def _direction(state, spec, path: PathState, hyper,
@@ -94,26 +85,15 @@ def _direction(state, spec, path: PathState, hyper,
         raise EmptyS("path following needs a nonempty unbounded set")
     inv = model.ensure_cached_inverse(state, spec)
 
-    mult = _multipliers(state)
-    d_add = _drive_targets(state, path, hyper) - mult[path.drive_rows]
-    d_rem = -mult[path.removal_rows]
+    d_add = _drive_targets(state, path, hyper) - state.mult[path.drive_rows]
+    d_rem = -state.mult[path.removal_rows]
 
-    weights = state.y if _is_svm(state) else np.ones(state.n)
-    rhs_top = float(weights[path.drive_rows] @ d_add + weights[path.removal_rows] @ d_rem)
+    signs = state.signs_of(state.targets)
+    rhs_top = float(signs[path.drive_rows] @ d_add + signs[path.removal_rows] @ d_rem)
     moved = np.concatenate([path.drive_rows, path.removal_rows])
     rhs_body = columns.apply(moved, np.concatenate([d_add, d_rem]))[s_rows]
     sol = -inv.inv @ np.concatenate(([rhs_top], rhs_body))
     return Directions(db=float(sol[0]), dalpha_s=sol[1:], d_add=d_add, d_rem=d_rem)
-
-
-def direction_svm(state, spec, path: PathState, hyper) -> Directions:
-    """Segment directions for classification paths."""
-    return _direction(state, spec, path, hyper, model.column_cache(state, spec))
-
-
-def direction_svr(state, spec, path: PathState, hyper) -> Directions:
-    """Segment directions for regression paths."""
-    return _direction(state, spec, path, hyper, model.column_cache(state, spec))
 
 
 def sensitivity_phi(state, spec, path: PathState, directions: Directions,
@@ -125,10 +105,9 @@ def sensitivity_phi(state, spec, path: PathState, directions: Directions,
     directions solve pins them.
     """
     columns = columns or model.column_cache(state, spec)
-    weights = state.y if _is_svm(state) else np.ones(state.n)
     moved = np.concatenate([state.s_rows, path.drive_rows, path.removal_rows])
     coef = np.concatenate([directions.dalpha_s, directions.d_add, directions.d_rem])
-    return weights * directions.db + columns.apply(moved, coef)
+    return state.signs_of(state.targets) * directions.db + columns.apply(moved, coef)
 
 
 def _candidate_events(state, phi, directions, path: PathState, hyper):
@@ -136,70 +115,47 @@ def _candidate_events(state, phi, directions, path: PathState, hyper):
 
     Yields (eta, sample_id, kind, row, bound).  Transit rows (driven
     arrivals, removals) are excluded from the B/O scans; removals generate
-    no events of their own.
+    no events of their own.  A residual crosses the lower edge ``-eps``
+    while rising and the upper edge ``eps`` while falling (both are the
+    margin, 0, for the SVM); the upper one matters only when the box lets
+    multipliers go negative.
     """
-    svm = _is_svm(state)
-    C, eps = hyper.C, hyper.epsilon
-    mult = _multipliers(state)
-    resid = _residuals(state)
-    in_transit = set(int(r) for r in path.drive_rows) | set(
-        int(r) for r in path.removal_rows
+    lo, _, eps = state.box(hyper)
+    mult, resid = state.mult, state.resid
+    driven = np.zeros(state.n, dtype=bool)
+    driven[path.drive_rows] = True
+    transit = driven.copy()
+    transit[path.removal_rows] = True
+    in_b = (state.partition == REGION_B) & ~transit
+    in_o = (state.partition == REGION_O) & ~transit
+    rising, falling = phi > _DIR_TOL, phi < -_DIR_TOL
+    two_sided = lo < 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        to_lower = (-eps - resid) / phi
+        to_upper = (eps - resid) / phi
+    crossings = (
+        ("release", in_b & (mult > 0) & rising & (resid < -eps), to_lower),
+        ("release", in_b & (mult < 0) & falling & (resid > eps), to_upper),
+        ("release", in_o & falling & (resid > -eps), to_lower),
+        ("release", in_o & two_sided & rising & (resid < eps), to_upper),
+        ("capture", driven & rising & (resid < -eps), to_lower),
+        ("capture", driven & two_sided & falling & (resid > eps), to_upper),
     )
-    out = []
-
-    for t in state.b_rows:
-        if int(t) in in_transit:
-            continue
-        if svm:
-            if phi[t] > _DIR_TOL and resid[t] < 0:
-                out.append((-resid[t] / phi[t], int(state.ids[t]), "release", int(t), None))
-        else:
-            if mult[t] < 0 and phi[t] < -_DIR_TOL and resid[t] > eps:
-                out.append(((eps - resid[t]) / phi[t], int(state.ids[t]), "release", int(t), None))
-            elif mult[t] > 0 and phi[t] > _DIR_TOL and resid[t] < -eps:
-                out.append(((-eps - resid[t]) / phi[t], int(state.ids[t]), "release", int(t), None))
-
-    for o in state.o_rows:
-        if int(o) in in_transit:
-            continue
-        if svm:
-            if phi[o] < -_DIR_TOL and resid[o] > 0:
-                out.append((-resid[o] / phi[o], int(state.ids[o]), "release", int(o), None))
-        else:
-            if phi[o] > _DIR_TOL and resid[o] < eps:
-                out.append(((eps - resid[o]) / phi[o], int(state.ids[o]), "release", int(o), None))
-            if phi[o] < -_DIR_TOL and resid[o] > -eps:
-                out.append(((-eps - resid[o]) / phi[o], int(state.ids[o]), "release", int(o), None))
-
-    for k, d in enumerate(path.drive_rows):
-        d = int(d)
-        if svm:
-            if resid[d] < 0 and phi[d] > _DIR_TOL:
-                out.append((-resid[d] / phi[d], int(state.ids[d]), "capture", d, None))
-        else:
-            if resid[d] > eps and phi[d] < -_DIR_TOL:
-                out.append(((eps - resid[d]) / phi[d], int(state.ids[d]), "capture", d, None))
-            elif resid[d] < -eps and phi[d] > _DIR_TOL:
-                out.append(((-eps - resid[d]) / phi[d], int(state.ids[d]), "capture", d, None))
+    out = [
+        (eta[r], int(state.ids[r]), kind, int(r), None)
+        for kind, mask, eta in crossings
+        for r in np.flatnonzero(mask)
+    ]
 
     s_rows = state.s_rows
-    if svm:
-        lo = np.zeros(s_rows.size)
-        hi = np.full(s_rows.size, C)
-    elif eps > 0:
-        side_up = resid[s_rows] > 0  # pinned to the upper edge: theta <= 0
-        lo = np.where(side_up, -C, 0.0)
-        hi = np.where(side_up, 0.0, C)
-    else:
-        lo = np.full(s_rows.size, -C)
-        hi = np.full(s_rows.size, C)
-    for k, s in enumerate(s_rows):
-        d = directions.dalpha_s[k]
-        s = int(s)
-        if d > _DIR_TOL:
-            out.append(((hi[k] - mult[s]) / d, int(state.ids[s]), "box", s, float(hi[k])))
-        elif d < -_DIR_TOL:
-            out.append(((lo[k] - mult[s]) / d, int(state.ids[s]), "box", s, float(lo[k])))
+    _, seg_lo, seg_hi = tube_segments(state, hyper, s_rows)
+    d = directions.dalpha_s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.where(d > 0, seg_hi, seg_lo)
+        eta = (bound - mult[s_rows]) / d
+    for k in np.flatnonzero(np.abs(d) > _DIR_TOL):
+        s = int(s_rows[k])
+        out.append((eta[k], int(state.ids[s]), "box", s, float(bound[k])))
     return out
 
 
@@ -239,8 +195,7 @@ def migrate(state, spec, path: PathState, event: PathEvent) -> None:
     if event.kind == "box":
         if state.partition[row] != REGION_S:
             raise InconsistentEvent(f"box event on non-S row {row}")
-        mult = _multipliers(state)
-        mult[row] = event.bound
+        state.mult[row] = event.bound
         model.shrink_cached_inverse(state, [row])  # while still tagged S
         state.partition[row] = REGION_O if event.bound == 0.0 else REGION_B
     elif event.kind == "release":
@@ -261,7 +216,7 @@ def migrate(state, spec, path: PathState, event: PathEvent) -> None:
 
 
 def _apply_step(state, phi, directions, path: PathState, eta: float) -> None:
-    mult = _multipliers(state)
+    mult = state.mult
     s_rows = state.s_rows
     if s_rows.size:
         mult[s_rows] += eta * directions.dalpha_s
@@ -270,73 +225,57 @@ def _apply_step(state, phi, directions, path: PathState, eta: float) -> None:
     if path.removal_rows.size:
         mult[path.removal_rows] += eta * directions.d_rem
     state.b += eta * directions.db
-    resid = _residuals(state)
-    resid += eta * phi
+    state.resid += eta * phi
 
 
 def _finalize(work, path: PathState, spec, hyper):
     """Pin transit rows to their targets, drop removals, retag, validate."""
-    mult = _multipliers(work)
     if path.drive_rows.size:
-        mult[path.drive_rows] = _drive_targets(work, path, hyper)
+        work.mult[path.drive_rows] = _drive_targets(work, path, hyper)
     if path.removal_rows.size:
         work.delete_rows(path.removal_rows)
-    if _is_svm(work):
-        work.partition = model.classify_regions_svm(work.alpha, work.margins, hyper.C)
-    else:
-        work.partition = model.classify_regions_svr(
-            work.theta, work.outputs, hyper.C, hyper.epsilon
-        )
+    _, C, eps = work.box(hyper)
+    # the SVM tags are the regression tags at epsilon = 0
+    work.partition = model.classify_regions_svr(work.mult, work.resid, C, eps)
     model.refresh_cached_inverse(work, spec)
     return work
 
 
 def _path_update(state, batch: model.UpdateBatch, spec, hyper):
-    svm = _is_svm(state)
-    if svm:
-        from .online_svm import rebuild_empty_S
-        rebuild = rebuild_empty_S
-    else:
-        from .online_svr import rebuild_empty_S_svr
-        rebuild = rebuild_empty_S_svr
     model._check_batch(state, batch)
     if batch.is_empty():
         return state.copy()
     work = state.copy()
 
     if work.n == 0:
-        return rebuild(work, batch.add, spec, hyper)
+        return rebuild_empty_S(work, batch.add, spec, hyper)
 
     remove_rows = work.rows_of(batch.remove)
-    s_leavers = [int(r) for r in remove_rows if work.partition[r] == REGION_S]
-    if s_leavers:
+    s_leavers = remove_rows[work.partition[remove_rows] == REGION_S]
+    if s_leavers.size:
         model.shrink_cached_inverse(work, s_leavers)
         work.partition[s_leavers] = REGION_O
     if work.s_rows.size == 0:
         work.delete_rows(remove_rows)
-        return rebuild(work, batch.add, spec, hyper)
+        return rebuild_empty_S(work, batch.add, spec, hyper)
 
     add_samples = list(batch.add)
-    removal_rows = np.array([int(r) for r in remove_rows], dtype=int)
+    removal_rows = np.asarray(remove_rows, dtype=int)
 
     if add_samples:
         x_d = np.array([s.features for s in add_samples], dtype=float)
+        t_d = np.array([s.target for s in add_samples], dtype=float)
         f_d = kernels.decision_values(x_d, work, spec)
         zeros = np.zeros(len(add_samples))
         tags = np.full(len(add_samples), REGION_O, dtype="<U1")
         work.append_samples(add_samples, zeros, tags)
         first = work.n - len(add_samples)
-        if svm:
-            y_d = np.array([s.target for s in add_samples], dtype=float)
-            resid_new = y_d * f_d - 1.0
-            work.margins[first:] = resid_new
-            driven = resid_new < -_DIR_TOL  # only margin violators move
-        else:
-            t_d = np.array([s.target for s in add_samples], dtype=float)
-            resid_new = f_d - t_d
-            work.outputs[first:] = resid_new
-            driven = np.abs(resid_new) > hyper.epsilon + _DIR_TOL
-        drive_rows = np.flatnonzero(driven) + first
+        resid_new = work.signs_of(t_d) * (f_d - t_d)
+        work.resid[first:] = resid_new
+        # only arrivals that violate at a zero multiplier move
+        lo, _, eps = work.box(hyper)
+        reach = np.abs(resid_new) if lo < 0 else -resid_new
+        drive_rows = np.flatnonzero(reach > eps + _DIR_TOL) + first
     else:
         drive_rows = np.zeros(0, dtype=int)
 
@@ -351,9 +290,7 @@ def _path_update(state, batch: model.UpdateBatch, spec, hyper):
         except EmptyS:
             # no unbounded set left mid-path: fall back to a fresh solve
             work.delete_rows(path.removal_rows)
-            if svm:
-                return batch_solver.train_svm_batch(work.samples, spec, hyper)
-            return batch_solver.train_svr_batch(work.samples, spec, hyper)
+            return retrain(work, work.samples, spec, hyper)
         phi = sensitivity_phi(work, spec, path, directions, columns)
         eta, event = step_select(work, phi, directions, 1.0, path, hyper)
         if eta > 0.0:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ridgesvm import batch, kernels, model
-from ridgesvm.batch import SolverConfig
 from ridgesvm.errors import SingleClassInput
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample
@@ -103,10 +102,85 @@ class TestTrainSvmBatch:
         spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
         hyper = Hyperparams(C=1.0)
         samples = gaussian_blobs(60, 9)
-        s1 = batch.train_svm_batch(samples, spec, hyper, SolverConfig(seed=4))
-        s2 = batch.train_svm_batch(samples, spec, hyper, SolverConfig(seed=4))
+        s1 = batch.train_svm_batch(samples, spec, hyper)
+        s2 = batch.train_svm_batch(samples, spec, hyper)
         assert np.array_equal(s1.alpha, s2.alpha)
         assert s1.b == s2.b
+
+
+def reference_svm_dual(samples, spec, C, tol=1e-6, max_passes=10000):
+    """Label-coordinate SVM pair ascent and bias rule, kept as the reference.
+
+    The solver works on alpha in [0, C] with the gradient of the signed
+    dual; ``train_svm_batch`` solves the same problem over beta = y alpha.
+    Returns (alpha, b, margins).
+    """
+    box_eps = 1e-12
+    x = np.array([s.features for s in samples], dtype=float)
+    y = np.array([s.target for s in samples], dtype=float)
+    gram = kernels.q_matrix_svr(x, spec)
+    n = y.shape[0]
+    alpha = np.zeros(n)
+    grad = np.full(n, -1.0)
+    pos = y > 0
+    for _ in range(max_passes * n):
+        vals = -y * grad
+        up = (pos & (alpha < C - box_eps)) | (~pos & (alpha > box_eps))
+        low = (pos & (alpha > box_eps)) | (~pos & (alpha < C - box_eps))
+        if not up.any() or not low.any():
+            break
+        i = int(np.argmax(np.where(up, vals, -np.inf)))
+        j = int(np.argmin(np.where(low, vals, np.inf)))
+        gap = vals[i] - vals[j]
+        if gap <= tol:
+            break
+        quad = gram[i, i] + gram[j, j] - 2.0 * gram[i, j]
+        delta = gap / quad if quad > box_eps else np.inf
+        delta = min(
+            delta,
+            (C - alpha[i]) if pos[i] else alpha[i],
+            alpha[j] if pos[j] else (C - alpha[j]),
+        )
+        alpha[i] += y[i] * delta
+        alpha[j] -= y[j] * delta
+        grad += y * (delta * (gram[:, i] - gram[:, j]))
+
+    vals = -y * grad
+    interior = (alpha > model.BOUND_TOL) & (alpha < C - model.BOUND_TOL)
+    if interior.any():
+        b = float(np.mean(vals[interior]))
+    else:
+        up = (pos & (alpha < C - box_eps)) | (~pos & (alpha > box_eps))
+        low = (pos & (alpha > box_eps)) | (~pos & (alpha < C - box_eps))
+        hi = np.max(vals[up]) if up.any() else 0.0
+        lo = np.min(vals[low]) if low.any() else 0.0
+        b = float(0.5 * (hi + lo))
+    return alpha, b, grad + y * b
+
+
+class TestSignedSolverMatchesLabelSolver:
+    @pytest.mark.parametrize("samples, spec, C", [
+        (gaussian_blobs(60, 1), KernelSpec(family="rbf", sigma=1.0, ridge=0.5), 1.0),
+        (gaussian_blobs(50, 2), KernelSpec(family="linear", ridge=0.05), 10.0),
+        (gaussian_blobs(40, 3), KernelSpec(family="polynomial", degree=2, ridge=0.5), 0.1),
+        # every multiplier at C: the bias is the middle of the feasible range
+        (gaussian_blobs(40, 0, spread=2.0), KernelSpec(family="rbf", sigma=1.0, ridge=0.5),
+         0.02),
+    ])
+    def test_bit_identical(self, samples, spec, C):
+        alpha, b, margins = reference_svm_dual(samples, spec, C)
+        state = batch.train_svm_batch(samples, spec, Hyperparams(C=C))
+        assert np.array_equal(state.alpha, alpha)
+        assert state.b == b
+        assert np.array_equal(state.margins, margins)
+        assert list(state.partition) == list(model.classify_regions_svm(alpha, margins, C))
+
+    def test_all_bounded_instance_takes_the_midpoint_rule(self):
+        state = batch.train_svm_batch(
+            gaussian_blobs(40, 0, spread=2.0),
+            KernelSpec(family="rbf", sigma=1.0, ridge=0.5), Hyperparams(C=0.02),
+        )
+        assert set(state.partition) == {"B"}
 
 
 class TestTrainSvrBatch:

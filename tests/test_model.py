@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from ridgesvm import batch, data, kernels, linalg, model, online_svm, online_svr
+from ridgesvm import batch, data, kernels, linalg, model, online
 from ridgesvm.errors import InconsistentState, UnknownId
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample, UpdateBatch
@@ -178,6 +178,42 @@ def stored_state(kind, n=8):
         state.outputs = np.arange(n, dtype=float)
     state.partition = np.array(["S", "B", "O", "S"] * (n // 4), dtype="<U1")
     return state
+
+
+class TestNativeStorage:
+    """The task-named views alias the one stored multiplier/residual pair."""
+
+    @pytest.mark.parametrize("kind, mult_name, resid_name", [
+        ("svm", "alpha", "margins"), ("svr", "theta", "outputs"),
+    ])
+    def test_task_names_write_through(self, kind, mult_name, resid_name):
+        state = stored_state(kind)
+        before = state.mult.copy()
+        getattr(state, mult_name)[[0, 2]] += 0.25
+        assert np.array_equal(state.mult, before + np.array([0.25, 0, 0.25] + [0] * 5))
+        fresh = np.full(state.n, -1.0)
+        setattr(state, resid_name, fresh)
+        assert state.resid is fresh
+        assert getattr(state, resid_name) is fresh
+
+    def test_svm_labels_are_the_targets(self):
+        state = stored_state("svm")
+        assert state.y is state.targets
+        assert state.signs_of(state.targets) is state.targets
+        assert np.array_equal(state.dual_coefficients, state.y * state.alpha)
+
+    @pytest.mark.parametrize("kind", ["svm", "svr"])
+    def test_copy_shares_the_inverse_and_no_array(self, kind):
+        state = stored_state(kind)
+        state.cached_inverse = linalg.bordered_inverse(np.eye(2) * 2.0, np.ones(2))
+        out = state.copy()
+        assert type(out) is type(state)
+        assert out.cached_inverse is state.cached_inverse
+        assert out.samples == state.samples and out.samples is not state.samples
+        for name in ("X", "ids", "targets", "partition", "mult", "resid"):
+            assert np.array_equal(getattr(out, name), getattr(state, name))
+            assert not np.shares_memory(getattr(out, name), getattr(state, name))
+        assert out.b == state.b
 
 
 class TestRowsOf:
@@ -451,10 +487,10 @@ class TestValidateEachKind:
 
 ENGINE_TASKS = {
     "svm": (data.two_gaussians, batch.train_svm_batch, update_multi_svm,
-            online_svm.rebuild_empty_S, Hyperparams(C=1.0)),
+            online.rebuild_empty_S, Hyperparams(C=1.0)),
     # noisy enough that bounded rows sit between zero-multiplier rows
     "svr": (functools.partial(data.noisy_sine, noise=0.6), batch.train_svr_batch,
-            update_multi_svr, online_svr.rebuild_empty_S_svr,
+            update_multi_svr, online.rebuild_empty_S,
             Hyperparams(C=1.0, epsilon=0.2)),
 }
 

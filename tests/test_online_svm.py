@@ -3,18 +3,11 @@ import pytest
 
 from ridgesvm import batch, data, kernels, model, online_svm
 from ridgesvm.batch import SolverConfig
-from ridgesvm.errors import EmptyS, NonpositiveRho, UnknownId
+from ridgesvm.errors import EmptyS, NonpositiveRho
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample, UpdateBatch
-from ridgesvm.online_svm import (
-    WEC_DERIVED,
-    WEC_LITERAL,
-    assign_removals,
-    equilibrium_solve_svm,
-    kkt_repair,
-    update_multi_svm,
-    wec_predict_svm,
-)
+from ridgesvm.online import equilibrium_solve, kkt_repair, wec_predict
+from ridgesvm.online_svm import update_multi_svm, wec_predict_svm
 
 SPEC = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
 HYPER = Hyperparams(C=1.0)
@@ -38,31 +31,19 @@ class TestWecPredict:
     def test_negative_label_mirror(self):
         assert wec_predict_svm(-0.75, -1.0, rho=0.5, C=1.0) == pytest.approx(0.5)
 
-    def test_literal_intercept_form(self):
-        # raw intercept: rho - f / rho for positive labels
-        assert wec_predict_svm(0.2, 1.0, rho=0.5, C=1.0,
-                               mode=WEC_LITERAL) == pytest.approx(0.1)
-        assert wec_predict_svm(-0.2, -1.0, rho=0.5, C=1.0,
-                               mode=WEC_LITERAL) == pytest.approx(0.1)
-
     def test_nonpositive_rho(self):
         with pytest.raises(NonpositiveRho):
             wec_predict_svm(0.5, 1.0, rho=0.0, C=1.0)
 
-
-class TestAssignRemovals:
-    def test_negation(self):
-        samples = data.two_gaussians(10, seed=0)
-        state = batch.train_svm_batch(samples, SPEC, HYPER)
-        ids = [samples[0].id, samples[3].id]
-        rows = state.rows_of(ids)
-        deltas = assign_removals(state, ids)
-        assert np.allclose(deltas, -state.alpha[rows])
-
-    def test_unknown_id(self):
-        state = batch.train_svm_batch(data.two_gaussians(10, seed=0), SPEC, HYPER)
-        with pytest.raises(UnknownId):
-            assign_removals(state, [999])
+    def test_engine_vector_path_matches(self):
+        # dyadic outputs hit the margin (y f = 1) and both clip ends exactly
+        f = np.arange(-48, 49) / 16.0
+        for label in (1.0, -1.0):
+            y = np.full(f.size, label)
+            scalar = [wec_predict_svm(v, label, rho=0.5, C=1.0) for v in f]
+            vector = wec_predict(f, y, y, 0.5, 0.0, 1.0, 0.0)
+            assert np.array_equal(vector, scalar)
+            assert {0.0, 1.0} <= set(scalar) and len(set(scalar)) > 4
 
 
 def one_member_s_state(ridge=1.0):
@@ -76,7 +57,7 @@ def one_member_s_state(ridge=1.0):
 class TestEquilibriumSolve:
     def test_null_update(self):
         state, spec = one_member_s_state()
-        db, dalpha = equilibrium_solve_svm(state, spec, [], [], [], [])
+        db, dalpha = equilibrium_solve(state, spec, [], [], [], [])
         assert db == 0.0
         assert np.allclose(dalpha, 0.0)
 
@@ -84,14 +65,14 @@ class TestEquilibriumSolve:
         # Q_S = [[2]], arrival with K_sd = 0.5, y_d = -1, delta 0.3
         state, spec = one_member_s_state(ridge=1.0)
         d = Sample(1, np.array([0.5]), -1.0)
-        db, dalpha = equilibrium_solve_svm(state, spec, [d], [0.3], [], [])
+        db, dalpha = equilibrium_solve(state, spec, [d], [0.3], [], [])
         assert db == pytest.approx(-0.45)
         assert dalpha[0] == pytest.approx(0.3)
 
     def test_same_label_arrival_cancels(self):
         state, spec = one_member_s_state(ridge=1.0)
         d = Sample(1, np.array([0.5]), 1.0)
-        db, dalpha = equilibrium_solve_svm(state, spec, [d], [0.3], [], [])
+        db, dalpha = equilibrium_solve(state, spec, [d], [0.3], [], [])
         assert dalpha[0] == pytest.approx(-0.3)
         assert db == pytest.approx(0.45)
 
@@ -100,7 +81,7 @@ class TestEquilibriumSolve:
         state = batch.train_svm_batch(samples, SPEC, HYPER)
         arrivals = data.two_gaussians(6, seed=2, start_id=1000)
         deltas = np.full(6, 0.2)
-        db, dalpha_s = equilibrium_solve_svm(state, SPEC, arrivals, deltas, [], [])
+        db, dalpha_s = equilibrium_solve(state, SPEC, arrivals, deltas, [], [])
         y_d = np.array([s.target for s in arrivals])
         total = state.y[state.s_rows] @ dalpha_s + y_d @ deltas
         assert abs(total) <= 1e-9
@@ -109,7 +90,7 @@ class TestEquilibriumSolve:
         state, spec = one_member_s_state()
         state.partition = np.array(["B"])
         with pytest.raises(EmptyS):
-            equilibrium_solve_svm(state, spec, [], [], [], [])
+            equilibrium_solve(state, spec, [], [], [], [])
 
 
 class TestKktRepair:

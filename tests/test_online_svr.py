@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 
 from ridgesvm import batch, data, kernels, model, online_svr
-from ridgesvm.errors import NonpositiveRho, UnknownId
+from ridgesvm.errors import NonpositiveRho
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample, UpdateBatch
-from ridgesvm.online_svr import (
-    assign_removals_svr,
-    equilibrium_solve_svr,
-    update_multi_svr,
-    wec_predict_svr,
-)
+from ridgesvm.online import equilibrium_solve, wec_predict
+from ridgesvm.online_svr import update_multi_svr, wec_predict_svr
 
 SPEC = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
 HYPER = Hyperparams(C=1.0, epsilon=0.2)
@@ -44,18 +40,16 @@ class TestWecPredictSvr:
         with pytest.raises(NonpositiveRho):
             wec_predict_svr(0.5, 0.0, rho=0.0, C=1.0, epsilon=0.1)
 
-
-class TestAssignRemovalsSvr:
-    def test_negation(self):
-        state = batch.train_svr_batch(data.noisy_sine(30, seed=0), SPEC, HYPER)
-        ids = [int(state.ids[0]), int(state.ids[4])]
-        rows = state.rows_of(ids)
-        assert np.allclose(assign_removals_svr(state, ids), -state.theta[rows])
-
-    def test_unknown_id(self):
-        state = batch.train_svr_batch(data.noisy_sine(10, seed=0), SPEC, HYPER)
-        with pytest.raises(UnknownId):
-            assign_removals_svr(state, [12345])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.25])
+    def test_engine_vector_path_matches(self, epsilon):
+        # dyadic errors hit both tube edges and both clip ends exactly
+        target = 0.5
+        f = target + np.arange(-48, 49) / 16.0
+        t = np.full(f.size, target)
+        scalar = [wec_predict_svr(v, target, rho=0.5, C=1.0, epsilon=epsilon) for v in f]
+        vector = wec_predict(f, t, np.ones(f.size), 0.5, -1.0, 1.0, epsilon)
+        assert np.array_equal(vector, scalar)
+        assert {-1.0, 0.0, 1.0} <= set(scalar)
 
 
 def one_member_s_state(ridge=1.0):
@@ -69,7 +63,7 @@ def one_member_s_state(ridge=1.0):
 class TestEquilibriumSolveSvr:
     def test_null_update(self):
         state, spec = one_member_s_state()
-        db, dtheta = equilibrium_solve_svr(state, spec, [], [], [], [])
+        db, dtheta = equilibrium_solve(state, spec, [], [], [], [])
         assert db == 0.0
         assert np.allclose(dtheta, 0.0)
 
@@ -78,7 +72,7 @@ class TestEquilibriumSolveSvr:
         # solve [0,1;1,2][db;dth] = -[0.3;0.15] -> dth = -0.3, db = 0.45
         state, spec = one_member_s_state(ridge=1.0)
         d = Sample(1, np.array([0.5]), 0.0)
-        db, dtheta = equilibrium_solve_svr(state, spec, [d], [0.3], [], [])
+        db, dtheta = equilibrium_solve(state, spec, [d], [0.3], [], [])
         assert dtheta[0] == pytest.approx(-0.3)
         assert db == pytest.approx(0.45)
 
@@ -91,7 +85,7 @@ class TestEquilibriumSolveSvr:
         state = model.SvrState(samples, theta=[0.1, -0.1], b=0.0)
         state.partition = np.array(["S", "S"])
         d = Sample(2, np.array([0.0, 5.0]), 0.0)  # equidistant from both
-        db, dtheta = equilibrium_solve_svr(state, spec, [d], [0.4], [], [])
+        db, dtheta = equilibrium_solve(state, spec, [d], [0.4], [], [])
         assert dtheta[0] == pytest.approx(dtheta[1])
         assert dtheta.sum() + 0.4 == pytest.approx(0.0, abs=1e-12)
 
@@ -99,7 +93,7 @@ class TestEquilibriumSolveSvr:
         state = batch.train_svr_batch(data.noisy_sine(40, seed=1), SPEC, HYPER)
         arrivals = data.noisy_sine(5, seed=2, start_id=900)
         deltas = np.array([0.1, -0.2, 0.3, 0.0, 0.05])
-        db, dtheta_s = equilibrium_solve_svr(state, SPEC, arrivals, deltas, [], [])
+        db, dtheta_s = equilibrium_solve(state, SPEC, arrivals, deltas, [], [])
         assert abs(dtheta_s.sum() + deltas.sum()) <= 1e-9
 
 

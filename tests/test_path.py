@@ -8,7 +8,6 @@ from ridgesvm.online_svm import update_multi_svm
 from ridgesvm.online_svr import update_multi_svr
 from ridgesvm.path import (
     PathState,
-    direction_svm,
     migrate,
     path_update_svm,
     path_update_svr,
@@ -65,7 +64,7 @@ class TestDirections:
         work = state.copy()
         ps = PathState(drive_rows=np.zeros(0, dtype=int),
                        removal_rows=np.zeros(0, dtype=int))
-        d = direction_svm(work, SPEC, ps, HYPER)
+        d = path._direction(work, SPEC, ps, HYPER, model.column_cache(work, SPEC))
         assert d.db == 0.0
         assert np.allclose(d.dalpha_s, 0.0)
 
@@ -80,7 +79,7 @@ class TestDirections:
         state.margins = model.compute_margins_svm(state, spec)
         hyper = Hyperparams(C=0.3)
         ps = PathState(drive_rows=np.array([1]), removal_rows=np.zeros(0, dtype=int))
-        d = direction_svm(state, spec, ps, hyper)
+        d = path._direction(state, spec, ps, hyper, model.column_cache(state, spec))
         # driving 0 -> C=0.3 mirrors the worked equilibrium example scaled by C
         assert d.d_add[0] == pytest.approx(0.3)
         assert d.dalpha_s[0] == pytest.approx(0.3)
@@ -89,7 +88,7 @@ class TestDirections:
     def test_label_balance_per_unit_step(self):
         _, state, arrivals, remove_ids = svm_path_fixture(seed=3)
         work, ps = prepared_path(state, arrivals, remove_ids)
-        d = direction_svm(work, SPEC, ps, HYPER)
+        d = path._direction(work, SPEC, ps, HYPER, model.column_cache(work, SPEC))
         total = (
             work.y[work.s_rows] @ d.dalpha_s
             + work.y[ps.drive_rows] @ d.d_add
@@ -104,21 +103,21 @@ class TestSensitivity:
         work = state.copy()
         ps = PathState(drive_rows=np.zeros(0, dtype=int),
                        removal_rows=np.zeros(0, dtype=int))
-        d = direction_svm(work, SPEC, ps, HYPER)
+        d = path._direction(work, SPEC, ps, HYPER, model.column_cache(work, SPEC))
         phi = sensitivity_phi(work, SPEC, ps, d)
         assert np.max(np.abs(phi)) <= 1e-12
 
     def test_s_members_are_pinned(self):
         _, state, arrivals, remove_ids = svm_path_fixture(seed=2)
         work, ps = prepared_path(state, arrivals, remove_ids)
-        d = direction_svm(work, SPEC, ps, HYPER)
+        d = path._direction(work, SPEC, ps, HYPER, model.column_cache(work, SPEC))
         phi = sensitivity_phi(work, SPEC, ps, d)
         assert np.max(np.abs(phi[work.s_rows])) <= 1e-10
 
     def test_matches_finite_differences(self):
         _, state, arrivals, remove_ids = svm_path_fixture(seed=4)
         work, ps = prepared_path(state, arrivals, remove_ids)
-        d = direction_svm(work, SPEC, ps, HYPER)
+        d = path._direction(work, SPEC, ps, HYPER, model.column_cache(work, SPEC))
         phi = sensitivity_phi(work, SPEC, ps, d)
         h = 1e-6
         bumped = work.copy()
