@@ -387,9 +387,10 @@ def shrink_cached_inverse(state, leaving_rows) -> None:
     """Drop members of ``S`` from the cached bordered inverse.
 
     ``leaving_rows`` are state rows currently tagged ``S``; the caller
-    retags them afterwards.  Falls back to a deferred full rebuild when no
-    cache built for the current ``S`` exists.  The old inverse array is
-    never written: state copies share it.
+    retags them afterwards.  The drop is deferred (see
+    :class:`ridgesvm.linalg.BorderedInverse`): the next grow or
+    :func:`compact_cached_inverse` rewrites the array.  Falls back to a
+    deferred full rebuild when no cache built for the current ``S`` exists.
     """
     s = state.s_rows
     leaving = np.unique(np.asarray(leaving_rows, dtype=int))
@@ -401,27 +402,20 @@ def shrink_cached_inverse(state, leaving_rows) -> None:
     members = np.searchsorted(s, leaving)
     if members.max() >= s.size or not np.array_equal(s[members], leaving):
         raise ValueError("shrink_cached_inverse: a leaving row is not in S")
-    cache = state.cached_inverse
-    inv = linalg.inverse_shrink(cache.inv, members + 1)  # +1: border row leads
-    _symmetrize(inv)
-    state.cached_inverse = linalg.BorderedInverse(
-        z=float(inv[0, 0]), order=s.size - leaving.size, inv=inv,
-        ids=np.delete(cache.ids, members),
-    )
+    state.cached_inverse = state.cached_inverse.shrink(members + 1)  # +1: border row leads
 
 
-def _symmetrize(m: np.ndarray) -> None:
-    """Replace ``m`` by ``(m + m^T) / 2`` in place."""
-    m += m.T
-    m *= 0.5
+def compact_cached_inverse(state) -> None:
+    """Rewrite the cached inverse over exactly ``S``, absorbing pending drops."""
+    if state.cached_inverse is not None:
+        state.cached_inverse = state.cached_inverse.compact()
 
 
 def grow_cached_inverse(state, spec, join_rows) -> None:
     """Admit freshly tagged ``S`` rows into the cached bordered inverse.
 
-    The grown block lands at the bottom-right corner; a final symmetric
-    permutation restores ascending row order so the cache always mirrors
-    ``state.s_rows``.
+    One rewrite absorbs any pending drops too.  The grown rows are placed
+    in ascending row order, so the cache always mirrors ``state.s_rows``.
     """
     joins = np.unique(np.asarray(join_rows, dtype=int))
     if not joins.size:
@@ -431,19 +425,13 @@ def grow_cached_inverse(state, spec, join_rows) -> None:
     if not _cache_covers(state, old):
         refresh_cached_inverse(state, spec)
         return
-    cache = state.cached_inverse
     corner = _signed_block(state, spec, joins)
     cross = np.vstack([state.signs_of(state.targets[joins])[None, :],
                        _signed_block(state, spec, old, joins)])
-    inv = linalg.inverse_grow(cache.inv, cross, corner)
     grown = np.concatenate([old, joins])
-    if np.any(grown[1:] < grown[:-1]):
-        perm = np.concatenate(([0], 1 + np.argsort(grown)))
-        inv = inv.take(perm, axis=0).take(perm, axis=1)
-    _symmetrize(inv)
-    state.cached_inverse = linalg.BorderedInverse(
-        z=float(inv[0, 0]), order=s.size, inv=inv, ids=state.ids[s]
-    )
+    order = np.argsort(grown) if np.any(grown[1:] < grown[:-1]) else None
+    state.cached_inverse = state.cached_inverse.grow(cross, corner, ids=state.ids[s],
+                                                     order=order)
 
 
 def _box_violations(mult, C, is_svm, checked) -> list[Violation]:

@@ -22,7 +22,6 @@ from . import kernels, model
 from .errors import EmptyS, NoConvergence, NonpositiveRho, RepairDivergence, SingleClassInput
 from .model import REGION_B, REGION_O, REGION_S
 
-MAX_REPAIR_PASSES = 50
 _MIGRATE_TOL = 1e-10
 
 
@@ -78,7 +77,7 @@ def equilibrium_solve(state, spec, add_samples, delta_add, remove_rows, delta_re
         ) @ signed
     rhs_body *= state.signs_of(state.targets[s_rows])
 
-    sol = -inv.inv @ np.concatenate(([rhs_top], rhs_body))
+    sol = -inv.apply(np.concatenate(([rhs_top], rhs_body)))
     return float(sol[0]), sol[1:]
 
 
@@ -127,7 +126,7 @@ def _release_candidates(state, lo, eps) -> list[int]:
     return [int(r) for r in rows[keep][order]]
 
 
-def kkt_repair(state, spec, hyper, max_repair_passes=MAX_REPAIR_PASSES,
+def kkt_repair(state, spec, hyper, max_repair_passes=None,
                _cache: kernels.ColumnCache | None = None):
     """Restore the optimality regions after a one-shot update (in place).
 
@@ -139,8 +138,22 @@ def kkt_repair(state, spec, hyper, max_repair_passes=MAX_REPAIR_PASSES,
     progress is healthy, one at a time (which is safe at a subproblem
     optimum) as soon as a zero-length step signals that a bulk release
     overshot.  Passes never increase the dual objective, so the loop cannot
-    cycle; :class:`RepairDivergence` guards the pass budget.
+    cycle; :class:`RepairDivergence` guards the pass budget.  Drops from
+    the cached inverse pile up over the passes and are compacted once
+    before returning.
     """
+    if max_repair_passes is None:
+        # Every pass that does not end the repair moves at least one row
+        # across the edge of S: a blocked step snaps a member out, a full
+        # step releases a violator in.  Single-release mode admits one
+        # violator per pass, so a repair that has to move every stored row
+        # (arrivals included) into S and, after an overshoot, back out needs
+        # about two passes per row.  This is a scale, not a proof -- the
+        # repair is an active-set method without a polynomial worst case --
+        # so a loop that moves each row more than about twice is taken as
+        # not settling.  (A cubic-kernel SVM round in the tests settles in
+        # 72 passes at 71 rows, after 73 snaps over 56 rows.)
+        max_repair_passes = 2 * state.n + 10
     lo, C, eps = state.box(hyper)
     signs = state.signs_of(state.targets)
     cache = _cache if _cache is not None and _cache.x is state.X \
@@ -174,7 +187,7 @@ def kkt_repair(state, spec, hyper, max_repair_passes=MAX_REPAIR_PASSES,
                 state.X[s_rows], state.X[b_rows], spec, state.ids[s_rows], state.ids[b_rows]
             )
             rhs_body = rhs_body - signs[s_rows] * (k_sb @ signed_b)
-        sol = inv.inv @ np.concatenate(([rhs_top], rhs_body))
+        sol = inv.apply(np.concatenate(([rhs_top], rhs_body)))
         target_b, target_mult = float(sol[0]), sol[1:]
 
         d_mult = target_mult - mult_s
@@ -206,6 +219,7 @@ def kkt_repair(state, spec, hyper, max_repair_passes=MAX_REPAIR_PASSES,
         releases = _release_candidates(state, lo, eps)
         if not releases:
             np.clip(state.mult, lo, C, out=state.mult)
+            model.compact_cached_inverse(state)
             return state
         if single_release:
             releases = releases[:1]
@@ -328,6 +342,7 @@ def update_multi(state, batch: model.UpdateBatch, spec, hyper):
         model.grow_cached_inverse(work, spec, joins)
 
     if not effective:
+        model.compact_cached_inverse(work)
         return work
     try:
         return kkt_repair(work, spec, hyper, _cache=cache)

@@ -92,7 +92,7 @@ def _direction(state, spec, path: PathState, hyper,
     rhs_top = float(signs[path.drive_rows] @ d_add + signs[path.removal_rows] @ d_rem)
     moved = np.concatenate([path.drive_rows, path.removal_rows])
     rhs_body = columns.apply(moved, np.concatenate([d_add, d_rem]))[s_rows]
-    sol = -inv.inv @ np.concatenate(([rhs_top], rhs_body))
+    sol = -inv.apply(np.concatenate(([rhs_top], rhs_body)))
     return Directions(db=float(sol[0]), dalpha_s=sol[1:], d_add=d_add, d_rem=d_rem)
 
 

@@ -212,3 +212,97 @@ class TestProperties:
             target = linalg.invert_spd(full)
             rel = np.linalg.norm(grown - target) / np.linalg.norm(target)
             assert rel <= 1e-8
+
+
+def random_bordered(rng, n):
+    """A bordered inverse over a random SPD block with a +-1 border."""
+    q = random_spd(rng, n)
+    border = rng.choice([-1.0, 1.0], size=n)
+    return q, border, linalg.bordered_inverse(q, border)
+
+
+def bordered_matrix(q, border, rows):
+    rows = list(rows)
+    m = np.zeros((len(rows) + 1, len(rows) + 1))
+    m[0, 1:] = m[1:, 0] = border[rows]
+    m[1:, 1:] = q[np.ix_(rows, rows)]
+    return m
+
+
+class TestDeferredShrink:
+    """Drops recorded on a BorderedInverse act like the explicit shrink."""
+
+    def test_apply_matches_explicit_shrink(self):
+        rng = np.random.default_rng(31)
+        _, _, full = random_bordered(rng, 12)
+        # two shrinks in a row; positions count the border row as 0
+        lazy = full.shrink([2, 5]).shrink([3, 8])
+        explicit = linalg.inverse_shrink(linalg.inverse_shrink(full.inv, [2, 5]), [3, 8])
+        assert lazy.inv is full.inv
+        assert lazy.order == 8 and lazy.z == pytest.approx(explicit[0, 0], abs=1e-12)
+        rhs = rng.standard_normal(lazy.order + 1)
+        assert np.max(np.abs(lazy.apply(rhs) - explicit @ rhs)) <= 1e-10
+
+    def test_ids_follow_the_live_rows(self):
+        rng = np.random.default_rng(32)
+        _, _, full = random_bordered(rng, 6)
+        named = linalg.BorderedInverse(full.z, full.order, full.inv, ids=np.arange(10, 16))
+        assert list(named.shrink([1, 4]).shrink([2]).ids) == [11, 14, 15]
+
+    def test_compact_matches_explicit_shrink(self):
+        rng = np.random.default_rng(33)
+        _, _, full = random_bordered(rng, 10)
+        lazy = full.shrink([1, 7])
+        compact = lazy.compact()
+        assert not compact.dropped.size and compact.order == 8
+        expected = linalg.inverse_shrink(full.inv, [1, 7])
+        assert np.max(np.abs(compact.inv - expected)) <= 1e-10
+        assert np.array_equal(compact.inv, compact.inv.T)
+
+    @pytest.mark.parametrize("joins", [[10, 11, 12], [1, 6, 11]])
+    def test_grow_absorbs_drops(self, joins):
+        """Sorted joins append; interleaved ones need the permutation."""
+        rng = np.random.default_rng(34)
+        n = 13
+        q, border, _ = random_bordered(rng, n)
+        old = [i for i in range(n) if i not in joins]
+        start = linalg.bordered_inverse(q[np.ix_(old, old)], border[old])
+        lazy = start.shrink([2, 5])  # old[1] and old[4] leave
+        live = [r for i, r in enumerate(old) if i not in (1, 4)]
+        cross = np.vstack([border[joins][None, :], q[np.ix_(live, joins)]])
+        grown_rows = live + joins
+        order = np.argsort(grown_rows)
+        grown = lazy.grow(cross, q[np.ix_(joins, joins)], order=order)
+        final = sorted(grown_rows)
+        rebuilt = linalg.bordered_inverse(q[np.ix_(final, final)], border[final])
+        assert grown.order == len(final) and not grown.dropped.size
+        assert np.max(np.abs(grown.inv - rebuilt.inv)) <= 1e-10
+        # the same as an explicit shrink followed by a grow, then permuted
+        two_step = linalg.inverse_grow(linalg.inverse_shrink(start.inv, [2, 5]), cross,
+                                       q[np.ix_(joins, joins)])
+        perm = np.concatenate(([0], 1 + order))
+        assert np.max(np.abs(grown.inv - two_step[np.ix_(perm, perm)])) <= 1e-10
+        assert np.max(np.abs(bordered_matrix(q, border, final) @ grown.inv
+                             - np.eye(len(final) + 1))) <= 1e-10
+
+    def test_leave_and_rejoin(self):
+        rng = np.random.default_rng(35)
+        q, border, full = random_bordered(rng, 9)
+        lazy = full.shrink([4, 6])  # rows 3 and 5 leave
+        live = [0, 1, 2, 4, 6, 7, 8]
+        cross = np.vstack([border[[3]][None, :], q[np.ix_(live, [3])]])
+        back = lazy.grow(cross, q[np.ix_([3], [3])], order=np.argsort(live + [3]))
+        rows = [0, 1, 2, 3, 4, 6, 7, 8]
+        expected = linalg.bordered_inverse(q[np.ix_(rows, rows)], border[rows])
+        assert np.max(np.abs(back.inv - expected.inv)) <= 1e-10
+
+    def test_singular_dropped_corner_raises(self):
+        # the inverse of [[0, 1], [1, -2]]: its inner entry is zero
+        inv = linalg.BorderedInverse(z=2.0, order=1, inv=np.array([[2.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(SingularCornerBlock):
+            inv.shrink([1])
+
+    def test_border_row_cannot_be_dropped(self):
+        _, _, full = random_bordered(np.random.default_rng(36), 4)
+        with pytest.raises(IndexError):
+            full.shrink([0])

@@ -332,6 +332,66 @@ class TestCachedInverseMembership:
                            atol=1e-8)
 
 
+class TestDeferredInversePatches:
+    """Shrinks only record drops; grows and compaction absorb them."""
+
+    spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
+
+    def state(self):
+        state = batch.train_svm_batch(data.two_gaussians(40, seed=3), self.spec,
+                                      Hyperparams(C=1.0))
+        assert state.s_rows.size >= 4 and state.o_rows.size >= 2
+        return state
+
+    def leave(self, state, rows):
+        model.shrink_cached_inverse(state, rows)
+        state.partition[rows] = "O"
+
+    def test_shrink_records_drops_and_solves_over_s(self):
+        state = self.state()
+        stored = state.cached_inverse.inv
+        self.leave(state, state.s_rows[[0, 2]])
+        self.leave(state, state.s_rows[[1]])
+        cache = state.cached_inverse
+        assert cache.inv is stored and cache.dropped.size == 3
+        assert cache.order == state.s_rows.size
+        assert list(cache.ids) == list(state.ids[state.s_rows])
+        fresh = TestCachedInverseMembership.rebuilt(state, self.spec)
+        rhs = np.random.default_rng(0).standard_normal(cache.order + 1)
+        assert np.max(np.abs(cache.apply(rhs) - fresh.apply(rhs))) <= 1e-10
+        model.compact_cached_inverse(state)
+        assert not state.cached_inverse.dropped.size
+        assert np.max(np.abs(state.cached_inverse.inv - fresh.inv)) <= 1e-10
+
+    def test_leaver_rejoins_with_an_interleaved_join(self):
+        state = self.state()
+        s, o = state.s_rows, state.o_rows
+        leaver, stays_out = int(s[1]), int(s[2])
+        self.leave(state, [leaver, stays_out])
+        joins = [leaver, int(o[0])]
+        state.partition[joins] = "S"
+        model.grow_cached_inverse(state, self.spec, joins)
+        cache = state.cached_inverse
+        assert not cache.dropped.size
+        assert list(cache.ids) == list(state.ids[state.s_rows])
+        fresh = TestCachedInverseMembership.rebuilt(state, self.spec)
+        assert np.max(np.abs(cache.inv - fresh.inv)) <= 1e-10
+
+    @pytest.mark.parametrize("task", ["svm", "svr"])
+    def test_updates_return_no_pending_drops(self, task):
+        make, train, engine, _, hyper = ENGINE_TASKS[task]
+        state = train(make(40, seed=1), self.spec, hyper)
+        leaving = [int(state.ids[r]) for r in state.s_rows[:3]]
+        for upd in (UpdateBatch(remove=leaving), UpdateBatch(add=make(5, seed=52, start_id=600),
+                                                             remove=leaving)):
+            out = engine(state, upd, self.spec, hyper)
+            cache = out.cached_inverse
+            assert not cache.dropped.size
+            assert list(cache.ids) == list(out.ids[out.s_rows])
+            fresh = TestCachedInverseMembership.rebuilt(out, self.spec)
+            assert np.max(np.abs(cache.inv - fresh.inv)) <= 1e-10
+
+
 def engine_cases():
     """(engine, trained state, spec, hyperparameters) for every update engine."""
     spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
@@ -503,10 +563,13 @@ class TestEngineInverseAndFallback:
         make, train, engine, _, hyper = ENGINE_TASKS[task]
         state = train(make(40, seed=1), self.spec, hyper)
         patches = []
-        for name in ("inverse_shrink", "inverse_grow"):
-            original = getattr(linalg, name)
-            monkeypatch.setattr(linalg, name, lambda *a, _f=original, _n=name:
-                                patches.append(_n) or _f(*a))
+        watched = [(linalg, "inverse_shrink"), (linalg, "inverse_grow"),
+                   (linalg.BorderedInverse, "shrink"), (linalg.BorderedInverse, "grow"),
+                   (linalg.BorderedInverse, "compact")]
+        for owner, name in watched:
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=name, **kw:
+                                patches.append(_n) or _f(*a, **kw))
         before = state.cached_inverse.inv.copy()
         arrivals = make(6, seed=51, start_id=500)
         leaving = [int(state.ids[r]) for r in state.s_rows[:2]]
@@ -516,7 +579,7 @@ class TestEngineInverseAndFallback:
             patches.clear()
             engine(state, upd, self.spec, hyper)
             assert np.array_equal(state.cached_inverse.inv, before)
-            first = "inverse_shrink" if upd.remove else "inverse_grow"
+            first = "shrink" if upd.remove else "grow"
             assert patches[0] == first
 
     def test_empty_s_fallback_keeps_o_rows_first(self, task):

@@ -3,7 +3,7 @@ import pytest
 
 from ridgesvm import batch, data, kernels, model, online_svm
 from ridgesvm.batch import SolverConfig
-from ridgesvm.errors import EmptyS, NonpositiveRho
+from ridgesvm.errors import EmptyS, NonpositiveRho, RepairDivergence
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample, UpdateBatch
 from ridgesvm.online import equilibrium_solve, kkt_repair, wec_predict
@@ -118,6 +118,32 @@ class TestKktRepair:
         ref = kernels.decision_values(pts, reference, SPEC)
         got = kernels.decision_values(pts, out, SPEC)
         assert np.max(np.abs(ref - got)) <= 1e-6
+
+    def test_budget_scales_with_the_instance(self):
+        """A shrinking cubic-kernel stream whose third round needs 72 passes at 71 rows."""
+        spec = KernelSpec(family="polynomial", degree=3, offset=1.0, ridge=0.5)
+        hyper = Hyperparams(C=20.0)
+        state = batch.train_svm_batch(data.two_gaussians(80, seed=3, center=1.0), spec, hyper)
+        rng = np.random.default_rng(11)
+        for rnd in range(3):
+            arrivals = data.two_gaussians(6, seed=100 + rnd, center=1.0, start_id=1000 + 6 * rnd)
+            leaving = [int(i) for i in rng.choice(state.ids, size=9, replace=False)]
+            state = update_multi_svm(state, UpdateBatch(add=arrivals, remove=leaving),
+                                     spec, hyper)
+            assert clean(state, spec, hyper)
+        oracle = batch.train_svm_batch(state.samples, spec, hyper)
+        pts = np.array([s.features for s in state.samples])
+        gap = np.max(np.abs(kernels.decision_values(pts, state, spec)
+                            - kernels.decision_values(pts, oracle, spec)))
+        assert gap <= 1e-4
+
+    def test_exhausted_budget_raises(self):
+        samples = data.two_gaussians(30, seed=4)
+        perturbed = batch.train_svm_batch(samples, SPEC, HYPER)
+        perturbed.alpha[perturbed.s_rows[0]] = HYPER.C + 0.2
+        perturbed.margins = model.compute_margins_svm(perturbed, SPEC)
+        with pytest.raises(RepairDivergence):
+            kkt_repair(perturbed, SPEC, HYPER, max_repair_passes=1)
 
 
 class TestUpdateMultiSvm:

@@ -1,0 +1,67 @@
+"""Long-stream soak: 300 add/remove rounds per task on a small model.
+
+Drops recorded on the cached inverse pile up inside an update and are
+compacted before it returns; over a long stream that must neither leave
+an inconsistent state nor let the patched inverse drift from a fresh one.
+"""
+import numpy as np
+import pytest
+
+from ridgesvm import batch, bench, data, kernels, model
+from ridgesvm.kernels import KernelSpec
+from ridgesvm.model import Hyperparams, UpdateBatch
+from ridgesvm.online import update_multi
+from ridgesvm.path import path_update_svm, path_update_svr
+
+SPEC = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
+ROUNDS = 300
+PER_ROUND = 3
+PROBE_EVERY = 25
+
+TASKS = {
+    "svm": (lambda k, seed, start: data.two_gaussians(k, seed=seed, center=0.7, start_id=start),
+            batch.train_svm_batch, path_update_svm, Hyperparams(C=1.0)),
+    "svr": (lambda k, seed, start: data.noisy_sine(k, seed=seed, noise=0.3, start_id=start),
+            batch.train_svr_batch, path_update_svr, Hyperparams(C=1.0, epsilon=0.1)),
+}
+
+
+def inverse_residual(state, inverse) -> float:
+    """max |M inverse - I| for the bordered matrix M over the current S."""
+    s = state.s_rows
+    m = np.zeros((s.size + 1, s.size + 1))
+    m[0, 1:] = m[1:, 0] = state.signs_of(state.targets[s])
+    m[1:, 1:] = model._signed_block(state, SPEC, s)
+    return float(np.max(np.abs(m @ inverse - np.eye(s.size + 1))))
+
+
+@pytest.mark.parametrize("task", sorted(TASKS))
+def test_long_stream_stays_consistent(task):
+    make, train, follow, hyper = TASKS[task]
+    state = train(make(40, 1, 0), SPEC, hyper)
+    rng = np.random.default_rng(2)
+    for rnd in range(ROUNDS):
+        before = state
+        upd = UpdateBatch(add=make(PER_ROUND, 100 + rnd, 1000 + PER_ROUND * rnd),
+                          remove=[int(i) for i in rng.choice(state.ids, PER_ROUND,
+                                                             replace=False)])
+        state = update_multi(state, upd, SPEC, hyper)
+        assert model.validate(state, spec=SPEC, C=hyper.C, epsilon=hyper.epsilon) == [], rnd
+        cache = state.cached_inverse
+        assert cache is None or not cache.dropped.size, rnd
+        if rnd % PROBE_EVERY == PROBE_EVERY - 1 and cache is not None:
+            fresh = state.copy()
+            model.refresh_cached_inverse(fresh, SPEC)
+            patched = inverse_residual(state, cache.inv)
+            rebuilt = inverse_residual(fresh, fresh.cached_inverse.inv)
+            assert patched <= 10.0 * rebuilt, (rnd, patched, rebuilt)
+
+    # the last round again through the path follower, against a retrain
+    followed = follow(before, upd, SPEC, hyper)
+    oracle = train(state.samples, SPEC, hyper)
+    queries = np.array([s.features for s in make(64, 7, 10_000)])
+    f_online = kernels.decision_values(queries, state, SPEC)
+    assert np.max(np.abs(f_online - kernels.decision_values(queries, followed, SPEC))) \
+        <= bench.PARITY_TOL
+    assert np.max(np.abs(f_online - kernels.decision_values(queries, oracle, SPEC))) \
+        <= bench.PARITY_TOL
