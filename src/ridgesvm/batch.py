@@ -114,8 +114,7 @@ def _train(state, spec, hyper, config: SolverConfig | None):
     state.b = _bias(beta, resid, beta_lo, beta_hi, C, eps)
     state.mult = signs * beta
     state.resid = signs * (resid + state.b)
-    # the SVM tags are the regression tags at epsilon = 0
-    state.partition = model.classify_regions_svr(state.mult, state.resid, C, eps)
+    state.partition = model.classify_regions(state.mult, state.resid, C, eps)
     model.refresh_cached_inverse(state, spec)
     return state
 

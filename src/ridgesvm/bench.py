@@ -18,9 +18,8 @@ from . import batch as batch_solver
 from . import kernels
 from .data import schedule_rounds
 from .errors import RidgeSvmError
-from .online_svm import update_multi_svm
-from .online_svr import update_multi_svr
-from .path import path_update_svm, path_update_svr
+from .online import update_multi
+from .path import path_update
 
 ARMS = ("proposed", "baseline", "retrain")
 ARM_LABELS = {"proposed": "Proposed", "baseline": "Baseline",
@@ -58,14 +57,8 @@ def run_bench(task, train_samples, pool, test_samples, spec, hyper, schedule,
               arms=ARMS) -> BenchReport:
     """Replay the schedule once per arm from a shared base model."""
     train_samples = list(train_samples)
-    if task == "classification":
-        train = batch_solver.train_svm_batch
-        update = lambda st, b: update_multi_svm(st, b, spec, hyper)
-        follow = lambda st, b: path_update_svm(st, b, spec, hyper)
-    else:
-        train = batch_solver.train_svr_batch
-        update = lambda st, b: update_multi_svr(st, b, spec, hyper)
-        follow = lambda st, b: path_update_svr(st, b, spec, hyper)
+    train = (batch_solver.train_svm_batch if task == "classification"
+             else batch_solver.train_svr_batch)
 
     report = BenchReport(metadata={
         "task": task,
@@ -99,9 +92,9 @@ def run_bench(task, train_samples, pool, test_samples, spec, hyper, schedule,
                 current = [s for s in current if s.id not in gone] + list(upd.add)
                 start = time.perf_counter()
                 if arm == "proposed":
-                    state = update(state, upd)
+                    state = update_multi(state, upd, spec, hyper)
                 elif arm == "baseline":
-                    state = follow(state, upd)
+                    state = path_update(state, upd, spec, hyper)
                 elif arm == "retrain":
                     state = train(current, spec, hyper)
                 else:

@@ -41,9 +41,8 @@ from .errors import (
 )
 from .kernels import KernelSpec
 from .model import Hyperparams, UpdateBatch
-from .online_svm import update_multi_svm
-from .online_svr import update_multi_svr
-from .path import path_update_svm, path_update_svr
+from .online import update_multi
+from .path import path_update
 
 INPUT_ERRORS = (ParseError, LabelDomainError, CorruptFile, SchemaVersionMismatch,
                 ConstantColumn, PoolExhausted, DimensionMismatch,
@@ -140,10 +139,7 @@ def cmd_update(args) -> int:
     s_before = state.s_rows.size
 
     start = time.perf_counter()
-    if task == "classification":
-        apply_update = update_multi_svm if args.engine == "proposed" else path_update_svm
-    else:
-        apply_update = update_multi_svr if args.engine == "proposed" else path_update_svr
+    apply_update = update_multi if args.engine == "proposed" else path_update
     new_state = apply_update(state, upd, spec, hyper)
     wall = time.perf_counter() - start
 

@@ -14,7 +14,6 @@ condition misses by more than ``HARD_TOL`` signals a broken equilibrium.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -99,14 +98,14 @@ class _StateBase:
     """
 
     def __init__(self, samples, mult=None, b=0.0):
-        self.samples = list(samples)
-        if self.samples:
-            self.X = np.array([s.features for s in self.samples], dtype=float)
+        samples = list(samples)
+        if samples:
+            self.X = np.array([s.features for s in samples], dtype=float)
         else:
             self.X = np.zeros((0, 0))
-        self.ids = np.array([s.id for s in self.samples], dtype=int)
-        self.targets = np.array([s.target for s in self.samples], dtype=float)
-        self.partition = np.full(len(self.samples), REGION_O, dtype="<U1")
+        self.ids = np.array([s.id for s in samples], dtype=int)
+        self.targets = np.array([s.target for s in samples], dtype=float)
+        self.partition = np.full(len(samples), REGION_O, dtype="<U1")
         self.cached_inverse: linalg.BorderedInverse | None = None
         self.mult = (
             np.zeros(self.n) if mult is None else np.asarray(mult, dtype=float).copy()
@@ -116,7 +115,18 @@ class _StateBase:
 
     @property
     def n(self) -> int:
-        return len(self.samples)
+        return self.ids.size
+
+    def samples_at(self, rows) -> list[Sample]:
+        """:class:`Sample` objects derived from ``rows``; features are copies."""
+        rows = np.asarray(rows, dtype=int)
+        return [Sample(i, x, t) for i, x, t in
+                zip(self.ids[rows].tolist(), self.X[rows], self.targets[rows].tolist())]
+
+    @property
+    def samples(self) -> list[Sample]:
+        """Every stored sample in row order, derived on demand (O(n))."""
+        return self.samples_at(np.arange(self.n))
 
     @property
     def dual_coefficients(self) -> np.ndarray:
@@ -159,7 +169,6 @@ class _StateBase:
     def delete_rows(self, rows) -> None:
         keep = np.ones(self.n, dtype=bool)
         keep[np.asarray(rows, dtype=int)] = False
-        self.samples = list(itertools.compress(self.samples, keep))
         self.X = self.X[keep]
         self.ids = self.ids[keep]
         self.targets = self.targets[keep]
@@ -174,7 +183,6 @@ class _StateBase:
             return
         x_new = np.array([s.features for s in samples], dtype=float)
         self.X = x_new if self.n == 0 else np.vstack([self.X, x_new])
-        self.samples.extend(samples)
         self.ids = np.concatenate([self.ids, [s.id for s in samples]])
         self.targets = np.concatenate([self.targets, [s.target for s in samples]])
         self.mult = np.concatenate([self.mult, mult])
@@ -184,7 +192,6 @@ class _StateBase:
     def copy(self):
         """An independent copy; only the (never written) cached inverse is shared."""
         out = type(self).__new__(type(self))
-        out.samples = list(self.samples)
         out.X = self.X.copy()
         out.ids = self.ids.copy()
         out.targets = self.targets.copy()
@@ -280,55 +287,27 @@ def compute_residuals(state, spec) -> np.ndarray:
     return state.signs_of(state.targets) * (f - state.targets)
 
 
-compute_margins_svm = compute_residuals
-compute_outputs_svr = compute_residuals
+def classify_regions(mult, resid, C, epsilon=0.0, strict: bool = True) -> np.ndarray:
+    """Region tags from native multipliers and residuals ``s (f - t)``.
 
-
-def classify_regions_svm(alpha, margins, C, strict: bool = True) -> np.ndarray:
-    """Region tags from multipliers and margins.
-
-    Exact boundary ties (multiplier at a bound, margin within tolerance)
-    resolve toward ``S``.  With ``strict`` an interior multiplier whose
-    margin misses zero by more than ``HARD_TOL`` raises
-    :class:`InconsistentState`.
+    The SVM is the ``epsilon = 0`` case (alpha in ``[0, C]``, residual the
+    margin ``y f - 1``).  Exact boundary ties (multiplier at a bound,
+    residual on the tube edge within tolerance) resolve toward ``S``.  With
+    ``strict`` an interior multiplier whose residual misses the tube edge by
+    more than ``HARD_TOL`` raises :class:`InconsistentState`.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    margins = np.asarray(margins, dtype=float)
-    tags = np.full(alpha.shape[0], REGION_O, dtype="<U1")
-    at_zero = alpha <= BOUND_TOL
-    at_c = alpha >= C - BOUND_TOL
-    interior = ~at_zero & ~at_c
-    if strict:
-        bad = interior & (np.abs(margins) > HARD_TOL)
-        if bad.any():
-            row = int(np.flatnonzero(bad)[0])
-            raise InconsistentState(
-                f"interior multiplier at row {row} has margin {margins[row]:.3e}"
-            )
-    tags[interior] = REGION_S
-    on_margin = np.abs(margins) <= REGION_TOL
-    tags[at_zero & on_margin] = REGION_S
-    tags[at_c & on_margin] = REGION_S
-    tags[at_zero & ~on_margin] = REGION_O
-    tags[at_c & ~on_margin & ~interior] = REGION_B
-    return tags
-
-
-def classify_regions_svr(theta, outputs, C, epsilon, strict: bool = True) -> np.ndarray:
-    """Region tags for regression from theta and tube residuals."""
-    theta = np.asarray(theta, dtype=float)
-    outputs = np.asarray(outputs, dtype=float)
-    slack = np.abs(outputs) - epsilon
-    tags = np.full(theta.shape[0], REGION_O, dtype="<U1")
-    at_zero = np.abs(theta) <= BOUND_TOL
-    at_c = np.abs(theta) >= C - BOUND_TOL
+    mult = np.asarray(mult, dtype=float)
+    slack = np.abs(np.asarray(resid, dtype=float)) - epsilon
+    tags = np.full(mult.shape[0], REGION_O, dtype="<U1")
+    at_zero = np.abs(mult) <= BOUND_TOL
+    at_c = np.abs(mult) >= C - BOUND_TOL
     interior = ~at_zero & ~at_c
     if strict:
         bad = interior & (np.abs(slack) > HARD_TOL)
         if bad.any():
             row = int(np.flatnonzero(bad)[0])
             raise InconsistentState(
-                f"interior theta at row {row} has tube slack {slack[row]:.3e}"
+                f"interior multiplier at row {row} has tube slack {slack[row]:.3e}"
             )
     tags[interior] = REGION_S
     on_edge = np.abs(slack) <= REGION_TOL

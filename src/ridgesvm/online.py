@@ -39,11 +39,11 @@ def wec_predict(f, targets, signs, rho, lo, C, epsilon) -> np.ndarray:
     return np.where(np.abs(r) > epsilon, np.clip(raw, lo, C), 0.0)
 
 
-def retrain(state, samples, spec, hyper, config=None):
+def retrain(state, samples, spec, hyper):
     """Batch-train ``samples`` from scratch for the task of ``state``."""
     train = (batch_solver.train_svm_batch if isinstance(state, model.SvmState)
              else batch_solver.train_svr_batch)
-    return train(samples, spec, hyper, config)
+    return train(samples, spec, hyper)
 
 
 def equilibrium_solve(state, spec, add_samples, delta_add, remove_rows, delta_remove):
@@ -230,31 +230,53 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None,
     )
 
 
-def rebuild_empty_S(state, incoming, spec, hyper, config=None):
+def rebuild_empty_S(state, incoming, spec, hyper):
     """Re-establish an unbounded set when ``S`` is empty.
 
     Batch-solves the subproblem over the bounded members plus the incoming
     samples while non-support vectors stay at zero, then repairs the merged
-    state.  Falls back to a full retrain on the combined data whenever the
+    state: the zeroed non-B rows first, in their order, then the subproblem's
+    rows.  Falls back to a full retrain on the combined data whenever the
     restricted route cannot produce a consistent model.
     """
-    free = state.partition == REGION_B
-    free_samples = [state.samples[r] for r in np.flatnonzero(free)] + list(incoming)
-    o_rows = np.flatnonzero(~free)
+    b_rows = state.b_rows
+    free_samples = state.samples_at(b_rows) + list(incoming)
     try:
-        sub = retrain(state, free_samples, spec, hyper, config)
-        merged = type(state)([state.samples[r] for r in o_rows] + list(sub.samples))
-        merged.mult = np.concatenate([np.zeros(len(o_rows)), sub.mult])
+        sub = retrain(state, free_samples, spec, hyper)
+        merged = state.copy()
+        merged.delete_rows(b_rows)
+        merged.mult[:] = 0.0
+        merged.append_samples(free_samples, sub.mult, sub.partition)
         merged.b = sub.b
         merged.resid = model.compute_residuals(merged, spec)
-        merged.partition = np.concatenate(
-            [np.full(len(o_rows), REGION_O, dtype="<U1"), sub.partition]
-        )
         model.refresh_cached_inverse(merged, spec)
         return kkt_repair(merged, spec, hyper)
     except (EmptyS, RepairDivergence, SingleClassInput, NoConvergence):
         pass
-    return retrain(state, list(state.samples) + list(incoming), spec, hyper, config)
+    return retrain(state, state.samples + list(incoming), spec, hyper)
+
+
+def open_update(state, batch: model.UpdateBatch, spec, hyper):
+    """Opening of both update arms: check, copy, take leavers out of ``S``.
+
+    Returns ``(work, remove_rows)``, or ``(result, None)`` when the batch
+    is empty or leaves no ``S`` to solve against (:func:`rebuild_empty_S`).
+    """
+    model._check_batch(state, batch)
+    work = state.copy()
+    if batch.is_empty():
+        return work, None
+    if work.n == 0:
+        return rebuild_empty_S(work, batch.add, spec, hyper), None
+    remove_rows = work.rows_of(batch.remove)
+    s_leavers = remove_rows[work.partition[remove_rows] == REGION_S]
+    if s_leavers.size:
+        model.shrink_cached_inverse(work, s_leavers)
+        work.partition[s_leavers] = REGION_O
+    if work.s_rows.size == 0:
+        work.delete_rows(remove_rows)
+        return rebuild_empty_S(work, batch.add, spec, hyper), None
+    return work, remove_rows
 
 
 def update_multi(state, batch: model.UpdateBatch, spec, hyper):
@@ -265,27 +287,11 @@ def update_multi(state, batch: model.UpdateBatch, spec, hyper):
     solve, splice the rows, patch the cached inverse, and run membership
     repair.  The input state is not modified.
     """
-    model._check_batch(state, batch)
-    if batch.is_empty():
-        return state.copy()
-    work = state.copy()
+    work, remove_rows = open_update(state, batch, spec, hyper)
+    if remove_rows is None:
+        return work
     lo, C, eps = work.box(hyper)
-
-    if work.n == 0:
-        return rebuild_empty_S(work, batch.add, spec, hyper)
-
-    remove_rows = work.rows_of(batch.remove)
     delta_remove = -work.mult[remove_rows]
-
-    # leaving members exit the unbounded set before the solve
-    s_leavers = remove_rows[work.partition[remove_rows] == REGION_S]
-    if s_leavers.size:
-        model.shrink_cached_inverse(work, s_leavers)
-        work.partition[s_leavers] = REGION_O
-
-    if work.s_rows.size == 0:
-        work.delete_rows(remove_rows)
-        return rebuild_empty_S(work, batch.add, spec, hyper)
 
     add_samples = list(batch.add)
     if add_samples:

@@ -19,7 +19,7 @@ import numpy as np
 from . import kernels, model
 from .errors import EmptyS, InconsistentEvent, StalledPath
 from .model import REGION_B, REGION_O, REGION_S
-from .online import rebuild_empty_S, retrain, tube_segments
+from .online import open_update, retrain, tube_segments
 
 _DIR_TOL = 1e-12
 _EVENT_TOL = 1e-12
@@ -229,38 +229,27 @@ def _apply_step(state, phi, directions, path: PathState, eta: float) -> None:
 
 
 def _finalize(work, path: PathState, spec, hyper):
-    """Pin transit rows to their targets, drop removals, retag, validate."""
+    """Pin transit rows to their targets, drop removals, retag; the inverse
+    the events kept patched is compacted, and rebuilt only if ``S`` changed."""
     if path.drive_rows.size:
         work.mult[path.drive_rows] = _drive_targets(work, path, hyper)
     if path.removal_rows.size:
         work.delete_rows(path.removal_rows)
     _, C, eps = work.box(hyper)
-    # the SVM tags are the regression tags at epsilon = 0
-    work.partition = model.classify_regions_svr(work.mult, work.resid, C, eps)
-    model.refresh_cached_inverse(work, spec)
+    work.partition = model.classify_regions(work.mult, work.resid, C, eps)
+    if model._cache_covers(work, work.s_rows):
+        model.compact_cached_inverse(work)
+    else:
+        model.refresh_cached_inverse(work, spec)
     return work
 
 
-def _path_update(state, batch: model.UpdateBatch, spec, hyper):
-    model._check_batch(state, batch)
-    if batch.is_empty():
-        return state.copy()
-    work = state.copy()
-
-    if work.n == 0:
-        return rebuild_empty_S(work, batch.add, spec, hyper)
-
-    remove_rows = work.rows_of(batch.remove)
-    s_leavers = remove_rows[work.partition[remove_rows] == REGION_S]
-    if s_leavers.size:
-        model.shrink_cached_inverse(work, s_leavers)
-        work.partition[s_leavers] = REGION_O
-    if work.s_rows.size == 0:
-        work.delete_rows(remove_rows)
-        return rebuild_empty_S(work, batch.add, spec, hyper)
-
+def path_update(state, batch: model.UpdateBatch, spec, hyper):
+    """Apply one add/remove batch via path following; returns a new state."""
+    work, removal_rows = open_update(state, batch, spec, hyper)
+    if removal_rows is None:
+        return work
     add_samples = list(batch.add)
-    removal_rows = np.asarray(remove_rows, dtype=int)
 
     if add_samples:
         x_d = np.array([s.features for s in add_samples], dtype=float)
@@ -309,11 +298,5 @@ def _path_update(state, batch: model.UpdateBatch, spec, hyper):
     raise StalledPath(f"path exceeded {max_events} events")
 
 
-def path_update_svm(state, batch: model.UpdateBatch, spec, hyper):
-    """Apply one add/remove batch via path following; returns a new state."""
-    return _path_update(state, batch, spec, hyper)
-
-
-def path_update_svr(state, batch: model.UpdateBatch, spec, hyper):
-    """Regression path following; returns a new state."""
-    return _path_update(state, batch, spec, hyper)
+# task-named entry points: one follower serves both tasks
+path_update_svm = path_update_svr = path_update

@@ -173,7 +173,7 @@ class TestSignedSolverMatchesLabelSolver:
         assert np.array_equal(state.alpha, alpha)
         assert state.b == b
         assert np.array_equal(state.margins, margins)
-        assert list(state.partition) == list(model.classify_regions_svm(alpha, margins, C))
+        assert list(state.partition) == list(model.classify_regions(alpha, margins, C))
 
     def test_all_bounded_instance_takes_the_midpoint_rule(self):
         state = batch.train_svm_batch(

@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from ridgesvm import batch, data, kernels
+from ridgesvm import batch, data, kernels, model
 from ridgesvm.data import (
     DatasetSpec,
     RoundSchedule,
@@ -238,3 +239,34 @@ class TestModelPersistence:
         assert task == "regression"
         assert np.array_equal(loaded.theta, state.theta)
         assert hyp.epsilon == 0.2
+
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+@pytest.mark.parametrize("name, state_class", [("svm", model.SvmState),
+                                               ("svr", model.SvrState)])
+def test_format_v1_fixture_loads_and_resaves_identically(name, state_class, tmp_path):
+    """Format-v1 files written when states still stored a list of samples.
+
+    Each is a 24-sample rbf model, standardised, after three online rounds
+    of +4/-3 (so its 27 ids are not contiguous).  Loading must reproduce
+    the document exactly and saving it again must give the same bytes.
+    """
+    source = os.path.join(FIXTURES, f"model_v1_{name}.json")
+    with open(source, "rb") as fh:
+        raw = fh.read()
+    doc = json.loads(raw)
+    state, spec, hyper, stats, task = load_model(source)
+    assert type(state) is state_class and state.n == len(doc["samples"]) <= 30
+    assert state.ids.tolist() == [s["id"] for s in doc["samples"]]
+    assert state.ids.tolist() != list(range(state.n))
+    assert state.X.tolist() == [s["features"] for s in doc["samples"]]
+    assert state.targets.tolist() == [s["target"] for s in doc["samples"]]
+    assert state.mult.tolist() == doc["multipliers"]
+    assert state.b == doc["bias"]
+    assert state.partition.tolist() == doc["partition"]
+    assert model.validate(state, spec=spec, C=hyper.C, epsilon=hyper.epsilon) == []
+    resaved = tmp_path / "resaved.json"
+    save_model(state, str(resaved), spec, hyper, stats, task=task)
+    assert resaved.read_bytes() == raw

@@ -23,8 +23,8 @@ def two_point_state():
     """Hand-solved model: alpha = (0.4, 0.4), b = 0 for linear, ridge 0.5."""
     spec = KernelSpec(family="linear", ridge=0.5)
     state = model.SvmState(two_point_samples(), alpha=[0.4, 0.4], b=0.0)
-    state.margins = model.compute_margins_svm(state, spec)
-    state.partition = model.classify_regions_svm(state.alpha, state.margins, C=1.0)
+    state.margins = model.compute_residuals(state, spec)
+    state.partition = model.classify_regions(state.alpha, state.margins, C=1.0)
     return state, spec
 
 
@@ -57,7 +57,7 @@ class TestMargins:
     def test_empty_model_margins(self):
         spec = KernelSpec(family="linear", ridge=0.5)
         state = model.SvmState(two_point_samples())
-        assert np.allclose(model.compute_margins_svm(state, spec), [-1.0, -1.0])
+        assert np.allclose(model.compute_residuals(state, spec), [-1.0, -1.0])
 
     def test_two_point_equilibrium(self):
         state, spec = two_point_state()
@@ -67,7 +67,7 @@ class TestMargins:
         state, spec = two_point_state()
         shifted = state.copy()
         shifted.b += 0.25
-        new = model.compute_margins_svm(shifted, spec)
+        new = model.compute_residuals(shifted, spec)
         assert np.allclose(new - state.margins, state.y * 0.25, atol=1e-12)
 
     def test_margin_superposition(self):
@@ -83,53 +83,116 @@ class TestMargins:
         s1 = model.SvmState(samples, alpha=a1, b=b1)
         s2 = model.SvmState(samples, alpha=a2, b=b2)
         joint = model.SvmState(samples, alpha=a1 + a2, b=b1 + b2)
-        lhs = model.compute_margins_svm(joint, spec)
+        lhs = model.compute_residuals(joint, spec)
         rhs = (
-            model.compute_margins_svm(s1, spec)
-            + model.compute_margins_svm(s2, spec)
+            model.compute_residuals(s1, spec)
+            + model.compute_residuals(s2, spec)
             + 1.0
         )
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+def classify_regions_svm_reference(alpha, margins, C, strict: bool = True):
+    """The SVM-only classifier that :func:`model.classify_regions` replaced."""
+    alpha = np.asarray(alpha, dtype=float)
+    margins = np.asarray(margins, dtype=float)
+    tags = np.full(alpha.shape[0], "O", dtype="<U1")
+    at_zero = alpha <= model.BOUND_TOL
+    at_c = alpha >= C - model.BOUND_TOL
+    interior = ~at_zero & ~at_c
+    if strict:
+        bad = interior & (np.abs(margins) > model.HARD_TOL)
+        if bad.any():
+            row = int(np.flatnonzero(bad)[0])
+            raise InconsistentState(
+                f"interior multiplier at row {row} has margin {margins[row]:.3e}"
+            )
+    tags[interior] = "S"
+    on_margin = np.abs(margins) <= model.REGION_TOL
+    tags[at_zero & on_margin] = "S"
+    tags[at_c & on_margin] = "S"
+    tags[at_zero & ~on_margin] = "O"
+    tags[at_c & ~on_margin & ~interior] = "B"
+    return tags
+
+
+def _tags_or_raised(classify, *args, **kwargs):
+    try:
+        return classify(*args, **kwargs).tolist()
+    except InconsistentState:
+        return "raised"
+
+
+class TestClassifyRegionsMatchesSvmReference:
+    """At epsilon = 0 the merged classifier is the SVM one for in-box alpha."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_tags_and_same_raises(self, seed):
+        rng = np.random.default_rng(seed)
+        C = [0.05, 1.0, 10.0][seed % 3]
+        tol, region, hard = model.BOUND_TOL, model.REGION_TOL, model.HARD_TOL
+        n = 60
+        # exact ties at 0, at C and on the margin, next to draws off them
+        alpha = rng.choice([0.0, C, tol, C - tol, 0.5 * tol, C - 0.5 * tol, 2 * tol,
+                            C - 2 * tol, 0.5 * C], size=n)
+        interior = rng.uniform(0.0, C, n)
+        alpha = np.where(rng.random(n) < 0.3, interior, alpha)
+        ties = rng.choice([0.0, region, -region, 2 * region, -2 * region, hard, -hard,
+                           0.5, -0.5], size=n)
+        margins = np.where(rng.random(n) < 0.3, rng.uniform(-1.0, 1.0, n), ties)
+        inside = (alpha > tol) & (alpha < C - tol)
+        calm = np.where(inside, rng.choice([0.0, region, -hard, hard, 1e-4], size=n),
+                        margins)
+        # both outcomes of the strict check are exercised
+        assert _tags_or_raised(classify_regions_svm_reference, alpha, calm, C) != "raised"
+        assert _tags_or_raised(classify_regions_svm_reference, alpha, margins, C) == "raised"
+        for m in (margins, calm):
+            for strict in (True, False):
+                expected = _tags_or_raised(classify_regions_svm_reference, alpha, m, C,
+                                           strict=strict)
+                got = _tags_or_raised(model.classify_regions, alpha, m, C, epsilon=0.0,
+                                      strict=strict)
+                assert got == expected
+
+
 class TestClassifyRegions:
     def test_zero_alpha_positive_margin(self):
-        tags = model.classify_regions_svm([0.0], [0.5], C=1.0)
+        tags = model.classify_regions([0.0], [0.5], C=1.0)
         assert tags[0] == "O"
 
     def test_bound_alpha_negative_margin(self):
-        tags = model.classify_regions_svm([1.0], [-0.2], C=1.0)
+        tags = model.classify_regions([1.0], [-0.2], C=1.0)
         assert tags[0] == "B"
 
     def test_interior_alpha_zero_margin(self):
-        tags = model.classify_regions_svm([0.5], [0.0], C=1.0)
+        tags = model.classify_regions([0.5], [0.0], C=1.0)
         assert tags[0] == "S"
 
     def test_boundary_tie_resolves_to_s(self):
-        tags = model.classify_regions_svm([0.0, 1.0], [0.0, 0.0], C=1.0)
+        tags = model.classify_regions([0.0, 1.0], [0.0, 0.0], C=1.0)
         assert list(tags) == ["S", "S"]
 
     def test_interior_with_large_margin_raises(self):
         with pytest.raises(InconsistentState):
-            model.classify_regions_svm([0.5], [0.01], C=1.0)
+            model.classify_regions([0.5], [0.01], C=1.0)
 
     def test_svr_inside_tube(self):
-        tags = model.classify_regions_svr([0.0], [0.1], C=1.0, epsilon=0.2)
+        tags = model.classify_regions([0.0], [0.1], C=1.0, epsilon=0.2)
         assert tags[0] == "O"
 
     def test_svr_saturated_above_tube(self):
-        tags = model.classify_regions_svr([-1.0], [0.5], C=1.0, epsilon=0.2)
+        tags = model.classify_regions([-1.0], [0.5], C=1.0, epsilon=0.2)
         assert tags[0] == "B"
 
     def test_svr_on_lower_edge(self):
-        tags = model.classify_regions_svr([0.3], [-0.2], C=1.0, epsilon=0.2)
+        tags = model.classify_regions([0.3], [-0.2], C=1.0, epsilon=0.2)
         assert tags[0] == "S"
 
     def test_partition_is_exact(self):
         rng = np.random.default_rng(3)
         alpha = np.concatenate([np.zeros(5), np.full(5, 1.0), rng.uniform(0.1, 0.9, 5)])
         margins = np.concatenate([rng.uniform(0.1, 1, 5), -rng.uniform(0.1, 1, 5), np.zeros(5)])
-        tags = model.classify_regions_svm(alpha, margins, C=1.0)
+        tags = model.classify_regions(alpha, margins, C=1.0)
         assert set(tags) <= {"S", "B", "O"}
         assert len(tags) == 15
 
@@ -209,11 +272,27 @@ class TestNativeStorage:
         out = state.copy()
         assert type(out) is type(state)
         assert out.cached_inverse is state.cached_inverse
-        assert out.samples == state.samples and out.samples is not state.samples
         for name in ("X", "ids", "targets", "partition", "mult", "resid"):
             assert np.array_equal(getattr(out, name), getattr(state, name))
             assert not np.shares_memory(getattr(out, name), getattr(state, name))
         assert out.b == state.b
+        # samples are derived from the arrays, row by row, as copies
+        derived = out.samples
+        assert [s.id for s in derived] == out.ids.tolist()
+        assert [s.target for s in derived] == out.targets.tolist()
+        assert all(np.array_equal(s.features, x) for s, x in zip(derived, out.X))
+        x_before = out.X.copy()
+        derived[0].features[:] = 99.0
+        assert np.array_equal(out.X, x_before)
+
+    def test_samples_at_derives_requested_rows(self):
+        state = stored_state("svr")
+        picked = state.samples_at([5, 0, 5])
+        assert [s.id for s in picked] == state.ids[[5, 0, 5]].tolist()
+        assert np.array_equal(np.array([s.features for s in picked]), state.X[[5, 0, 5]])
+        picked[0].features[:] = 99.0
+        assert not np.any(state.X == 99.0)
+        assert state.samples_at([]) == []
 
 
 class TestRowsOf:

@@ -98,7 +98,7 @@ class TestKktRepair:
         spec = KernelSpec(family="linear", ridge=0.5)
         samples = [Sample(0, np.array([1.0]), 1.0), Sample(1, np.array([-1.0]), -1.0)]
         state = model.SvmState(samples, alpha=[0.4, 0.4], b=0.0)
-        state.margins = model.compute_margins_svm(state, spec)
+        state.margins = model.compute_residuals(state, spec)
         state.partition = np.array(["S", "S"])
         out = kkt_repair(state, spec, HYPER)
         assert np.allclose(out.alpha, [0.4, 0.4], atol=1e-12)
@@ -110,7 +110,7 @@ class TestKktRepair:
         perturbed = reference.copy()
         s = perturbed.s_rows[0]
         perturbed.alpha[s] = HYPER.C + 0.2
-        perturbed.margins = model.compute_margins_svm(perturbed, SPEC)
+        perturbed.margins = model.compute_residuals(perturbed, SPEC)
         out = kkt_repair(perturbed, SPEC, HYPER)
         assert clean(out)
         grid = np.linspace(-3, 3, 10)
@@ -141,7 +141,7 @@ class TestKktRepair:
         samples = data.two_gaussians(30, seed=4)
         perturbed = batch.train_svm_batch(samples, SPEC, HYPER)
         perturbed.alpha[perturbed.s_rows[0]] = HYPER.C + 0.2
-        perturbed.margins = model.compute_margins_svm(perturbed, SPEC)
+        perturbed.margins = model.compute_residuals(perturbed, SPEC)
         with pytest.raises(RepairDivergence):
             kkt_repair(perturbed, SPEC, HYPER, max_repair_passes=1)
 
@@ -224,7 +224,7 @@ class TestUpdateMultiSvm:
         out = update_multi_svm(
             state, UpdateBatch(add=arrivals, remove=[samples[1].id]), SPEC, HYPER
         )
-        fresh = model.compute_margins_svm(out, SPEC)
+        fresh = model.compute_residuals(out, SPEC)
         assert np.max(np.abs(fresh - out.margins)) <= 1e-9
 
     def test_fresh_id_enforced(self):
