@@ -246,6 +246,7 @@ def rebuild_empty_S(state, incoming, spec, hyper):
         merged = state.copy()
         merged.delete_rows(b_rows)
         merged.mult[:] = 0.0
+        merged.partition[:] = REGION_O
         merged.append_samples(free_samples, sub.mult, sub.partition)
         merged.b = sub.b
         merged.resid = model.compute_residuals(merged, spec)

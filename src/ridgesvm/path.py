@@ -229,18 +229,14 @@ def _apply_step(state, phi, directions, path: PathState, eta: float) -> None:
 
 
 def _finalize(work, path: PathState, spec, hyper):
-    """Pin transit rows to their targets, drop removals, retag; the inverse
-    the events kept patched is compacted, and rebuilt only if ``S`` changed."""
+    """Pin transit rows to their targets, drop removals, retag, validate."""
     if path.drive_rows.size:
         work.mult[path.drive_rows] = _drive_targets(work, path, hyper)
     if path.removal_rows.size:
         work.delete_rows(path.removal_rows)
     _, C, eps = work.box(hyper)
     work.partition = model.classify_regions(work.mult, work.resid, C, eps)
-    if model._cache_covers(work, work.s_rows):
-        model.compact_cached_inverse(work)
-    else:
-        model.refresh_cached_inverse(work, spec)
+    model.refresh_cached_inverse(work, spec)
     return work
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ridgesvm import batch, data, kernels, linalg, model, path
+from ridgesvm import batch, data, kernels, model, path
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample, UpdateBatch
 from ridgesvm.online_svm import update_multi_svm
@@ -335,42 +335,3 @@ class TestPathUpdateSvr:
         gap = np.abs(kernels.decision_values(grid, via_path, SPEC)
                      - kernels.decision_values(grid, via_oneshot, SPEC)).max()
         assert gap <= 1e-6
-
-
-@pytest.mark.parametrize("task", ["svm", "svr"])
-def test_final_inverse_is_compacted_not_rebuilt(task, monkeypatch):
-    """The inverse that events kept patched is returned compacted, not refactored."""
-    if task == "svm":
-        _, state, arrivals, remove_ids = svm_path_fixture(seed=1)
-        hyper = HYPER
-    else:
-        samples = data.noisy_sine(30, seed=4)
-        state = batch.train_svr_batch(samples, SPEC, SVR_HYPER)
-        arrivals = data.noisy_sine(4, seed=104, start_id=5000)
-        remove_ids = [samples[2].id, samples[7].id]
-        hyper = SVR_HYPER
-    calls = {"refresh": 0, "train": 0, "events": 0}
-
-    def counted(owner, name, key):
-        original = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counted(model, "refresh_cached_inverse", "refresh")
-    counted(batch, "train_svm_batch", "train")  # every fallback retrains
-    counted(batch, "train_svr_batch", "train")
-    counted(path, "migrate", "events")  # membership events only, not the end
-    follow = path_update_svm if task == "svm" else path_update_svr
-    out = follow(state, UpdateBatch(add=arrivals, remove=remove_ids), SPEC, hyper)
-
-    assert calls["events"] > 0 and calls["train"] == 0  # patched, no fallback
-    assert calls["refresh"] == 0
-    inv = out.cached_inverse
-    s = out.s_rows
-    assert inv.dropped.size == 0 and np.array_equal(inv.ids, out.ids[s])
-    fresh = linalg.bordered_inverse(model._signed_block(out, SPEC, s),
-                                    out.signs_of(out.targets[s]))
-    assert np.max(np.abs(inv.inv - fresh.inv)) <= 1e-9

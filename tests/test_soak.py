@@ -1,8 +1,9 @@
-"""Long-stream soak: 300 add/remove rounds per task on a small model.
+"""Long-stream soak: 300 add/remove rounds per task and engine on a small model.
 
 Drops recorded on the cached inverse pile up inside an update and are
-compacted before it returns; over a long stream that must neither leave
-an inconsistent state nor let the patched inverse drift from a fresh one.
+compacted before it returns, and each engine hands its inverse on to the
+next round; over a long stream that must neither leave an inconsistent
+state nor let the carried inverse drift from a fresh one.
 """
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from ridgesvm import batch, bench, data, kernels, model
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, UpdateBatch
 from ridgesvm.online import update_multi
-from ridgesvm.path import path_update_svm, path_update_svr
+from ridgesvm.path import path_update
 
 SPEC = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
 ROUNDS = 300
@@ -20,10 +21,12 @@ PROBE_EVERY = 25
 
 TASKS = {
     "svm": (lambda k, seed, start: data.two_gaussians(k, seed=seed, center=0.7, start_id=start),
-            batch.train_svm_batch, path_update_svm, Hyperparams(C=1.0)),
+            batch.train_svm_batch, Hyperparams(C=1.0)),
     "svr": (lambda k, seed, start: data.noisy_sine(k, seed=seed, noise=0.3, start_id=start),
-            batch.train_svr_batch, path_update_svr, Hyperparams(C=1.0, epsilon=0.1)),
+            batch.train_svr_batch, Hyperparams(C=1.0, epsilon=0.1)),
 }
+# (chained engine, engine that replays the last round for the parity check)
+ENGINES = {"": (update_multi, path_update), "-path": (path_update, update_multi)}
 
 
 def inverse_residual(state, inverse) -> float:
@@ -35,9 +38,11 @@ def inverse_residual(state, inverse) -> float:
     return float(np.max(np.abs(m @ inverse - np.eye(s.size + 1))))
 
 
-@pytest.mark.parametrize("task", sorted(TASKS))
-def test_long_stream_stays_consistent(task):
-    make, train, follow, hyper = TASKS[task]
+@pytest.mark.parametrize("task, engine", [(t, e) for e in ENGINES for t in sorted(TASKS)],
+                         ids=[t + e for e in ENGINES for t in sorted(TASKS)])
+def test_long_stream_stays_consistent(task, engine):
+    make, train, hyper = TASKS[task]
+    chained, replay = ENGINES[engine]
     state = train(make(40, 1, 0), SPEC, hyper)
     rng = np.random.default_rng(2)
     for rnd in range(ROUNDS):
@@ -45,7 +50,7 @@ def test_long_stream_stays_consistent(task):
         upd = UpdateBatch(add=make(PER_ROUND, 100 + rnd, 1000 + PER_ROUND * rnd),
                           remove=[int(i) for i in rng.choice(state.ids, PER_ROUND,
                                                              replace=False)])
-        state = update_multi(state, upd, SPEC, hyper)
+        state = chained(state, upd, SPEC, hyper)
         assert model.validate(state, spec=SPEC, C=hyper.C, epsilon=hyper.epsilon) == [], rnd
         cache = state.cached_inverse
         assert cache is None or not cache.dropped.size, rnd
@@ -56,8 +61,8 @@ def test_long_stream_stays_consistent(task):
             rebuilt = inverse_residual(fresh, fresh.cached_inverse.inv)
             assert patched <= 10.0 * rebuilt, (rnd, patched, rebuilt)
 
-    # the last round again through the path follower, against a retrain
-    followed = follow(before, upd, SPEC, hyper)
+    # the last round again through the other engine, against a retrain
+    followed = replay(before, upd, SPEC, hyper)
     oracle = train(state.samples, SPEC, hyper)
     queries = np.array([s.features for s in make(64, 7, 10_000)])
     f_online = kernels.decision_values(queries, state, SPEC)
