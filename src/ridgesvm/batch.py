@@ -68,7 +68,7 @@ def _pair_ascent(gram, targets, lo, hi, epsilon, tol, max_iter):
             delta = min(delta, beta[j])
         beta[i] += delta
         beta[j] -= delta
-        resid += delta * (gram[:, i] - gram[:, j])
+        resid += delta * (gram[i] - gram[j])  # rows: contiguous, and G is symmetric
     return beta, resid, gap
 
 

@@ -62,14 +62,9 @@ def run_bench(task, train_samples, pool, test_samples, spec, hyper, schedule,
 
     report = BenchReport(metadata={
         "task": task,
-        "kernel": {"family": spec.family, "degree": spec.degree,
-                   "offset": spec.offset, "sigma": spec.sigma,
-                   "ridge": spec.ridge},
-        "hyper": {"C": hyper.C, "epsilon": hyper.epsilon},
-        "schedule": {"rounds": schedule.rounds,
-                     "add_per_round": schedule.add_per_round,
-                     "remove_per_round": schedule.remove_per_round,
-                     "seed": schedule.seed},
+        "kernel": asdict(spec),
+        "hyper": asdict(hyper),
+        "schedule": asdict(schedule),
         "n_train": len(train_samples),
         "n_pool": len(pool),
         "n_test": len(test_samples),

@@ -95,12 +95,10 @@ def _counts(state) -> str:
 
 
 def _train_metric(state, spec, task) -> str:
-    preds = kernels.decision_values(state.X, state, spec)
-    targets = state.y if task == "classification" else state.targets
+    value = bench_mod._metric(kernels.decision_values(state.X, state, spec), state.targets, task)
     if task == "classification":
-        acc = 100.0 * np.mean(np.where(preds >= 0, 1.0, -1.0) == targets)
-        return f"train accuracy {acc:.2f}%"
-    return f"train MSE {np.mean((preds - targets) ** 2):.6f}"
+        return f"train accuracy {value:.2f}%"
+    return f"train MSE {value:.6f}"
 
 
 def cmd_train(args) -> int:
@@ -163,13 +161,11 @@ def cmd_eval(args) -> int:
         samples = apply_standardizer(samples, stats, task=task)
     x = np.array([s.features for s in samples], dtype=float)
     y = np.array([s.target for s in samples], dtype=float)
-    preds = kernels.decision_values(x, state, spec)
+    value = bench_mod._metric(kernels.decision_values(x, state, spec), y, task)
     if task == "classification":
-        acc = 100.0 * np.mean(np.where(preds >= 0, 1.0, -1.0) == y)
-        print(f"accuracy {acc:.2f}% on {len(samples)} samples")
+        print(f"accuracy {value:.2f}% on {len(samples)} samples")
     else:
-        print(f"MSE {np.mean((preds - y) ** 2):.6f} on {len(samples)} samples "
-              f"(standardized labels)")
+        print(f"MSE {value:.6f} on {len(samples)} samples (standardized labels)")
     return 0
 
 

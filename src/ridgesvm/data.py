@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -269,14 +269,8 @@ def save_model(state, path, spec: KernelSpec, hyper: Hyperparams,
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "task": task,
-        "kernel": {
-            "family": spec.family,
-            "degree": spec.degree,
-            "offset": spec.offset,
-            "sigma": spec.sigma,
-            "ridge": spec.ridge,
-        },
-        "hyper": {"C": hyper.C, "epsilon": hyper.epsilon},
+        "kernel": asdict(spec),
+        "hyper": asdict(hyper),
         "standardizer": _stats_to_doc(standardizer),
         "samples": [
             {"id": int(s.id), "features": list(map(float, s.features)),

@@ -76,38 +76,11 @@ def kernel_eval(a, b, spec: KernelSpec) -> float:
     return float(kernel_matrix(a[None, :], b[None, :], spec)[0, 0])
 
 
-def q_matrix(x, labels, spec: KernelSpec) -> np.ndarray:
-    """Label-signed ridge Gram matrix: Q[i,j] = y_i y_j (K_ij + ridge*[i==j])."""
-    y = np.asarray(labels, dtype=float).ravel()
-    return np.outer(y, y) * q_matrix_svr(x, spec)
-
-
 def q_matrix_svr(x, spec: KernelSpec) -> np.ndarray:
-    """Ridge Gram matrix K + ridge*I, unsigned (the batch solver's, both tasks)."""
+    """Ridge Gram matrix ``G = K + ridge*I``, the one Gram of both tasks' dual in beta."""
     k = kernel_matrix(x, x, spec)
     k.flat[::k.shape[0] + 1] += spec.ridge  # a scaled identity would be another n x n array
     return k
-
-
-def gram_block(xa, xb, spec: KernelSpec, ids_a=None, ids_b=None) -> np.ndarray:
-    """Cross block of the ridge Gram matrix.
-
-    The ridge contributes wherever a row and a column refer to the *same*
-    stored sample, which the optional id arrays identify.  Distinct samples
-    with identical features stay unridged off the diagonal.
-    """
-    k = kernel_matrix(xa, xb, spec)
-    if spec.ridge and ids_a is not None and ids_b is not None:
-        same = np.equal.outer(np.asarray(ids_a), np.asarray(ids_b))
-        if same.any():
-            k = k + spec.ridge * same
-    return k
-
-
-def q_block(xa, ya, xb, yb, spec: KernelSpec, ids_a=None, ids_b=None) -> np.ndarray:
-    """Label-signed cross block y_a y_b^T * (K + ridge on id matches)."""
-    k = gram_block(xa, xb, spec, ids_a, ids_b)
-    return np.outer(np.asarray(ya, dtype=float), np.asarray(yb, dtype=float)) * k
 
 
 class ColumnCache:
@@ -117,16 +90,14 @@ class ColumnCache:
     n x k buffer, so a product over many columns is one matrix-vector
     product over the buffer instead of a per-call stack of columns.  The
     ridge goes by row index: two rows with identical features stay
-    unridged off the diagonal.  With ``labels`` every product is signed,
-    ``y * (K[:, rows] @ (y[rows] * coef))``, the classification Gram.
+    unridged off the diagonal.
 
     The rows of ``x`` must not change while the cache is in use.
     """
 
-    def __init__(self, x, spec: KernelSpec, labels=None):
+    def __init__(self, x, spec: KernelSpec):
         self.x = x
         self.spec = spec
-        self.labels = None if labels is None else np.asarray(labels, dtype=float)
         n = x.shape[0]
         self._slot = np.full(n, -1, dtype=np.intp)
         self._buf = np.empty((n, 0), order="F")
@@ -152,19 +123,14 @@ class ColumnCache:
         self._filled = end
 
     def apply(self, rows, coef) -> np.ndarray:
-        """``G[:, rows] @ coef`` for the (signed) ridge Gram ``G``."""
+        """``G[:, rows] @ coef`` for the ridge Gram ``G``."""
         rows = np.asarray(rows, dtype=np.intp).ravel()
         coef = np.asarray(coef, dtype=float).ravel()
         if rows.size == 0:
             return np.zeros(self.x.shape[0])
         self._fill(rows)
-        if self.labels is not None:
-            coef = self.labels[rows] * coef
         weights = np.bincount(self._slot[rows], weights=coef, minlength=self._filled)
-        out = self._buf[:, :self._filled] @ weights
-        if self.labels is not None:
-            out *= self.labels
-        return out
+        return self._buf[:, :self._filled] @ weights
 
 
 def decision_profile(xq, x_model, coefficients, bias, spec: KernelSpec) -> np.ndarray:

@@ -93,8 +93,12 @@ class _StateBase:
     ``mult`` is alpha in ``[0, C]`` for the SVM and theta in ``[-C, C]`` for
     the SVR, and ``resid = s * (f - t)`` with signs ``s`` from
     :meth:`signs_of` (the labels for the SVM, all ones for the SVR), i.e.
-    ``y f - 1`` and ``f - t``.  The signed ridge Gram ``s s^T * (K + ridge I)``
-    then serves both tasks, the SVM being the epsilon = 0 case.
+    ``y f - 1`` and ``f - t``.  The cached inverse and the column caches
+    work, like the batch solver, in the signed multipliers ``beta = s * mult``
+    over the one unsigned ridge Gram ``G = K + ridge I``; both tasks share
+    it, the SVM being the epsilon = 0 case.  Signs enter only where ``mult``
+    and ``resid`` meet ``beta`` and ``f``: ``d mult = s * d beta`` and
+    ``d resid = s * d f``.
     """
 
     def __init__(self, samples, mult=None, b=0.0):
@@ -318,32 +322,27 @@ def classify_regions(mult, resid, C, epsilon=0.0, strict: bool = True) -> np.nda
     return tags
 
 
-def column_cache(state, spec) -> kernels.ColumnCache:
-    """Signed ridge-Gram column cache over the current rows."""
-    return kernels.ColumnCache(state.X, spec, state.signs_of(state.targets))
-
-
-def _signed_block(state, spec, rows_a, rows_b=None) -> np.ndarray:
-    """Block of the signed ridge Gram between two row sets of ``state``.
+def _gram_block(state, spec, rows_a, rows_b=None) -> np.ndarray:
+    """Block of the ridge Gram ``K + ridge I`` between row sets of ``state``.
 
     Without ``rows_b`` it is the symmetric block over ``rows_a``, evaluated
-    from a single feature array so that the kernel product stays symmetric.
+    from a single feature array so that the kernel product stays symmetric,
+    with the ridge on its diagonal.  ``rows_b`` must be disjoint from
+    ``rows_a``, so that block carries no ridge: two rows with identical
+    features stay unridged.
     """
-    xa, sa, ids_a = state.X[rows_a], state.signs_of(state.targets[rows_a]), state.ids[rows_a]
     if rows_b is None:
-        return kernels.q_block(xa, sa, xa, sa, spec, ids_a, ids_a)
-    return kernels.q_block(xa, sa, state.X[rows_b], state.signs_of(state.targets[rows_b]),
-                           spec, ids_a, state.ids[rows_b])
+        return kernels.q_matrix_svr(state.X[rows_a], spec)
+    return kernels.kernel_matrix(state.X[rows_a], state.X[rows_b], spec)
 
 
 def refresh_cached_inverse(state, spec) -> None:
-    """Recompute the bordered inverse over the current ``S`` set."""
+    """Recompute the inverse of ``[[0, 1^T], [1, G_SS]]`` over the current ``S``."""
     s = state.s_rows
     if s.size == 0:
         state.cached_inverse = None
         return
-    border = state.signs_of(state.targets[s])
-    inverse = linalg.bordered_inverse(_signed_block(state, spec, s), border)
+    inverse = linalg.bordered_inverse(_gram_block(state, spec, s), np.ones(s.size))
     state.cached_inverse = replace(inverse, ids=state.ids[s])
 
 
@@ -404,32 +403,26 @@ def grow_cached_inverse(state, spec, join_rows) -> None:
     if not _cache_covers(state, old):
         refresh_cached_inverse(state, spec)
         return
-    corner = _signed_block(state, spec, joins)
-    cross = np.vstack([state.signs_of(state.targets[joins])[None, :],
-                       _signed_block(state, spec, old, joins)])
+    corner = _gram_block(state, spec, joins)
+    cross = np.vstack([np.ones((1, joins.size)), _gram_block(state, spec, old, joins)])
     grown = np.concatenate([old, joins])
     order = np.argsort(grown) if np.any(grown[1:] < grown[:-1]) else None
     state.cached_inverse = state.cached_inverse.grow(cross, corner, ids=state.ids[s],
                                                      order=order)
 
 
-def _box_violations(mult, C, is_svm, checked) -> list[Violation]:
-    lo = -C if not is_svm else 0.0
-    bad = checked & ((mult < lo - BOUND_TOL) | (mult > C + BOUND_TOL))
-    return [
-        Violation("box", int(row), max(lo - mult[row], mult[row] - C),
-                  f"multiplier {mult[row]:.6g} outside [{lo}, {C}]")
-        for row in np.flatnonzero(bad)
-    ]
+def _region_violations(tags, mult, resid, lo, C, eps, tol, checked) -> list[Violation]:
+    """Region-tag breaches against stored residuals, by row, then check order.
 
-
-def _region_violations(tags, mult, resid, C, eps, tol, is_svm, checked) -> list[Violation]:
-    """Region-tag breaches against stored residuals, by row, then check order."""
-    g = resid if is_svm else np.abs(resid) - eps
+    A one-sided box (``lo = 0``, the SVM) checks the margin ``resid``; a
+    two-sided one checks the tube slack ``|resid| - eps`` and the signs.
+    """
+    two_sided = lo < 0
+    g = np.abs(resid) - eps if two_sided else resid
     in_s = checked & (tags == REGION_S)
     in_b = checked & (tags == REGION_B)
     in_o = checked & ~(tags == REGION_S) & ~(tags == REGION_B)
-    off_bound = np.abs(np.abs(mult) - C) if not is_svm else np.abs(mult - C)
+    off_bound = np.abs(np.abs(mult) - C) if two_sided else np.abs(mult - C)
     # (rows to report, rank within a row, kind, magnitude, detail)
     checks = [
         (in_s & (np.abs(g) > tol), 0, "region:S", np.abs(g),
@@ -439,7 +432,7 @@ def _region_violations(tags, mult, resid, C, eps, tol, is_svm, checked) -> list[
         (in_o & (np.abs(mult) > BOUND_TOL), 0, "region:O", np.abs(mult),
          lambda r: f"O member multiplier {mult[r]:.6g} nonzero"),
     ]
-    if is_svm:
+    if not two_sided:
         checks += [
             (in_b & (g > tol), 1, "region:B", g,
              lambda r: f"B member margin {g[r]:.3e} > 0"),
@@ -475,28 +468,24 @@ def validate(state, spec=None, C=None, epsilon=None, tol=REGION_TOL, ignore_rows
     ``ignore_rows`` exempts rows that are legitimately in transit.
     """
     report: list[Violation] = []
-    is_svm = isinstance(state, SvmState)
     mult, resid = state.mult, state.resid
 
     # multiplier balance (orthogonal-hyperplane equality)
-    weights = state.signs_of(state.targets)
-    balance = float(weights @ mult) if state.n else 0.0
+    balance = float(state.signs_of(state.targets) @ mult) if state.n else 0.0
     if abs(balance) > BALANCE_TOL:
-        report.append(
-            Violation(
-                "balance", None, abs(balance),
-                f"multiplier balance (orthogonal-hyperplane) off by {balance:.3e}",
-            )
-        )
+        report.append(Violation("balance", None, abs(balance),
+                                f"multiplier balance (orthogonal-hyperplane) off by {balance:.3e}"))
 
     if C is not None:
         checked = np.ones(state.n, dtype=bool)
         ignore = np.asarray(list(ignore_rows), dtype=int).ravel()
         checked[ignore[(ignore >= 0) & (ignore < state.n)]] = False
-        report += _box_violations(mult, C, is_svm, checked)
-        eps = 0.0 if is_svm else float(epsilon if epsilon is not None else 0.0)
-        report += _region_violations(state.partition, mult, resid, C, eps, tol,
-                                     is_svm, checked)
+        lo, _, eps = state.box(Hyperparams(C, epsilon or 0.0))
+        out_of_box = checked & ((mult < lo - BOUND_TOL) | (mult > C + BOUND_TOL))
+        report += [Violation("box", int(row), max(lo - mult[row], mult[row] - C),
+                             f"multiplier {mult[row]:.6g} outside [{lo}, {C}]")
+                   for row in np.flatnonzero(out_of_box)]
+        report += _region_violations(state.partition, mult, resid, lo, C, eps, tol, checked)
 
     if spec is not None and state.n:
         fresh = compute_residuals(state, spec)

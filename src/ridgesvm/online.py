@@ -11,7 +11,9 @@ Both tasks run through this one engine in their native coordinates (see
 :class:`ridgesvm.model.SvmState` and :class:`ridgesvm.model.SvrState`):
 the task enters only through ``state.box(hyper)``, which gives the
 multiplier box ``[lo, C]`` and the tube half-width ``epsilon`` (0 for the
-SVM), and through the signs ``state.signs_of(targets)``.
+SVM), and through the signs ``s = state.signs_of(targets)``.  The linear
+algebra runs in ``beta = s * mult`` over the unsigned ridge Gram, so the
+signs apply only where native multipliers and residuals meet it.
 """
 from __future__ import annotations
 
@@ -58,8 +60,7 @@ def equilibrium_solve(state, spec, add_samples, delta_add, remove_rows, delta_re
         raise EmptyS("equilibrium solve needs a nonempty unbounded set")
     inv = model.ensure_cached_inverse(state, spec)
 
-    # signs go on the vectors, so the kernel blocks stay unsigned
-    xs, ids_s = state.X[s_rows], state.ids[s_rows]
+    xs = state.X[s_rows]
     rhs_top = 0.0
     rhs_body = np.zeros(s_rows.size)
     if len(add_samples):
@@ -67,18 +68,15 @@ def equilibrium_solve(state, spec, add_samples, delta_add, remove_rows, delta_re
         signed = state.signs_of(np.array([s.target for s in add_samples], dtype=float))
         signed = signed * np.asarray(delta_add, dtype=float)
         rhs_top += float(signed.sum())
-        rhs_body += kernels.gram_block(xs, x_d, spec) @ signed
+        rhs_body += kernels.kernel_matrix(xs, x_d, spec) @ signed
     remove_rows = np.asarray(remove_rows, dtype=int)
     if remove_rows.size:
         signed = state.signs_of(state.targets[remove_rows]) * np.asarray(delta_remove, dtype=float)
         rhs_top += float(signed.sum())
-        rhs_body += kernels.gram_block(
-            xs, state.X[remove_rows], spec, ids_s, state.ids[remove_rows]
-        ) @ signed
-    rhs_body *= state.signs_of(state.targets[s_rows])
+        rhs_body += kernels.kernel_matrix(xs, state.X[remove_rows], spec) @ signed
 
     sol = -inv.apply(np.concatenate(([rhs_top], rhs_body)))
-    return float(sol[0]), sol[1:]
+    return float(sol[0]), state.signs_of(state.targets[s_rows]) * sol[1:]
 
 
 def tube_segments(state, hyper, rows):
@@ -98,12 +96,12 @@ def tube_segments(state, hyper, rows):
     return edge, np.where(edge > 0, lo, 0.0), np.where(edge > 0, 0.0, C)
 
 
-def _snap(state, cache, rows, bounds) -> None:
+def _snap(state, cache, signs, rows, bounds) -> None:
     """Pin ``S`` members onto a segment end: zero exits to ``O``, a box bound to ``B``."""
     deltas = bounds - state.mult[rows]
     state.mult[rows] = bounds
     if deltas.any():
-        state.resid += cache.apply(rows, deltas)
+        state.resid += signs * cache.apply(rows, signs[rows] * deltas)
     model.shrink_cached_inverse(state, rows)  # while tagged S
     state.partition[rows] = np.where(bounds == 0.0, REGION_O, REGION_B)
 
@@ -157,7 +155,7 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None,
     lo, C, eps = state.box(hyper)
     signs = state.signs_of(state.targets)
     cache = _cache if _cache is not None and _cache.x is state.X \
-        else model.column_cache(state, spec)
+        else kernels.ColumnCache(state.X, spec)
     single_release = False
     for _ in range(max_repair_passes):
         s_rows = state.s_rows
@@ -174,21 +172,20 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None,
         below = mult_s < seg_lo - _MIGRATE_TOL
         outside = below | (mult_s > seg_hi + _MIGRATE_TOL)
         if outside.any():
-            _snap(state, cache, s_rows[outside], np.where(below, seg_lo, seg_hi)[outside])
+            _snap(state, cache, signs, s_rows[outside],
+                  np.where(below, seg_lo, seg_hi)[outside])
             continue
         inv = model.ensure_cached_inverse(state, spec)
 
         b_rows = state.b_rows
         signed_b = signs[b_rows] * state.mult[b_rows]
         rhs_top = -float(signed_b.sum()) if b_rows.size else 0.0
-        rhs_body = signs[s_rows] * state.targets[s_rows] + edge
+        rhs_body = state.targets[s_rows] + signs[s_rows] * edge
         if b_rows.size:
-            k_sb = kernels.gram_block(
-                state.X[s_rows], state.X[b_rows], spec, state.ids[s_rows], state.ids[b_rows]
-            )
-            rhs_body = rhs_body - signs[s_rows] * (k_sb @ signed_b)
+            rhs_body = rhs_body - kernels.kernel_matrix(
+                state.X[s_rows], state.X[b_rows], spec) @ signed_b
         sol = inv.apply(np.concatenate(([rhs_top], rhs_body)))
-        target_b, target_mult = float(sol[0]), sol[1:]
+        target_b, target_mult = float(sol[0]), signs[s_rows] * sol[1:]
 
         d_mult = target_mult - mult_s
         d_b = target_b - state.b
@@ -204,7 +201,7 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None,
 
         if step > 0.0:
             move = step * d_mult
-            state.resid += cache.apply(s_rows, move) + signs * (step * d_b)
+            state.resid += signs * (cache.apply(s_rows, signs[s_rows] * move) + step * d_b)
             state.mult[s_rows] += move
             state.b += step * d_b
 
@@ -213,7 +210,7 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None,
                 single_release = True
             blocked = np.flatnonzero(room <= step + 1e-12)
             bounds = np.where(d_mult[blocked] > 0, seg_hi[blocked], seg_lo[blocked])
-            _snap(state, cache, s_rows[blocked], bounds)
+            _snap(state, cache, signs, s_rows[blocked], bounds)
             continue
 
         releases = _release_candidates(state, lo, eps)
@@ -317,7 +314,7 @@ def update_multi(state, batch: model.UpdateBatch, spec, hyper):
         s_ids = work.ids[s_rows]
 
     # splice rows; leaving features are stashed for the residual shift below
-    x_r, ids_r = work.X[remove_rows], work.ids[remove_rows]
+    x_r = work.X[remove_rows]
     signs_r = work.signs_of(work.targets[remove_rows])
     work.delete_rows(remove_rows)
     if add_samples:
@@ -328,16 +325,14 @@ def update_multi(state, batch: model.UpdateBatch, spec, hyper):
         work.append_samples(add_samples, mult_d, tags)
 
     if effective:
-        cache = model.column_cache(work, spec)
+        cache = kernels.ColumnCache(work.X, spec)
         signs = work.signs_of(work.targets)
         moved = np.concatenate([work.rows_of(s_ids),
                                 np.arange(work.n - len(add_samples), work.n)])
-        shift = cache.apply(moved, np.concatenate([dmult_s, mult_d])) + signs * db
+        d_f = cache.apply(moved, signs[moved] * np.concatenate([dmult_s, mult_d])) + db
         if remove_rows.size:
-            shift = shift + signs * (kernels.gram_block(
-                work.X, x_r, spec, work.ids, ids_r
-            ) @ (signs_r * delta_remove))
-        work.resid += shift
+            d_f += kernels.kernel_matrix(work.X, x_r, spec) @ (signs_r * delta_remove)
+        work.resid += signs * d_f
 
     if add_samples:
         # exact residuals for the arrivals against the spliced state

@@ -91,9 +91,10 @@ def _direction(state, spec, path: PathState, hyper,
     signs = state.signs_of(state.targets)
     rhs_top = float(signs[path.drive_rows] @ d_add + signs[path.removal_rows] @ d_rem)
     moved = np.concatenate([path.drive_rows, path.removal_rows])
-    rhs_body = columns.apply(moved, np.concatenate([d_add, d_rem]))[s_rows]
+    rhs_body = columns.apply(moved, signs[moved] * np.concatenate([d_add, d_rem]))[s_rows]
     sol = -inv.apply(np.concatenate(([rhs_top], rhs_body)))
-    return Directions(db=float(sol[0]), dalpha_s=sol[1:], d_add=d_add, d_rem=d_rem)
+    return Directions(db=float(sol[0]), dalpha_s=signs[s_rows] * sol[1:],
+                      d_add=d_add, d_rem=d_rem)
 
 
 def sensitivity_phi(state, spec, path: PathState, directions: Directions,
@@ -104,10 +105,11 @@ def sensitivity_phi(state, spec, path: PathState, directions: Directions,
     d(f_i - y_i)/d eta; unbounded members come out at zero because the
     directions solve pins them.
     """
-    columns = columns or model.column_cache(state, spec)
+    columns = columns or kernels.ColumnCache(state.X, spec)
+    signs = state.signs_of(state.targets)
     moved = np.concatenate([state.s_rows, path.drive_rows, path.removal_rows])
     coef = np.concatenate([directions.dalpha_s, directions.d_add, directions.d_rem])
-    return state.signs_of(state.targets) * directions.db + columns.apply(moved, coef)
+    return signs * (directions.db + columns.apply(moved, signs[moved] * coef))
 
 
 def _candidate_events(state, phi, directions, path: PathState, hyper):
@@ -159,24 +161,22 @@ def _candidate_events(state, phi, directions, path: PathState, hyper):
     return out
 
 
-def step_select(state, phi, directions, remaining, path: PathState, hyper):
-    """Smallest step before any membership event, capped at ``remaining``.
+def step_select(state, phi, directions, path: PathState, hyper):
+    """Smallest step before any membership event, capped at the path's end (1).
 
     Returns (eta, event); the event is ``end`` when the cap wins.  Ties are
     broken toward the lowest sample id.  Steps that repeatedly select
     zero-length events trip :class:`StalledPath` at the caller.
     """
-    if not 0.0 < remaining <= 1.0:
-        raise ValueError("remaining must lie in (0, 1]")
     reachable = [
         (max(eta, 0.0), sid, kind, row, bound)
         for eta, sid, kind, row, bound in _candidate_events(
             state, phi, directions, path, hyper
         )
-        if eta < remaining - _EVENT_TOL
+        if eta < 1.0 - _EVENT_TOL
     ]
     if not reachable:
-        return remaining, PathEvent(kind="end", sample_id=None, eta=remaining)
+        return 1.0, PathEvent(kind="end", sample_id=None, eta=1.0)
     first = min(e[0] for e in reachable)
     # degenerate simultaneous events resolve toward the lowest sample id
     eta, sid, kind, row, bound = min(
@@ -265,7 +265,7 @@ def path_update(state, batch: model.UpdateBatch, spec, hyper):
         drive_rows = np.zeros(0, dtype=int)
 
     path = PathState(drive_rows=drive_rows, removal_rows=removal_rows)
-    columns = model.column_cache(work, spec)
+    columns = kernels.ColumnCache(work.X, spec)
     max_events = 100 * (work.n + len(add_samples) + removal_rows.size)
     stall_budget = work.n + len(add_samples) + removal_rows.size + 10
 
@@ -277,7 +277,7 @@ def path_update(state, batch: model.UpdateBatch, spec, hyper):
             work.delete_rows(path.removal_rows)
             return retrain(work, work.samples, spec, hyper)
         phi = sensitivity_phi(work, spec, path, directions, columns)
-        eta, event = step_select(work, phi, directions, 1.0, path, hyper)
+        eta, event = step_select(work, phi, directions, path, hyper)
         if eta > 0.0:
             _apply_step(work, phi, directions, path, eta)
             path.advance(eta)

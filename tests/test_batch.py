@@ -80,10 +80,11 @@ class TestTrainSvmBatch:
         hyper = Hyperparams(C=1.0)
         samples = gaussian_blobs(40, 5)
         state = batch.train_svm_batch(samples, spec, hyper)
-        gram = kernels.q_matrix(state.X, state.y, spec)
+        gram = kernels.q_matrix_svr(state.X, spec)
 
         def dual(alpha):
-            return alpha.sum() - 0.5 * alpha @ gram @ alpha
+            beta = state.y * alpha
+            return alpha.sum() - 0.5 * beta @ gram @ beta
 
         best = dual(state.alpha)
         rng = np.random.default_rng(17)

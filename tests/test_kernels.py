@@ -59,31 +59,44 @@ class TestSpecValidation:
             KernelSpec(family="linear", ridge=-0.1)
 
 
+def label_signed(gram, labels):
+    """The label-signed form ``diag(y) G diag(y)`` of a ridge Gram block."""
+    y = np.asarray(labels, dtype=float)
+    return y[:, None] * gram * y[None, :]
+
+
 class TestQMatrix:
+    """The one ridge Gram; the SVM's signed form only flips signs of it."""
+
     def test_signed_assembly(self):
         # K = [[1, .5], [.5, 1]] via linear kernel on unit vectors with dot .5
         x = np.array([[1.0, 0.0], [0.5, np.sqrt(3) / 2]])
         spec = KernelSpec(family="linear", ridge=0.5)
-        q = kernels.q_matrix(x, [1.0, -1.0], spec)
-        assert np.allclose(q, [[1.5, -0.5], [-0.5, 1.5]])
+        q = kernels.q_matrix_svr(x, spec)
+        assert np.allclose(q, [[1.5, 0.5], [0.5, 1.5]])
+        assert np.allclose(label_signed(q, [1.0, -1.0]), [[1.5, -0.5], [-0.5, 1.5]])
 
     def test_no_ridge_positive_labels(self):
         x = np.random.default_rng(1).standard_normal((4, 3))
         spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.0)
-        q = kernels.q_matrix(x, np.ones(4), spec)
+        q = kernels.q_matrix_svr(x, spec)
+        assert np.array_equal(label_signed(q, np.ones(4)), q)
         assert np.allclose(q, kernels.kernel_matrix(x, x, spec))
 
     def test_single_sample(self):
         spec = KernelSpec(family="linear", ridge=0.25)
-        q = kernels.q_matrix([[2.0]], [-1.0], spec)
+        q = kernels.q_matrix_svr([[2.0]], spec)
         assert np.allclose(q, [[4.25]])
+        assert np.array_equal(label_signed(q, [-1.0]), q)
 
     def test_rbf_ridge_is_positive_definite(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((30, 2))
         y = np.where(rng.standard_normal(30) > 0, 1.0, -1.0)
-        q = kernels.q_matrix(x, y, KernelSpec(family="rbf", sigma=1.0, ridge=0.5))
+        q = kernels.q_matrix_svr(x, KernelSpec(family="rbf", sigma=1.0, ridge=0.5))
+        assert np.array_equal(q, q.T)  # exactly symmetric: batch reads rows for columns
         linalg.invert_spd(q)  # raises if not SPD
+        linalg.invert_spd(label_signed(q, y))
 
 
 class TestQMatrixSvr:
@@ -106,20 +119,32 @@ class TestQMatrixSvr:
         assert np.allclose(np.diag(q), 1.3)
 
 
+def feature_state(x):
+    """SVR state over the rows of ``x`` (features only matter)."""
+    return model.SvrState([Sample(100 + i, np.atleast_1d(f), 0.0) for i, f in enumerate(x)])
+
+
 class TestGramBlock:
+    """``model._gram_block``: ridge on the diagonal of one row set, none across two."""
+
     def test_ridge_on_matching_ids_only(self):
         x = np.array([[1.0], [2.0], [3.0]])
         spec = KernelSpec(family="linear", ridge=0.5)
-        block = kernels.gram_block(x, x[1:], spec, ids_a=[0, 1, 2], ids_b=[1, 2])
-        plain = kernels.kernel_matrix(x, x[1:], spec)
-        expected = plain + 0.5 * np.equal.outer([0, 1, 2], [1, 2])
-        assert np.allclose(block, expected)
+        state = feature_state(x)
+        plain = kernels.kernel_matrix(x, x, spec)
+        own = model._gram_block(state, spec, np.array([0, 2]))
+        assert np.allclose(own, plain[np.ix_([0, 2], [0, 2])] + 0.5 * np.eye(2))
+        cross = model._gram_block(state, spec, np.array([0, 2]), np.array([1]))
+        assert np.allclose(cross, plain[np.ix_([0, 2], [1])])
 
     def test_duplicate_features_distinct_ids_unridged(self):
         x = np.array([[1.0], [1.0]])
         spec = KernelSpec(family="linear", ridge=0.5)
-        block = kernels.gram_block(x[:1], x[1:], spec, ids_a=[0], ids_b=[1])
-        assert np.allclose(block, [[1.0]])
+        state = feature_state(x)
+        assert np.allclose(model._gram_block(state, spec, np.array([0, 1])),
+                           [[1.5, 1.0], [1.0, 1.5]])
+        assert np.allclose(model._gram_block(state, spec, np.array([0]), np.array([1])),
+                           [[1.0]])
 
 
 RESTRICTED_SPECS = (
@@ -186,57 +211,71 @@ def cache_rows(n=60, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, 3))
     x[7] = x[3]  # two distinct rows with identical features
-    y = np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
-    return x, y, np.arange(100, 100 + n)
+    return x, np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
 
 
-def dense_block(x, y, ids, rows, spec, signed):
+def dense_product(x, y, rows, coef, spec, signed):
+    """Reference for the products the engines form: ``G[:, rows] @ coef``, or
+    with labels at both edges ``y * (G[:, rows] @ (y[rows] * coef))``."""
+    block = kernels.q_matrix_svr(x, spec)[:, rows]
     if signed:
-        return kernels.q_block(x, y, x[rows], y[rows], spec, ids, ids[rows])
-    return kernels.gram_block(x, x[rows], spec, ids, ids[rows])
+        return y * (block @ (y[rows] * coef))
+    return block @ coef
+
+
+def cache_product(cache, y, rows, coef, signed):
+    if signed:
+        return y * cache.apply(rows, y[rows] * coef)
+    return cache.apply(rows, coef)
 
 
 @pytest.mark.parametrize("signed", [True, False], ids=["svm", "svr"])
 @pytest.mark.parametrize("spec", CACHE_SPECS, ids=lambda s: s.family)
 class TestColumnCache:
-    """``apply`` against the dense ridge-Gram block it replaces."""
+    """``apply`` against the dense ridge-Gram block it replaces, with the
+    SVM's labels applied at the edges as the engines apply them."""
 
-    def make(self, signed, spec):
-        x, y, ids = cache_rows()
-        cache = kernels.ColumnCache(x, spec, y if signed else None)
-        return cache, x, y, ids
+    def make(self, spec):
+        x, y = cache_rows()
+        return kernels.ColumnCache(x, spec), x, y
 
     def test_matches_dense_block(self, signed, spec):
-        cache, x, y, ids = self.make(signed, spec)
+        cache, x, y = self.make(spec)
         rng = np.random.default_rng(1)
         for rows in ([5, 2, 40, 3], [3, 7, 11], [59, 0, 5], [2]):
             rows = np.array(rows)
             coef = rng.standard_normal(rows.size)
-            expect = dense_block(x, y, ids, rows, spec, signed) @ coef
-            assert np.max(np.abs(cache.apply(rows, coef) - expect)) <= 1e-12
+            expect = dense_product(x, y, rows, coef, spec, signed)
+            got = cache_product(cache, y, rows, coef, signed)
+            assert np.max(np.abs(got - expect)) <= 1e-12
 
     def test_empty_rows(self, signed, spec):
-        cache, x, _, _ = self.make(signed, spec)
-        out = cache.apply(np.zeros(0, dtype=int), np.zeros(0))
+        cache, x, y = self.make(spec)
+        out = cache_product(cache, y, np.zeros(0, dtype=int), np.zeros(0), signed)
         assert out.shape == (x.shape[0],) and not out.any()
 
     def test_growth_past_the_initial_buffer(self, signed, spec):
-        cache, x, y, ids = self.make(signed, spec)
+        cache, x, y = self.make(spec)
         rng = np.random.default_rng(2)
         order = rng.permutation(x.shape[0])
         for stop in (10, 25, 45, 60):
             rows = order[:stop]
             coef = rng.standard_normal(stop)
-            expect = dense_block(x, y, ids, rows, spec, signed) @ coef
-            assert np.max(np.abs(cache.apply(rows, coef) - expect)) <= 1e-12
+            expect = dense_product(x, y, rows, coef, spec, signed)
+            got = cache_product(cache, y, rows, coef, signed)
+            assert np.max(np.abs(got - expect)) <= 1e-12
 
     def test_identical_features_stay_unridged_off_the_diagonal(self, signed, spec):
-        cache, x, y, _ = self.make(signed, spec)
+        cache, x, y = self.make(spec)
         sign = y[3] * y[7] if signed else 1.0
         plain = kernels.kernel_matrix(x[3], x[3], spec)[0, 0]
-        assert cache.apply([3], [1.0])[7] == pytest.approx(sign * plain, abs=1e-12)
-        assert cache.apply([7], [1.0])[3] == pytest.approx(sign * plain, abs=1e-12)
-        assert cache.apply([7], [1.0])[7] == pytest.approx(plain + spec.ridge, abs=1e-12)
+        one = np.ones(1)
+        assert cache_product(cache, y, [3], one, signed)[7] == pytest.approx(
+            sign * plain, abs=1e-12)
+        assert cache_product(cache, y, [7], one, signed)[3] == pytest.approx(
+            sign * plain, abs=1e-12)
+        assert cache_product(cache, y, [7], one, signed)[7] == pytest.approx(
+            plain + spec.ridge, abs=1e-12)
 
 
 def reference_kernel(a, b, spec):
@@ -255,20 +294,20 @@ class TestKernelMatrixInPlace:
     """``kernel_matrix`` computes in one array, its own or the caller's."""
 
     def test_fresh_result_matches_the_formula(self, spec):
-        x, _, _ = cache_rows()
+        x, _ = cache_rows()
         got = kernels.kernel_matrix(x[:9], x, spec)
         assert got.shape == (9, x.shape[0])
         assert np.max(np.abs(got - reference_kernel(x[:9], x, spec))) <= 1e-12
 
     def test_out_is_filled_and_returned(self, spec):
-        x, _, _ = cache_rows()
+        x, _ = cache_rows()
         fresh = kernels.kernel_matrix(x[:9], x, spec)
         out = np.full((9, x.shape[0]), np.nan)
         assert kernels.kernel_matrix(x[:9], x, spec, out=out) is out
         assert np.array_equal(out, fresh)
 
     def test_out_can_be_a_transposed_column_block(self, spec):
-        x, _, _ = cache_rows()
+        x, _ = cache_rows()
         buf = np.full((x.shape[0], 12), np.nan, order="F")
         kernels.kernel_matrix(x[[4, 0, 9]], x, spec, out=buf[:, 5:8].T)
         assert np.max(np.abs(buf[:, 5:8] - kernels.kernel_matrix(x, x[[4, 0, 9]], spec))) <= 1e-12

@@ -410,6 +410,24 @@ class TestCachedInverseMembership:
         assert np.allclose(state.cached_inverse.inv, self.rebuilt(state, spec).inv,
                            atol=1e-8)
 
+    def test_inverse_is_the_same_for_both_tasks(self):
+        """The cached inverse is over the unsigned ridge Gram: labels do not enter it."""
+        spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
+        samples = data.two_gaussians(24, seed=4)
+        assert len({s.target for s in samples}) == 2
+        svm, svr = model.SvmState(samples), model.SvrState(samples)
+        for state in (svm, svr):
+            state.partition[:] = "O"
+            state.partition[[1, 2, 5, 8, 13, 21]] = "S"
+            model.refresh_cached_inverse(state, spec)
+        assert np.array_equal(svm.cached_inverse.inv, svr.cached_inverse.inv)
+        for state in (svm, svr):  # a deferred drop, then a grow that absorbs it
+            model.shrink_cached_inverse(state, [5])
+            state.partition[[5, 10]] = "O", "S"
+            model.grow_cached_inverse(state, spec, [10])
+        assert np.array_equal(svm.cached_inverse.inv, svr.cached_inverse.inv)
+        assert np.array_equal(svm.cached_inverse.ids, svr.cached_inverse.ids)
+
 
 class TestDeferredInversePatches:
     """Shrinks only record drops; grows and compaction absorb them."""

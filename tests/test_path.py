@@ -64,7 +64,7 @@ class TestDirections:
         work = state.copy()
         ps = PathState(drive_rows=np.zeros(0, dtype=int),
                        removal_rows=np.zeros(0, dtype=int))
-        d = path._direction(work, SPEC, ps, HYPER, model.column_cache(work, SPEC))
+        d = path._direction(work, SPEC, ps, HYPER, kernels.ColumnCache(work.X, SPEC))
         assert d.db == 0.0
         assert np.allclose(d.dalpha_s, 0.0)
 
@@ -79,7 +79,7 @@ class TestDirections:
         state.margins = model.compute_residuals(state, spec)
         hyper = Hyperparams(C=0.3)
         ps = PathState(drive_rows=np.array([1]), removal_rows=np.zeros(0, dtype=int))
-        d = path._direction(state, spec, ps, hyper, model.column_cache(state, spec))
+        d = path._direction(state, spec, ps, hyper, kernels.ColumnCache(state.X, spec))
         # driving 0 -> C=0.3 mirrors the worked equilibrium example scaled by C
         assert d.d_add[0] == pytest.approx(0.3)
         assert d.dalpha_s[0] == pytest.approx(0.3)
@@ -88,7 +88,7 @@ class TestDirections:
     def test_label_balance_per_unit_step(self):
         _, state, arrivals, remove_ids = svm_path_fixture(seed=3)
         work, ps = prepared_path(state, arrivals, remove_ids)
-        d = path._direction(work, SPEC, ps, HYPER, model.column_cache(work, SPEC))
+        d = path._direction(work, SPEC, ps, HYPER, kernels.ColumnCache(work.X, SPEC))
         total = (
             work.y[work.s_rows] @ d.dalpha_s
             + work.y[ps.drive_rows] @ d.d_add
@@ -103,21 +103,21 @@ class TestSensitivity:
         work = state.copy()
         ps = PathState(drive_rows=np.zeros(0, dtype=int),
                        removal_rows=np.zeros(0, dtype=int))
-        d = path._direction(work, SPEC, ps, HYPER, model.column_cache(work, SPEC))
+        d = path._direction(work, SPEC, ps, HYPER, kernels.ColumnCache(work.X, SPEC))
         phi = sensitivity_phi(work, SPEC, ps, d)
         assert np.max(np.abs(phi)) <= 1e-12
 
     def test_s_members_are_pinned(self):
         _, state, arrivals, remove_ids = svm_path_fixture(seed=2)
         work, ps = prepared_path(state, arrivals, remove_ids)
-        d = path._direction(work, SPEC, ps, HYPER, model.column_cache(work, SPEC))
+        d = path._direction(work, SPEC, ps, HYPER, kernels.ColumnCache(work.X, SPEC))
         phi = sensitivity_phi(work, SPEC, ps, d)
         assert np.max(np.abs(phi[work.s_rows])) <= 1e-10
 
     def test_matches_finite_differences(self):
         _, state, arrivals, remove_ids = svm_path_fixture(seed=4)
         work, ps = prepared_path(state, arrivals, remove_ids)
-        d = path._direction(work, SPEC, ps, HYPER, model.column_cache(work, SPEC))
+        d = path._direction(work, SPEC, ps, HYPER, kernels.ColumnCache(work.X, SPEC))
         phi = sensitivity_phi(work, SPEC, ps, d)
         h = 1e-6
         bumped = work.copy()
@@ -146,7 +146,7 @@ class TestStepSelect:
         d = path.Directions(db=0.0, dalpha_s=np.zeros(0),
                             d_add=np.array([1.0, 1.0]), d_rem=np.zeros(0))
         phi = np.array([0.5, 0.2, 0.1])
-        eta, event = step_select(state, phi, d, 1.0, ps, HYPER)
+        eta, event = step_select(state, phi, d, ps, HYPER)
         assert eta == pytest.approx(0.2)
         assert event.kind == "capture"
         assert event.sample_id == 0
@@ -158,7 +158,7 @@ class TestStepSelect:
         ps = PathState(drive_rows=np.zeros(0, dtype=int),
                        removal_rows=np.zeros(0, dtype=int))
         d = path.Directions(0.0, np.zeros(0), np.zeros(0), np.zeros(0))
-        eta, event = step_select(state, np.array([-1.0]), d, 1.0, ps, HYPER)
+        eta, event = step_select(state, np.array([-1.0]), d, ps, HYPER)
         assert eta == 1.0
         assert event.kind == "end"
 
@@ -313,7 +313,7 @@ class TestPathUpdateSvr:
         arrivals = data.noisy_sine(4, seed=24, start_id=9100)
         work, ps = prepared_path(state, arrivals, [samples[0].id],
                                  hyper=SVR_HYPER)
-        d = path._direction(work, SPEC, ps, SVR_HYPER, model.column_cache(work, SPEC))
+        d = path._direction(work, SPEC, ps, SVR_HYPER, kernels.ColumnCache(work.X, SPEC))
         phi = sensitivity_phi(work, SPEC, ps, d)
         h = 1e-6
         bumped = work.copy()

@@ -30,11 +30,11 @@ ENGINES = {"": (update_multi, path_update), "-path": (path_update, update_multi)
 
 
 def inverse_residual(state, inverse) -> float:
-    """max |M inverse - I| for the bordered matrix M over the current S."""
+    """max |M inverse - I| for M = [[0, 1^T], [1, G_SS]] over the current S."""
     s = state.s_rows
     m = np.zeros((s.size + 1, s.size + 1))
-    m[0, 1:] = m[1:, 0] = state.signs_of(state.targets[s])
-    m[1:, 1:] = model._signed_block(state, SPEC, s)
+    m[0, 1:] = m[1:, 0] = 1.0
+    m[1:, 1:] = model._gram_block(state, SPEC, s)
     return float(np.max(np.abs(m @ inverse - np.eye(s.size + 1))))
 
 
