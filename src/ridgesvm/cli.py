@@ -30,6 +30,7 @@ from .errors import (
     ConstantColumn,
     CorruptFile,
     DimensionMismatch,
+    InvalidBatch,
     LabelDomainError,
     NoConvergence,
     ParseError,
@@ -38,6 +39,7 @@ from .errors import (
     SchemaVersionMismatch,
     SingleClassInput,
     StalledPath,
+    UnknownId,
 )
 from .kernels import KernelSpec
 from .model import Hyperparams, UpdateBatch
@@ -45,7 +47,7 @@ from .online import update_multi
 from .path import path_update
 
 INPUT_ERRORS = (ParseError, LabelDomainError, CorruptFile, SchemaVersionMismatch,
-                ConstantColumn, PoolExhausted, DimensionMismatch,
+                ConstantColumn, PoolExhausted, DimensionMismatch, UnknownId, InvalidBatch,
                 FileNotFoundError, IsADirectoryError)
 TRAIN_ERRORS = (SingleClassInput, NoConvergence)
 UPDATE_ERRORS = (RepairDivergence, StalledPath)
@@ -132,7 +134,10 @@ def cmd_update(args) -> int:
         next_id = int(state.ids.max()) + 1 if state.n else 0
         adds = [model.Sample(id=next_id + k, features=s.features, target=s.target)
                 for k, s in enumerate(raw)]
-    removals = [int(tok) for tok in args.remove.split(",") if tok] if args.remove else []
+    try:
+        removals = [int(tok) for tok in args.remove.split(",") if tok]
+    except ValueError as err:
+        raise ParseError(f"--remove takes comma-separated sample ids: {err}") from None
     upd = UpdateBatch(add=adds, remove=removals)
     s_before = state.s_rows.size
 

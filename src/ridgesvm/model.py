@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels, linalg
-from .errors import EmptyS, InconsistentState, UnknownId
+from .errors import EmptyS, InconsistentState, InvalidBatch, UnknownId
 
 REGION_TOL = 1e-6
 HARD_TOL = 1e-3
@@ -66,14 +66,17 @@ class UpdateBatch:
 
 
 def _check_batch(state, batch: UpdateBatch) -> None:
-    """Reject an arrival id already stored or repeated, or an unknown removal."""
+    """Reject an arrival id already stored or repeated, or an unknown or repeated removal."""
     add_ids = np.array([s.id for s in batch.add], dtype=int)
     repeated = np.ones(add_ids.size, dtype=bool)
     repeated[np.unique(add_ids, return_index=True)[1]] = False
     stale = np.flatnonzero(state._find(add_ids)[1] | repeated)
     if stale.size:
-        raise ValueError(f"arriving sample id {add_ids[stale[0]]} is not fresh")
+        raise InvalidBatch(f"arriving sample id {add_ids[stale[0]]} is not fresh")
     state.rows_of(batch.remove)  # raises UnknownId on missing ids
+    remove_ids, counts = np.unique(np.asarray(batch.remove, dtype=int), return_counts=True)
+    if np.any(counts > 1):
+        raise InvalidBatch(f"removal id {remove_ids[np.argmax(counts > 1)]} is named twice")
 
 
 @dataclass

@@ -27,18 +27,17 @@ from .model import REGION_B, REGION_O, REGION_S
 _MIGRATE_TOL = 1e-10
 
 
-def wec_predict(f, targets, signs, rho, lo, C, epsilon) -> np.ndarray:
-    """Multipliers of new samples predicted from their test-point outputs ``f``.
+def wec_predict(resid, rho, lo, C, epsilon) -> np.ndarray:
+    """Multipliers of new samples predicted from their residuals ``r = s (f - t)``.
 
-    In the residual ``r = s (f - t)`` the weight-error curve is a ramp of
-    slope ``-1/rho`` on each side of the tube ``[-epsilon, epsilon]`` (the
-    margin, for the SVM), zero inside it, clipped into the box ``[lo, C]``.
+    At the test-point output ``f`` the weight-error curve is a ramp of slope
+    ``-1/rho`` on each side of the tube ``[-epsilon, epsilon]`` (the margin,
+    for the SVM), zero inside it, clipped into the box ``[lo, C]``.
     """
     if rho <= 0:
         raise NonpositiveRho("multiplier prediction requires ridge > 0")
-    r = signs * (f - targets)
-    raw = (epsilon * np.sign(r) - r) / rho
-    return np.where(np.abs(r) > epsilon, np.clip(raw, lo, C), 0.0)
+    raw = (epsilon * np.sign(resid) - resid) / rho
+    return np.where(np.abs(resid) > epsilon, np.clip(raw, lo, C), 0.0)
 
 
 def retrain(state, samples, spec, hyper):
@@ -48,35 +47,18 @@ def retrain(state, samples, spec, hyper):
     return train(samples, spec, hyper)
 
 
-def equilibrium_solve(state, spec, add_samples, delta_add, remove_rows, delta_remove):
-    """Bias/multiplier shifts that keep the unbounded set in equilibrium.
+def equilibrium_solve(state, spec, top, pull):
+    """Bias and multiplier response that keeps the unbounded set in equilibrium.
 
-    Solves the bordered system over the current ``S`` for the response to
-    the given arrival and removal deltas.  ``remove_rows`` must already be
-    outside ``S``.  Returns ``(delta_b, delta_mult_S)`` in ``S`` row order.
+    Solves ``[[0, 1^T], [1, G_SS]] [db; dbeta_S] = -[top; pull]`` over the
+    current ``S`` through the cached inverse: ``top`` is the signed sum of
+    the multipliers that move outside ``S`` and ``pull`` (in ``S`` row
+    order) their ridge-Gram pull on the members.  Returns
+    ``(delta_b, delta_mult_S)``, the shift in native coordinates.
     """
-    s_rows = state.s_rows
-    if s_rows.size == 0:
-        raise EmptyS("equilibrium solve needs a nonempty unbounded set")
     inv = model.ensure_cached_inverse(state, spec)
-
-    xs = state.X[s_rows]
-    rhs_top = 0.0
-    rhs_body = np.zeros(s_rows.size)
-    if len(add_samples):
-        x_d = np.array([s.features for s in add_samples], dtype=float)
-        signed = state.signs_of(np.array([s.target for s in add_samples], dtype=float))
-        signed = signed * np.asarray(delta_add, dtype=float)
-        rhs_top += float(signed.sum())
-        rhs_body += kernels.kernel_matrix(xs, x_d, spec) @ signed
-    remove_rows = np.asarray(remove_rows, dtype=int)
-    if remove_rows.size:
-        signed = state.signs_of(state.targets[remove_rows]) * np.asarray(delta_remove, dtype=float)
-        rhs_top += float(signed.sum())
-        rhs_body += kernels.kernel_matrix(xs, state.X[remove_rows], spec) @ signed
-
-    sol = -inv.apply(np.concatenate(([rhs_top], rhs_body)))
-    return float(sol[0]), state.signs_of(state.targets[s_rows]) * sol[1:]
+    sol = -inv.apply(np.concatenate(([top], pull)))
+    return float(sol[0]), state.signs_of(state.targets[state.s_rows]) * sol[1:]
 
 
 def tube_segments(state, hyper, rows):
@@ -175,17 +157,14 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None,
             _snap(state, cache, signs, s_rows[outside],
                   np.where(below, seg_lo, seg_hi)[outside])
             continue
-        inv = model.ensure_cached_inverse(state, spec)
 
+        # B, held, and the targets (on their tube edges) pull on the members
         b_rows = state.b_rows
         signed_b = signs[b_rows] * state.mult[b_rows]
-        rhs_top = -float(signed_b.sum()) if b_rows.size else 0.0
-        rhs_body = state.targets[s_rows] + signs[s_rows] * edge
+        pull = -(state.targets[s_rows] + signs[s_rows] * edge)
         if b_rows.size:
-            rhs_body = rhs_body - kernels.kernel_matrix(
-                state.X[s_rows], state.X[b_rows], spec) @ signed_b
-        sol = inv.apply(np.concatenate(([rhs_top], rhs_body)))
-        target_b, target_mult = float(sol[0]), signs[s_rows] * sol[1:]
+            pull = kernels.kernel_matrix(state.X[s_rows], state.X[b_rows], spec) @ signed_b + pull
+        target_b, target_mult = equilibrium_solve(state, spec, float(signed_b.sum()), pull)
 
         d_mult = target_mult - mult_s
         d_b = target_b - state.b
@@ -255,17 +234,19 @@ def rebuild_empty_S(state, incoming, spec, hyper):
 
 
 def open_update(state, batch: model.UpdateBatch, spec, hyper):
-    """Opening of both update arms: check, copy, take leavers out of ``S``.
+    """Opening of both update arms: check, copy, take leavers out of ``S``, stage arrivals.
 
-    Returns ``(work, remove_rows)``, or ``(result, None)`` when the batch
-    is empty or leaves no ``S`` to solve against (:func:`rebuild_empty_S`).
+    Arrivals become the last rows, at multiplier 0 and tag ``O``, with the
+    residual ``s (f - t)`` of the model before the batch.  Returns the rows
+    ``(work, remove_rows, arrivals)``, or ``(result, None, None)`` when the
+    batch is empty or leaves no ``S`` to solve against (:func:`rebuild_empty_S`).
     """
     model._check_batch(state, batch)
     work = state.copy()
     if batch.is_empty():
-        return work, None
+        return work, None, None
     if work.n == 0:
-        return rebuild_empty_S(work, batch.add, spec, hyper), None
+        return rebuild_empty_S(work, batch.add, spec, hyper), None, None
     remove_rows = work.rows_of(batch.remove)
     s_leavers = remove_rows[work.partition[remove_rows] == REGION_S]
     if s_leavers.size:
@@ -273,79 +254,61 @@ def open_update(state, batch: model.UpdateBatch, spec, hyper):
         work.partition[s_leavers] = REGION_O
     if work.s_rows.size == 0:
         work.delete_rows(remove_rows)
-        return rebuild_empty_S(work, batch.add, spec, hyper), None
-    return work, remove_rows
+        return rebuild_empty_S(work, batch.add, spec, hyper), None, None
+    arrivals = np.arange(work.n, work.n + len(batch.add))
+    if arrivals.size:
+        x_d = np.array([s.features for s in batch.add], dtype=float)
+        f = kernels.decision_values(x_d, work, spec)
+        work.append_samples(batch.add, np.zeros(arrivals.size), np.full(arrivals.size, REGION_O))
+        t = work.targets[arrivals]
+        work.resid[arrivals] = work.signs_of(t) * (f - t)
+    return work, remove_rows, arrivals
 
 
 def update_multi(state, batch: model.UpdateBatch, spec, hyper):
     """Apply one add/remove batch atomically; returns a new state.
 
-    Pipeline: predict arriving multipliers from the weight-error curve,
-    negate leaving ones, absorb both through a single bordered equilibrium
-    solve, splice the rows, patch the cached inverse, and run membership
-    repair.  The input state is not modified.
+    Pipeline: predict the staged arrivals' multipliers from the weight-error
+    curve, negate and splice out leaving ones, absorb both through one kernel
+    pull and a single bordered equilibrium solve, patch the cached inverse,
+    and run membership repair.  The input state is not modified.
     """
-    work, remove_rows = open_update(state, batch, spec, hyper)
+    work, remove_rows, arrivals = open_update(state, batch, spec, hyper)
     if remove_rows is None:
         return work
     lo, C, eps = work.box(hyper)
-    delta_remove = -work.mult[remove_rows]
-
-    add_samples = list(batch.add)
-    if add_samples:
-        x_d = np.array([s.features for s in add_samples], dtype=float)
-        t_d = np.array([s.target for s in add_samples], dtype=float)
-        signs_d = work.signs_of(t_d)
-        f_d = kernels.decision_values(x_d, work, spec)
-        mult_d = wec_predict(f_d, t_d, signs_d, spec.ridge, lo, C, eps)
-    else:
-        mult_d = np.zeros(0)
+    mult_d = wec_predict(work.resid[arrivals], spec.ridge, lo, C, eps)
+    # leavers' features are kept for the pull; the arrivals move up by the splice
+    x_r = work.X[remove_rows]
+    signed_r = -work.dual_coefficients[remove_rows]
+    work.delete_rows(remove_rows)
+    arrivals -= remove_rows.size
 
     # a batch whose deltas all vanish cannot move the model: splice rows only
-    effective = bool(np.any(mult_d)) or bool(np.any(delta_remove))
-
-    if effective:
-        db, dmult_s = equilibrium_solve(
-            work, spec, add_samples, mult_d, remove_rows, delta_remove
-        )
-        s_rows = work.s_rows
-        work.mult[s_rows] += dmult_s
-        work.b += db
-        s_ids = work.ids[s_rows]
-
-    # splice rows; leaving features are stashed for the residual shift below
-    x_r = work.X[remove_rows]
-    signs_r = work.signs_of(work.targets[remove_rows])
-    work.delete_rows(remove_rows)
-    if add_samples:
-        tags = np.where(
-            np.abs(mult_d) <= model.BOUND_TOL, REGION_O,
-            np.where(np.abs(mult_d) >= C - model.BOUND_TOL, REGION_B, REGION_S),
-        ).astype("<U1")
-        work.append_samples(add_samples, mult_d, tags)
-
-    if effective:
-        cache = kernels.ColumnCache(work.X, spec)
-        signs = work.signs_of(work.targets)
-        moved = np.concatenate([work.rows_of(s_ids),
-                                np.arange(work.n - len(add_samples), work.n)])
-        d_f = cache.apply(moved, signs[moved] * np.concatenate([dmult_s, mult_d])) + db
-        if remove_rows.size:
-            d_f += kernels.kernel_matrix(work.X, x_r, spec) @ (signs_r * delta_remove)
-        work.resid += signs * d_f
-
-    if add_samples:
-        # exact residuals for the arrivals against the spliced state
-        f_train = kernels.decision_profile(
-            x_d, work.X, work.dual_coefficients, work.b, spec
-        ) + spec.ridge * (signs_d * mult_d)
-        work.resid[-len(add_samples):] = signs_d * (f_train - t_d)
-        joins = np.flatnonzero(tags == REGION_S) + (work.n - len(add_samples))
-        model.grow_cached_inverse(work, spec, joins)
-
-    if not effective:
+    if not (mult_d.any() or signed_r.any()):
         model.compact_cached_inverse(work)
         return work
+
+    # pull of the moved multipliers on every row; G's diagonal gives each
+    # arrival its own ridge self-term
+    cache = kernels.ColumnCache(work.X, spec)
+    signs = work.signs_of(work.targets)
+    signed_d = signs[arrivals] * mult_d
+    pull = cache.apply(arrivals, signed_d)
+    if remove_rows.size:
+        pull += kernels.kernel_matrix(work.X, x_r, spec) @ signed_r
+    s_rows = work.s_rows
+    db, dmult_s = equilibrium_solve(work, spec, float(signed_d.sum() + signed_r.sum()),
+                                    pull[s_rows])
+    work.resid += signs * (pull + cache.apply(s_rows, signs[s_rows] * dmult_s) + db)
+    work.mult[s_rows] += dmult_s
+    work.mult[arrivals] = mult_d
+    work.b += db
+
+    work.partition[arrivals] = np.where(
+        np.abs(mult_d) <= model.BOUND_TOL, REGION_O,
+        np.where(np.abs(mult_d) >= C - model.BOUND_TOL, REGION_B, REGION_S))
+    model.grow_cached_inverse(work, spec, arrivals[work.partition[arrivals] == REGION_S])
     try:
         return kkt_repair(work, spec, hyper, _cache=cache)
     except EmptyS:

@@ -19,7 +19,7 @@ import numpy as np
 from . import kernels, model
 from .errors import EmptyS, InconsistentEvent, StalledPath
 from .model import REGION_B, REGION_O, REGION_S
-from .online import open_update, retrain, tube_segments
+from .online import equilibrium_solve, open_update, retrain, tube_segments
 
 _DIR_TOL = 1e-12
 _EVENT_TOL = 1e-12
@@ -80,32 +80,25 @@ def _direction(state, spec, path: PathState, hyper,
     bordered solve gives the unbounded-set response that keeps the
     equilibrium exact along the segment.
     """
-    s_rows = state.s_rows
-    if s_rows.size == 0:
-        raise EmptyS("path following needs a nonempty unbounded set")
-    inv = model.ensure_cached_inverse(state, spec)
-
     d_add = _drive_targets(state, path, hyper) - state.mult[path.drive_rows]
     d_rem = -state.mult[path.removal_rows]
 
     signs = state.signs_of(state.targets)
-    rhs_top = float(signs[path.drive_rows] @ d_add + signs[path.removal_rows] @ d_rem)
+    top = float(signs[path.drive_rows] @ d_add + signs[path.removal_rows] @ d_rem)
     moved = np.concatenate([path.drive_rows, path.removal_rows])
-    rhs_body = columns.apply(moved, signs[moved] * np.concatenate([d_add, d_rem]))[s_rows]
-    sol = -inv.apply(np.concatenate(([rhs_top], rhs_body)))
-    return Directions(db=float(sol[0]), dalpha_s=signs[s_rows] * sol[1:],
-                      d_add=d_add, d_rem=d_rem)
+    pull = columns.apply(moved, signs[moved] * np.concatenate([d_add, d_rem]))[state.s_rows]
+    db, dalpha_s = equilibrium_solve(state, spec, top, pull)
+    return Directions(db=db, dalpha_s=dalpha_s, d_add=d_add, d_rem=d_rem)
 
 
-def sensitivity_phi(state, spec, path: PathState, directions: Directions,
-                    columns: kernels.ColumnCache | None = None) -> np.ndarray:
+def sensitivity_phi(state, path: PathState, directions: Directions,
+                    columns: kernels.ColumnCache) -> np.ndarray:
     """Per-unit-step derivative of every sample's residual.
 
     For classification this is d(y_i f_i)/d eta, for regression
     d(f_i - y_i)/d eta; unbounded members come out at zero because the
     directions solve pins them.
     """
-    columns = columns or kernels.ColumnCache(state.X, spec)
     signs = state.signs_of(state.targets)
     moved = np.concatenate([state.s_rows, path.drive_rows, path.removal_rows])
     coef = np.concatenate([directions.dalpha_s, directions.d_add, directions.d_rem])
@@ -217,23 +210,17 @@ def migrate(state, spec, path: PathState, event: PathEvent) -> None:
 
 def _apply_step(state, phi, directions, path: PathState, eta: float) -> None:
     mult = state.mult
-    s_rows = state.s_rows
-    if s_rows.size:
-        mult[s_rows] += eta * directions.dalpha_s
-    if path.drive_rows.size:
-        mult[path.drive_rows] += eta * directions.d_add
-    if path.removal_rows.size:
-        mult[path.removal_rows] += eta * directions.d_rem
+    mult[state.s_rows] += eta * directions.dalpha_s
+    mult[path.drive_rows] += eta * directions.d_add
+    mult[path.removal_rows] += eta * directions.d_rem
     state.b += eta * directions.db
     state.resid += eta * phi
 
 
 def _finalize(work, path: PathState, spec, hyper):
     """Pin transit rows to their targets, drop removals, retag, validate."""
-    if path.drive_rows.size:
-        work.mult[path.drive_rows] = _drive_targets(work, path, hyper)
-    if path.removal_rows.size:
-        work.delete_rows(path.removal_rows)
+    work.mult[path.drive_rows] = _drive_targets(work, path, hyper)
+    work.delete_rows(path.removal_rows)
     _, C, eps = work.box(hyper)
     work.partition = model.classify_regions(work.mult, work.resid, C, eps)
     model.refresh_cached_inverse(work, spec)
@@ -242,32 +229,16 @@ def _finalize(work, path: PathState, spec, hyper):
 
 def path_update(state, batch: model.UpdateBatch, spec, hyper):
     """Apply one add/remove batch via path following; returns a new state."""
-    work, removal_rows = open_update(state, batch, spec, hyper)
+    work, removal_rows, arrivals = open_update(state, batch, spec, hyper)
     if removal_rows is None:
         return work
-    add_samples = list(batch.add)
-
-    if add_samples:
-        x_d = np.array([s.features for s in add_samples], dtype=float)
-        t_d = np.array([s.target for s in add_samples], dtype=float)
-        f_d = kernels.decision_values(x_d, work, spec)
-        zeros = np.zeros(len(add_samples))
-        tags = np.full(len(add_samples), REGION_O, dtype="<U1")
-        work.append_samples(add_samples, zeros, tags)
-        first = work.n - len(add_samples)
-        resid_new = work.signs_of(t_d) * (f_d - t_d)
-        work.resid[first:] = resid_new
-        # only arrivals that violate at a zero multiplier move
-        lo, _, eps = work.box(hyper)
-        reach = np.abs(resid_new) if lo < 0 else -resid_new
-        drive_rows = np.flatnonzero(reach > eps + _DIR_TOL) + first
-    else:
-        drive_rows = np.zeros(0, dtype=int)
-
-    path = PathState(drive_rows=drive_rows, removal_rows=removal_rows)
+    # only arrivals that violate at a zero multiplier move
+    lo, _, eps = work.box(hyper)
+    reach = np.abs(work.resid[arrivals]) if lo < 0 else -work.resid[arrivals]
+    path = PathState(drive_rows=arrivals[reach > eps + _DIR_TOL], removal_rows=removal_rows)
     columns = kernels.ColumnCache(work.X, spec)
-    max_events = 100 * (work.n + len(add_samples) + removal_rows.size)
-    stall_budget = work.n + len(add_samples) + removal_rows.size + 10
+    max_events = 100 * (work.n + arrivals.size + removal_rows.size)
+    stall_budget = work.n + arrivals.size + removal_rows.size + 10
 
     for _ in range(max_events):
         try:
@@ -276,7 +247,7 @@ def path_update(state, batch: model.UpdateBatch, spec, hyper):
             # no unbounded set left mid-path: fall back to a fresh solve
             work.delete_rows(path.removal_rows)
             return retrain(work, work.samples, spec, hyper)
-        phi = sensitivity_phi(work, spec, path, directions, columns)
+        phi = sensitivity_phi(work, path, directions, columns)
         eta, event = step_select(work, phi, directions, path, hyper)
         if eta > 0.0:
             _apply_step(work, phi, directions, path, eta)

@@ -91,6 +91,18 @@ class TestUpdateEval:
                             - np.asarray(doc_b["multipliers"])))
         assert gap <= 1e-6
 
+    @pytest.mark.parametrize("remove", ["99999", "x", "3,3"])
+    def test_bad_removal_is_input_error(self, tmp_path, capsys, remove):
+        # an unknown id, a non-integer and a repeated id
+        model_path = self.make_model(tmp_path, seed=3)
+        capsys.readouterr()
+        out = tmp_path / "updated.json"
+        assert main(["update", "--model", str(model_path), "--remove", remove,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_eval_on_training_data(self, tmp_path, capsys):
         csv = tmp_path / "train.csv"
         write_toy_csv(csv, [[1.0, 0.1, 1], [0.9, -0.1, 1],

@@ -528,6 +528,32 @@ class TestBatchCheck:
             self.run(case, [904], [1, 777])
 
 
+    def test_removal_id_repeated_leaves_state_unchanged(self, case):
+        engine, state, spec, hyper = engine_cases()[case]
+        before = state.copy()
+        with pytest.raises(ValueError, match="removal id 3 is named twice"):
+            engine(state, UpdateBatch(remove=[5, 3, 3]), spec, hyper)
+        for name in ("X", "ids", "targets", "partition", "mult", "resid"):
+            assert np.array_equal(getattr(state, name), getattr(before, name))
+        assert state.b == before.b
+
+
+@pytest.mark.parametrize("case", [0, 2])
+def test_open_update_stages_arrivals(case):
+    """Arrivals become the last rows: multiplier 0, tag O, their exact residual."""
+    _, state, spec, hyper = engine_cases()[case]
+    make = data.two_gaussians if case == 0 else data.noisy_sine
+    arrivals = make(5, seed=7, start_id=900)
+    upd = UpdateBatch(add=arrivals, remove=[int(state.ids[0])])
+    work, _, staged = online.open_update(state, upd, spec, hyper)
+    assert np.array_equal(staged, np.arange(state.n, state.n + 5))
+    assert np.array_equal(work.ids[staged], [s.id for s in arrivals])
+    assert np.all(work.mult[staged] == 0.0)
+    assert np.all(work.partition[staged] == model.REGION_O)
+    fresh = model.compute_residuals(work, spec)[staged]
+    assert np.max(np.abs(work.resid[staged] - fresh)) <= 1e-12
+
+
 def loop_validate(state, C, epsilon=0.0, tol=model.REGION_TOL, ignore_rows=()):
     """Row-by-row box and region checks, kept as the reference for validate."""
     report = []

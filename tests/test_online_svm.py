@@ -41,7 +41,7 @@ class TestWecPredict:
         for label in (1.0, -1.0):
             y = np.full(f.size, label)
             scalar = [wec_predict_svm(v, label, rho=0.5, C=1.0) for v in f]
-            vector = wec_predict(f, y, y, 0.5, 0.0, 1.0, 0.0)
+            vector = wec_predict(y * (f - y), 0.5, 0.0, 1.0, 0.0)
             assert np.array_equal(vector, scalar)
             assert {0.0, 1.0} <= set(scalar) and len(set(scalar)) > 4
 
@@ -54,10 +54,18 @@ def one_member_s_state(ridge=1.0):
     return state, spec
 
 
+def arrival_solve(state, spec, arrivals, deltas):
+    """The bordered solve for arrivals whose multipliers move by ``deltas``."""
+    signed = np.array([s.target for s in arrivals]) * np.asarray(deltas, dtype=float)
+    x_d = np.array([s.features for s in arrivals], dtype=float)
+    pull = kernels.kernel_matrix(state.X[state.s_rows], x_d, spec) @ signed
+    return equilibrium_solve(state, spec, float(signed.sum()), pull)
+
+
 class TestEquilibriumSolve:
     def test_null_update(self):
         state, spec = one_member_s_state()
-        db, dalpha = equilibrium_solve(state, spec, [], [], [], [])
+        db, dalpha = equilibrium_solve(state, spec, 0.0, np.zeros(1))
         assert db == 0.0
         assert np.allclose(dalpha, 0.0)
 
@@ -65,14 +73,14 @@ class TestEquilibriumSolve:
         # Q_S = [[2]], arrival with K_sd = 0.5, y_d = -1, delta 0.3
         state, spec = one_member_s_state(ridge=1.0)
         d = Sample(1, np.array([0.5]), -1.0)
-        db, dalpha = equilibrium_solve(state, spec, [d], [0.3], [], [])
+        db, dalpha = arrival_solve(state, spec, [d], [0.3])
         assert db == pytest.approx(-0.45)
         assert dalpha[0] == pytest.approx(0.3)
 
     def test_same_label_arrival_cancels(self):
         state, spec = one_member_s_state(ridge=1.0)
         d = Sample(1, np.array([0.5]), 1.0)
-        db, dalpha = equilibrium_solve(state, spec, [d], [0.3], [], [])
+        db, dalpha = arrival_solve(state, spec, [d], [0.3])
         assert dalpha[0] == pytest.approx(-0.3)
         assert db == pytest.approx(0.45)
 
@@ -81,7 +89,7 @@ class TestEquilibriumSolve:
         state = batch.train_svm_batch(samples, SPEC, HYPER)
         arrivals = data.two_gaussians(6, seed=2, start_id=1000)
         deltas = np.full(6, 0.2)
-        db, dalpha_s = equilibrium_solve(state, SPEC, arrivals, deltas, [], [])
+        db, dalpha_s = arrival_solve(state, SPEC, arrivals, deltas)
         y_d = np.array([s.target for s in arrivals])
         total = state.y[state.s_rows] @ dalpha_s + y_d @ deltas
         assert abs(total) <= 1e-9
@@ -90,7 +98,7 @@ class TestEquilibriumSolve:
         state, spec = one_member_s_state()
         state.partition = np.array(["B"])
         with pytest.raises(EmptyS):
-            equilibrium_solve(state, spec, [], [], [], [])
+            equilibrium_solve(state, spec, 0.0, np.zeros(0))
 
 
 class TestKktRepair:

@@ -47,7 +47,7 @@ class TestWecPredictSvr:
         f = target + np.arange(-48, 49) / 16.0
         t = np.full(f.size, target)
         scalar = [wec_predict_svr(v, target, rho=0.5, C=1.0, epsilon=epsilon) for v in f]
-        vector = wec_predict(f, t, np.ones(f.size), 0.5, -1.0, 1.0, epsilon)
+        vector = wec_predict(f - t, 0.5, -1.0, 1.0, epsilon)
         assert np.array_equal(vector, scalar)
         assert {-1.0, 0.0, 1.0} <= set(scalar)
 
@@ -60,10 +60,18 @@ def one_member_s_state(ridge=1.0):
     return state, spec
 
 
+def arrival_solve(state, spec, arrivals, deltas):
+    """The bordered solve for arrivals whose multipliers move by ``deltas``."""
+    signed = np.asarray(deltas, dtype=float)
+    x_d = np.array([s.features for s in arrivals], dtype=float)
+    pull = kernels.kernel_matrix(state.X[state.s_rows], x_d, spec) @ signed
+    return equilibrium_solve(state, spec, float(signed.sum()), pull)
+
+
 class TestEquilibriumSolveSvr:
     def test_null_update(self):
         state, spec = one_member_s_state()
-        db, dtheta = equilibrium_solve(state, spec, [], [], [], [])
+        db, dtheta = equilibrium_solve(state, spec, 0.0, np.zeros(1))
         assert db == 0.0
         assert np.allclose(dtheta, 0.0)
 
@@ -72,7 +80,7 @@ class TestEquilibriumSolveSvr:
         # solve [0,1;1,2][db;dth] = -[0.3;0.15] -> dth = -0.3, db = 0.45
         state, spec = one_member_s_state(ridge=1.0)
         d = Sample(1, np.array([0.5]), 0.0)
-        db, dtheta = equilibrium_solve(state, spec, [d], [0.3], [], [])
+        db, dtheta = arrival_solve(state, spec, [d], [0.3])
         assert dtheta[0] == pytest.approx(-0.3)
         assert db == pytest.approx(0.45)
 
@@ -85,7 +93,7 @@ class TestEquilibriumSolveSvr:
         state = model.SvrState(samples, theta=[0.1, -0.1], b=0.0)
         state.partition = np.array(["S", "S"])
         d = Sample(2, np.array([0.0, 5.0]), 0.0)  # equidistant from both
-        db, dtheta = equilibrium_solve(state, spec, [d], [0.4], [], [])
+        db, dtheta = arrival_solve(state, spec, [d], [0.4])
         assert dtheta[0] == pytest.approx(dtheta[1])
         assert dtheta.sum() + 0.4 == pytest.approx(0.0, abs=1e-12)
 
@@ -93,7 +101,7 @@ class TestEquilibriumSolveSvr:
         state = batch.train_svr_batch(data.noisy_sine(40, seed=1), SPEC, HYPER)
         arrivals = data.noisy_sine(5, seed=2, start_id=900)
         deltas = np.array([0.1, -0.2, 0.3, 0.0, 0.05])
-        db, dtheta_s = equilibrium_solve(state, SPEC, arrivals, deltas, [], [])
+        db, dtheta_s = arrival_solve(state, SPEC, arrivals, deltas)
         assert abs(dtheta_s.sum() + deltas.sum()) <= 1e-9
 
 

@@ -4,6 +4,7 @@ import pytest
 from ridgesvm import batch, data, kernels, model, path
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample, UpdateBatch
+from ridgesvm.online import open_update
 from ridgesvm.online_svm import update_multi_svm
 from ridgesvm.online_svr import update_multi_svr
 from ridgesvm.path import (
@@ -31,31 +32,12 @@ def svm_path_fixture(seed=0, n=30, n_add=4, n_rem=2):
 
 
 def prepared_path(state, arrivals, remove_ids, spec=SPEC, hyper=HYPER):
-    """Splice arrivals as zero rows and mark transit sets, like the loop does."""
-    work = state.copy()
-    remove_rows = work.rows_of(remove_ids)
-    s_leavers = [int(r) for r in remove_rows if work.partition[r] == "S"]
-    if s_leavers:
-        model.shrink_cached_inverse(work, s_leavers)
-        work.partition[s_leavers] = "O"
-    svm = isinstance(work, model.SvmState)
-    x_d = np.array([s.features for s in arrivals], dtype=float)
-    f_d = kernels.decision_values(x_d, work, spec)
-    work.append_samples(arrivals, np.zeros(len(arrivals)),
-                        np.full(len(arrivals), "O", dtype="<U1"))
-    first = work.n - len(arrivals)
-    if svm:
-        y_d = np.array([s.target for s in arrivals])
-        resid = y_d * f_d - 1.0
-        work.margins[first:] = resid
-        driven = np.flatnonzero(resid < -1e-12) + first
-    else:
-        t_d = np.array([s.target for s in arrivals])
-        resid = f_d - t_d
-        work.outputs[first:] = resid
-        driven = np.flatnonzero(np.abs(resid) > hyper.epsilon + 1e-12) + first
-    return work, PathState(drive_rows=driven,
-                           removal_rows=np.asarray(remove_rows, dtype=int))
+    """Stage the batch as the update opening does and mark transit sets, like the loop."""
+    work, remove_rows, staged = open_update(
+        state, UpdateBatch(add=arrivals, remove=remove_ids), spec, hyper)
+    lo, _, eps = work.box(hyper)
+    reach = np.abs(work.resid[staged]) if lo < 0 else -work.resid[staged]
+    return work, PathState(drive_rows=staged[reach > eps + 1e-12], removal_rows=remove_rows)
 
 
 class TestDirections:
@@ -103,22 +85,25 @@ class TestSensitivity:
         work = state.copy()
         ps = PathState(drive_rows=np.zeros(0, dtype=int),
                        removal_rows=np.zeros(0, dtype=int))
-        d = path._direction(work, SPEC, ps, HYPER, kernels.ColumnCache(work.X, SPEC))
-        phi = sensitivity_phi(work, SPEC, ps, d)
+        columns = kernels.ColumnCache(work.X, SPEC)
+        d = path._direction(work, SPEC, ps, HYPER, columns)
+        phi = sensitivity_phi(work, ps, d, columns)
         assert np.max(np.abs(phi)) <= 1e-12
 
     def test_s_members_are_pinned(self):
         _, state, arrivals, remove_ids = svm_path_fixture(seed=2)
         work, ps = prepared_path(state, arrivals, remove_ids)
-        d = path._direction(work, SPEC, ps, HYPER, kernels.ColumnCache(work.X, SPEC))
-        phi = sensitivity_phi(work, SPEC, ps, d)
+        columns = kernels.ColumnCache(work.X, SPEC)
+        d = path._direction(work, SPEC, ps, HYPER, columns)
+        phi = sensitivity_phi(work, ps, d, columns)
         assert np.max(np.abs(phi[work.s_rows])) <= 1e-10
 
     def test_matches_finite_differences(self):
         _, state, arrivals, remove_ids = svm_path_fixture(seed=4)
         work, ps = prepared_path(state, arrivals, remove_ids)
-        d = path._direction(work, SPEC, ps, HYPER, kernels.ColumnCache(work.X, SPEC))
-        phi = sensitivity_phi(work, SPEC, ps, d)
+        columns = kernels.ColumnCache(work.X, SPEC)
+        d = path._direction(work, SPEC, ps, HYPER, columns)
+        phi = sensitivity_phi(work, ps, d, columns)
         h = 1e-6
         bumped = work.copy()
         bumped.alpha[bumped.s_rows] += h * d.dalpha_s
@@ -313,8 +298,9 @@ class TestPathUpdateSvr:
         arrivals = data.noisy_sine(4, seed=24, start_id=9100)
         work, ps = prepared_path(state, arrivals, [samples[0].id],
                                  hyper=SVR_HYPER)
-        d = path._direction(work, SPEC, ps, SVR_HYPER, kernels.ColumnCache(work.X, SPEC))
-        phi = sensitivity_phi(work, SPEC, ps, d)
+        columns = kernels.ColumnCache(work.X, SPEC)
+        d = path._direction(work, SPEC, ps, SVR_HYPER, columns)
+        phi = sensitivity_phi(work, ps, d, columns)
         h = 1e-6
         bumped = work.copy()
         bumped.theta[bumped.s_rows] += h * d.dalpha_s
