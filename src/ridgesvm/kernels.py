@@ -62,8 +62,7 @@ def kernel_matrix(xa, xb, spec: KernelSpec, out=None) -> np.ndarray:
         k **= spec.degree
         return k
     k = distance.cdist(a, b, metric="sqeuclidean", out=out)
-    np.negative(k, out=k)
-    k /= 2.0 * spec.sigma**2
+    np.divide(k, -(2.0 * spec.sigma**2), out=k)
     return np.exp(k, out=k)
 
 
@@ -84,53 +83,127 @@ def q_matrix_svr(x, spec: KernelSpec) -> np.ndarray:
 
 
 class ColumnCache:
-    """Ridge-Gram columns ``K[:, r] + ridge * e_r`` of one fixed row set.
+    """Ridge-Gram columns ``G[:, j] = K(x, x_j) + ridge e_j``, kept across updates.
 
-    Each requested row's column is evaluated once and kept in a contiguous
-    n x k buffer, so a product over many columns is one matrix-vector
-    product over the buffer instead of a per-call stack of columns.  The
-    ridge goes by row index: two rows with identical features stay
-    unridged off the diagonal.
+    Every sample the cache has seen sits in a fixed slot: one row of a
+    slots x columns buffer (column-major), so the product over many columns
+    is one matrix-vector product over the buffer.  A column is evaluated
+    once, over every slot, and kept until a :meth:`sync` finds its sample
+    gone or no longer kept.  The ridge goes by slot: two samples with
+    identical features stay unridged off the diagonal.
 
-    The rows of ``x`` must not change while the cache is in use.
+    Built on ``x`` the cache serves that fixed row set, row ``i`` in slot
+    ``i``.  :meth:`sync` moves it to a later row set of the same samples:
+    a leaving sample frees its slot, and an arrival fills a free one and
+    has its entries of the kept columns evaluated (arrivals x columns
+    entries).  ``entries`` counts the kernel entries evaluated so far;
+    ``lease`` is bumped by each holder that takes the cache over (see
+    :func:`ridgesvm.model.column_cache`).
     """
 
     def __init__(self, x, spec: KernelSpec):
-        self.x = x
-        self.spec = spec
+        x = np.asarray(x, dtype=float)
         n = x.shape[0]
-        self._slot = np.full(n, -1, dtype=np.intp)
+        self.spec = spec
+        self.entries = 0
+        self.lease = 0
+        self.rows = np.arange(n)  # slot of each row of the current row set
+        self._x = x.copy()  # features by slot
+        self._live = np.ones(n, dtype=bool)
+        self._column = np.full(n, -1, dtype=np.intp)  # buffer column of each slot
+        self._owner = np.zeros(0, dtype=np.intp)  # slot of each buffer column
         self._buf = np.empty((n, 0), order="F")
-        self._filled = 0
 
-    def _fill(self, rows: np.ndarray) -> None:
-        missing = np.unique(rows[self._slot[rows] < 0])
+    def sync(self, x, slots, keep) -> None:
+        """Move the cache to the row set with features ``x``.
+
+        ``slots`` gives each row's slot, -1 for a row the cache has not
+        seen; those rows get a free slot, written into ``slots``.  Slots no
+        row holds are freed, and only the columns of rows in the mask
+        ``keep`` are kept.  The rows must not change while the cache is
+        in use.
+        """
+        seen = slots >= 0
+        held = np.zeros(self._live.size, dtype=bool)
+        held[slots[seen]] = True
+        kept = np.zeros_like(held)
+        kept[slots[seen & keep]] = True
+        self._live &= held
+        self._drop(np.flatnonzero((self._column >= 0) & ~kept))
+        fresh = np.flatnonzero(~seen)
+        if fresh.size:
+            free = np.flatnonzero(~self._live)
+            if free.size < fresh.size:
+                self._add_slots(fresh.size - free.size)
+                free = np.flatnonzero(~self._live)
+            new = free[:fresh.size]
+            self._live[new] = True
+            self._x[new] = x[fresh]
+            if self._owner.size:
+                block = kernel_matrix(x[fresh], self._x[self._owner], self.spec)
+                self._buf[new, :self._owner.size] = block
+                self.entries += block.size
+            slots[fresh] = new
+        self.rows = slots
+
+    def _add_slots(self, extra: int) -> None:
+        """Grow the slot count geometrically; new slots hold zeros until filled."""
+        size = self._live.size
+        grown = size + max(extra, size // 2)
+        buf = np.zeros((grown, self._buf.shape[1]), order="F")
+        buf[:size] = self._buf
+        x = np.zeros((grown, self._x.shape[1]))
+        x[:size] = self._x
+        self._buf, self._x = buf, x
+        self._live = np.concatenate([self._live, np.zeros(grown - size, dtype=bool)])
+        self._column = np.concatenate([self._column, np.full(grown - size, -1, dtype=np.intp)])
+
+    def _drop(self, slots) -> None:
+        """Free the columns of ``slots``; the last columns move into the gaps."""
+        for col in np.sort(self._column[slots])[::-1]:
+            last = self._owner.size - 1
+            if col != last:
+                self._buf[:, col] = self._buf[:, last]
+                self._owner[col] = self._owner[last]
+                self._column[self._owner[col]] = col
+            self._owner = self._owner[:last]
+        self._column[slots] = -1
+
+    def _fill(self, slots) -> None:
+        missing = np.unique(slots[self._column[slots] < 0])
         k = missing.size
         if k == 0:
             return
-        start, end = self._filled, self._filled + k
+        start, end = self._owner.size, self._owner.size + k
+        size = self._live.size
         if end > self._buf.shape[1]:
-            n = self.x.shape[0]
-            grown = np.empty((n, min(n, 2 * end)), order="F")
+            grown = np.empty((size, min(size, end + end // 8 + 8)), order="F")
             grown[:, :start] = self._buf[:, :start]
             self._buf = grown
         cols = self._buf[:, start:end]
         # evaluated in place: the transposed slice is C-contiguous, and
         # K(x_missing, x) is K(x, x_missing) transposed
-        kernel_matrix(self.x[missing], self.x, self.spec, out=cols.T)
+        kernel_matrix(self._x[missing], self._x, self.spec, out=cols.T)
         cols[missing, np.arange(k)] += self.spec.ridge
-        self._slot[missing] = np.arange(start, end)
-        self._filled = end
+        self._column[missing] = np.arange(start, end)
+        self._owner = np.concatenate([self._owner, missing])
+        self.entries += cols.size
 
     def apply(self, rows, coef) -> np.ndarray:
-        """``G[:, rows] @ coef`` for the ridge Gram ``G``."""
+        """``G[:, rows] @ coef`` for the ridge Gram ``G`` of the current row set.
+
+        Only the columns of rows with a nonzero coefficient are evaluated.
+        """
         rows = np.asarray(rows, dtype=np.intp).ravel()
         coef = np.asarray(coef, dtype=float).ravel()
-        if rows.size == 0:
-            return np.zeros(self.x.shape[0])
-        self._fill(rows)
-        weights = np.bincount(self._slot[rows], weights=coef, minlength=self._filled)
-        return self._buf[:, :self._filled] @ weights
+        moved = coef != 0.0
+        slots = self.rows[rows[moved]]
+        if slots.size == 0:
+            return np.zeros(self.rows.size)
+        self._fill(slots)
+        weights = np.bincount(self._column[slots], weights=coef[moved],
+                              minlength=self._owner.size)
+        return (self._buf[:, :self._owner.size] @ weights)[self.rows]
 
 
 def decision_profile(xq, x_model, coefficients, bias, spec: KernelSpec) -> np.ndarray:

@@ -102,6 +102,11 @@ class _StateBase:
     it, the SVM being the epsilon = 0 case.  Signs enter only where ``mult``
     and ``resid`` meet ``beta`` and ``f``: ``d mult = s * d beta`` and
     ``d resid = s * d f``.
+
+    ``column_cache`` is the persistent :class:`ridgesvm.kernels.ColumnCache`
+    of the lineage, ``cache_slots`` each row's slot in it (-1 until the
+    cache has seen the row) and ``cache_lease`` the lease under which this
+    state holds it; see :func:`column_cache`.
     """
 
     def __init__(self, samples, mult=None, b=0.0):
@@ -114,6 +119,9 @@ class _StateBase:
         self.targets = np.array([s.target for s in samples], dtype=float)
         self.partition = np.full(len(samples), REGION_O, dtype="<U1")
         self.cached_inverse: linalg.BorderedInverse | None = None
+        self.column_cache: kernels.ColumnCache | None = None
+        self.cache_lease = 0
+        self.cache_slots = np.full(len(samples), -1, dtype=np.intp)
         self.mult = (
             np.zeros(self.n) if mult is None else np.asarray(mult, dtype=float).copy()
         )
@@ -182,6 +190,7 @@ class _StateBase:
         self.partition = self.partition[keep]
         self.mult = self.mult[keep]
         self.resid = self.resid[keep]
+        self.cache_slots = self.cache_slots[keep]
 
     def append_samples(self, samples, mult, tags) -> None:
         """Append rows with the given multipliers and tags; residuals start at 0."""
@@ -195,15 +204,20 @@ class _StateBase:
         self.mult = np.concatenate([self.mult, mult])
         self.resid = np.concatenate([self.resid, np.zeros(len(samples))])
         self.partition = np.concatenate([self.partition, tags])
+        self.cache_slots = np.concatenate([self.cache_slots,
+                                           np.full(len(samples), -1, dtype=np.intp)])
 
     def copy(self):
-        """An independent copy; only the (never written) cached inverse is shared."""
+        """An independent copy sharing the cached inverse (never written) and the column cache."""
         out = type(self).__new__(type(self))
         out.X = self.X.copy()
         out.ids = self.ids.copy()
         out.targets = self.targets.copy()
         out.partition = self.partition.copy()
         out.cached_inverse = self.cached_inverse
+        out.column_cache = self.column_cache
+        out.cache_lease = self.cache_lease
+        out.cache_slots = self.cache_slots.copy()
         out.mult = self.mult.copy()
         out.b = self.b
         out.resid = self.resid.copy()
@@ -347,6 +361,38 @@ def refresh_cached_inverse(state, spec) -> None:
         return
     inverse = linalg.bordered_inverse(_gram_block(state, spec, s), np.ones(s.size))
     state.cached_inverse = replace(inverse, ids=state.ids[s])
+
+
+def take_column_cache(state) -> None:
+    """Make ``state`` the only holder of its lineage's column cache.
+
+    Bumps the cache's lease, so every other state sharing it -- the one
+    it was copied from included -- is stale from then on.  A state that is
+    stale itself lets go of the cache instead.
+    """
+    cache = state.column_cache
+    if cache is None or cache.lease != state.cache_lease:
+        state.column_cache = None
+        return
+    cache.lease += 1
+    state.cache_lease = cache.lease
+
+
+def column_cache(state, spec) -> kernels.ColumnCache:
+    """The ridge-Gram column cache of ``state``, synced to its current rows.
+
+    Takes the cache over (:func:`take_column_cache`); a state without one,
+    or with a stale one, starts a new cache.  Only the columns of ``S``
+    members are kept across the sync.
+    """
+    take_column_cache(state)
+    cache = state.column_cache
+    if cache is None or cache.spec != spec:
+        cache = state.column_cache = kernels.ColumnCache(state.X, spec)
+        state.cache_lease = cache.lease
+        state.cache_slots = cache.rows.copy()
+    cache.sync(state.X, state.cache_slots, state.partition == REGION_S)
+    return cache
 
 
 def _cache_covers(state, rows) -> bool:

@@ -106,8 +106,7 @@ def _release_candidates(state, lo, eps) -> list[int]:
     return [int(r) for r in rows[keep][order]]
 
 
-def kkt_repair(state, spec, hyper, max_repair_passes=None,
-               _cache: kernels.ColumnCache | None = None):
+def kkt_repair(state, spec, hyper, max_repair_passes=None):
     """Restore the optimality regions after a one-shot update (in place).
 
     Each pass solves the equilibrium over the current ``S`` and walks
@@ -136,8 +135,7 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None,
         max_repair_passes = 2 * state.n + 10
     lo, C, eps = state.box(hyper)
     signs = state.signs_of(state.targets)
-    cache = _cache if _cache is not None and _cache.x is state.X \
-        else kernels.ColumnCache(state.X, spec)
+    cache = model.column_cache(state, spec)
     single_release = False
     for _ in range(max_repair_passes):
         s_rows = state.s_rows
@@ -240,9 +238,11 @@ def open_update(state, batch: model.UpdateBatch, spec, hyper):
     residual ``s (f - t)`` of the model before the batch.  Returns the rows
     ``(work, remove_rows, arrivals)``, or ``(result, None, None)`` when the
     batch is empty or leaves no ``S`` to solve against (:func:`rebuild_empty_S`).
+    The work copy takes over the input's column cache in every case.
     """
     model._check_batch(state, batch)
     work = state.copy()
+    model.take_column_cache(work)  # the input state is stale from here on
     if batch.is_empty():
         return work, None, None
     if work.n == 0:
@@ -278,9 +278,11 @@ def update_multi(state, batch: model.UpdateBatch, spec, hyper):
         return work
     lo, C, eps = work.box(hyper)
     mult_d = wec_predict(work.resid[arrivals], spec.ridge, lo, C, eps)
-    # leavers' features are kept for the pull; the arrivals move up by the splice
-    x_r = work.X[remove_rows]
+    # the features of leavers with a nonzero multiplier are kept for their
+    # pull; the arrivals move up by the splice
     signed_r = -work.dual_coefficients[remove_rows]
+    moving = signed_r != 0.0
+    x_r, signed_r = work.X[remove_rows[moving]], signed_r[moving]
     work.delete_rows(remove_rows)
     arrivals -= remove_rows.size
 
@@ -291,11 +293,11 @@ def update_multi(state, batch: model.UpdateBatch, spec, hyper):
 
     # pull of the moved multipliers on every row; G's diagonal gives each
     # arrival its own ridge self-term
-    cache = kernels.ColumnCache(work.X, spec)
+    cache = model.column_cache(work, spec)
     signs = work.signs_of(work.targets)
     signed_d = signs[arrivals] * mult_d
     pull = cache.apply(arrivals, signed_d)
-    if remove_rows.size:
+    if signed_r.size:
         pull += kernels.kernel_matrix(work.X, x_r, spec) @ signed_r
     s_rows = work.s_rows
     db, dmult_s = equilibrium_solve(work, spec, float(signed_d.sum() + signed_r.sum()),
@@ -310,6 +312,6 @@ def update_multi(state, batch: model.UpdateBatch, spec, hyper):
         np.where(np.abs(mult_d) >= C - model.BOUND_TOL, REGION_B, REGION_S))
     model.grow_cached_inverse(work, spec, arrivals[work.partition[arrivals] == REGION_S])
     try:
-        return kkt_repair(work, spec, hyper, _cache=cache)
+        return kkt_repair(work, spec, hyper)
     except EmptyS:
         return rebuild_empty_S(work, [], spec, hyper)

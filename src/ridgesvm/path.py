@@ -224,6 +224,9 @@ def _finalize(work, path: PathState, spec, hyper):
     _, C, eps = work.box(hyper)
     work.partition = model.classify_regions(work.mult, work.resid, C, eps)
     model.refresh_cached_inverse(work, spec)
+    # the comparison arm pays its columns per update, as it always has; a
+    # kept cache would hold n x |S| floats for as long as the result lives
+    work.column_cache = None
     return work
 
 
@@ -236,7 +239,7 @@ def path_update(state, batch: model.UpdateBatch, spec, hyper):
     lo, _, eps = work.box(hyper)
     reach = np.abs(work.resid[arrivals]) if lo < 0 else -work.resid[arrivals]
     path = PathState(drive_rows=arrivals[reach > eps + _DIR_TOL], removal_rows=removal_rows)
-    columns = kernels.ColumnCache(work.X, spec)
+    columns = model.column_cache(work, spec)
     max_events = 100 * (work.n + arrivals.size + removal_rows.size)
     stall_budget = work.n + arrivals.size + removal_rows.size + 10
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import distance
 
 from ridgesvm import kernels, linalg, model
 from ridgesvm.errors import DimensionMismatch
@@ -277,6 +278,36 @@ class TestColumnCache:
         assert cache_product(cache, y, [7], one, signed)[7] == pytest.approx(
             plain + spec.ridge, abs=1e-12)
 
+    def test_sync_moves_to_a_new_row_set(self, signed, spec):
+        cache, x, y = self.make(spec)
+        rng = np.random.default_rng(3)
+        cache.apply([3, 7, 20, 41], np.ones(4))
+        slots = cache.rows.copy()
+        # rows 3 and 20 leave, seven arrive; 7, 41 stay, 41 without its column
+        keep_rows = np.setdiff1d(np.arange(x.shape[0]), [3, 20])
+        arriving = rng.standard_normal((7, 3))
+        arriving[0] = x[7]  # an arrival with the features of a kept column's row
+        x_new = np.vstack([x[keep_rows], arriving])
+        y_new = np.concatenate([y[keep_rows], np.ones(7)])
+        slots_new = np.concatenate([slots[keep_rows], np.full(7, -1)])
+        keep = np.isin(np.arange(x_new.shape[0]), np.searchsorted(keep_rows, [7]))
+        before = cache.entries
+        cache.sync(x_new, slots_new, keep)
+        assert cache.entries - before == 7 * 1  # seven arrivals x the one kept column
+        assert (slots_new >= 0).all() and np.unique(slots_new).size == slots_new.size
+        assert set(slots_new[-7:]) >= {slots[3], slots[20]}  # freed slots are refilled
+        for rows in ([57, 5, 58], [np.searchsorted(keep_rows, 7), 2], [63, 64]):
+            rows = np.array(rows)
+            coef = rng.standard_normal(rows.size)
+            expect = dense_product(x_new, y_new, rows, coef, spec, signed)
+            got = cache_product(cache, y_new, rows, coef, signed)
+            assert np.max(np.abs(got - expect)) <= 1e-12
+
+    def test_zero_coefficients_evaluate_no_column(self, signed, spec):
+        cache, x, y = self.make(spec)
+        cache_product(cache, y, [4, 9, 30], np.array([0.0, 1.5, 0.0]), signed)
+        assert cache.entries == x.shape[0]
+
 
 def reference_kernel(a, b, spec):
     """The kernel formula written with temporaries, as a plain reference."""
@@ -286,6 +317,21 @@ def reference_kernel(a, b, spec):
         return (a @ b.T + spec.offset) ** spec.degree
     sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
     return np.exp(-sq / (2.0 * spec.sigma**2))
+
+
+def negate_then_divide_kernel(a, b, spec):
+    """The in-place sequence ``kernel_matrix`` ran before rbf folded its negation."""
+    if spec.family == "linear":
+        return np.matmul(a, b.T)
+    if spec.family == "polynomial":
+        k = np.matmul(a, b.T)
+        k += spec.offset
+        k **= spec.degree
+        return k
+    k = distance.cdist(a, b, metric="sqeuclidean")
+    np.negative(k, out=k)
+    k /= 2.0 * spec.sigma**2
+    return np.exp(k, out=k)
 
 
 @pytest.mark.parametrize("spec", CACHE_SPECS + [KernelSpec(family="polynomial", degree=2)],
@@ -305,6 +351,13 @@ class TestKernelMatrixInPlace:
         out = np.full((9, x.shape[0]), np.nan)
         assert kernels.kernel_matrix(x[:9], x, spec, out=out) is out
         assert np.array_equal(out, fresh)
+
+    def test_same_bits_as_negating_before_dividing(self, spec):
+        # rbf divides by -(2 sigma^2) instead of negating and then dividing
+        # by 2 sigma^2: IEEE division is symmetric in sign
+        x, _ = cache_rows()
+        assert np.array_equal(kernels.kernel_matrix(x[:9], x, spec),
+                              negate_then_divide_kernel(x[:9], x, spec))
 
     def test_out_can_be_a_transposed_column_block(self, spec):
         x, _ = cache_rows()

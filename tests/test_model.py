@@ -269,10 +269,13 @@ class TestNativeStorage:
     def test_copy_shares_the_inverse_and_no_array(self, kind):
         state = stored_state(kind)
         state.cached_inverse = linalg.bordered_inverse(np.eye(2) * 2.0, np.ones(2))
+        model.column_cache(state, KernelSpec())
         out = state.copy()
         assert type(out) is type(state)
         assert out.cached_inverse is state.cached_inverse
-        for name in ("X", "ids", "targets", "partition", "mult", "resid"):
+        assert out.column_cache is state.column_cache
+        assert out.cache_lease == state.cache_lease
+        for name in ("X", "ids", "targets", "partition", "mult", "resid", "cache_slots"):
             assert np.array_equal(getattr(out, name), getattr(state, name))
             assert not np.shares_memory(getattr(out, name), getattr(state, name))
         assert out.b == state.b
@@ -330,9 +333,11 @@ class TestDeleteRows:
     @pytest.mark.parametrize("kind", ["svm", "svr"])
     def test_columns_stay_row_aligned(self, kind):
         state = stored_state(kind)
+        model.column_cache(state, KernelSpec())  # every row gets a slot
         before = state.copy()
         state.delete_rows([6, 1, 2])
         kept = [0, 3, 4, 5, 7]
+        assert np.array_equal(state.cache_slots, before.cache_slots[kept])
         assert [s.id for s in state.samples] == list(state.ids)
         assert list(state.ids) == list(before.ids[kept])
         assert np.array_equal(state.X, np.array([s.features for s in state.samples]))
