@@ -7,14 +7,15 @@ The online solvers keep the inverse of
 
 current while rows/columns of ``Q`` arrive and leave.  The inverse is built
 once from a Schur complement and afterwards patched with Woodbury-style
-block updates instead of being refactorised; rows that leave are only
-recorded until the next grow (see :class:`BorderedInverse`).  All routines
-are pure functions over dense row-major arrays.
+block updates instead of being refactorised.  Between rewrites the
+membership changes are carried in Schur-complement form (see
+:class:`BorderedInverse`).  The module-level routines are pure functions
+over dense row-major arrays.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -36,94 +37,227 @@ _NO_BLOCK = np.zeros((0, 0))
 _NO_ROWS.flags.writeable = _NO_BLOCK.flags.writeable = False
 
 
+def _pending_limit(order: int) -> float:
+    """Most pending columns a :class:`BorderedInverse` of ``order`` carries.
+
+    A rewrite reads and writes every one of the (order+1)^2 entries several
+    times (a gather, a rank-p product, a symmetrisation) into freshly faulted
+    memory: at order 520 a rank-9 rewrite takes 5.7 ms against 0.08 ms for
+    one product with ``inv`` (one core of a Xeon host, one BLAS thread).  A
+    pending column adds only O(order) to each solve plus its share of the
+    p x p capacitance factors, so carrying up to order/4 of them keeps a
+    solve within about 1.6 products with ``inv``, while a rewrite happens
+    once per order/4 changes instead of at every grow.  The floor keeps
+    small inverses from rewriting on almost every change, where a rewrite's
+    fixed costs outweigh its O(order^2) work.
+    """
+    return max(16, order / 4)
+
+
+@dataclass(frozen=True)
+class _Pending:
+    """Membership changes since the last rewrite of a :class:`BorderedInverse`.
+
+    Each change is one column of the augmented matrix ``[[M, V], [V^T, D]]``
+    over the base matrix ``M = inv^-1``.  ``rows`` holds the base row of each
+    column -- a drop, whose column is the unit vector at that row and whose
+    entries in ``D`` are zero -- or -1 for a join, whose column (in
+    ``cross``) is its cross block against the base rows and whose entries in
+    ``D`` (in ``block``) are its block among the pending joins.  Solved over
+    ``[base rows, columns]``, the augmented system pins each dropped row at
+    zero and gives the live rows the solution of the live system; ``live``
+    indexes them there, border first, in order.  The rows of ``(inv V)^T``
+    are the first ``p`` rows of ``buf``; ``cap = D - V^T inv V`` is the
+    capacitance matrix and ``lu`` its checked LU factors.
+
+    ``buf`` has room for more rows.  ``claim[0]`` counts the rows that some
+    holder uses: an extension writes past its own rows only while no other
+    extension has claimed them, so no holder's rows are ever written.
+    """
+
+    rows: np.ndarray
+    live: np.ndarray
+    buf: np.ndarray
+    claim: list
+    cap: np.ndarray
+    lu: tuple | None
+    cross: np.ndarray
+    block: np.ndarray
+
+    @property
+    def ht(self) -> np.ndarray:
+        return self.buf[:self.rows.size]
+
+
 @dataclass(frozen=True)
 class BorderedInverse:
-    """Inverse of a bordered matrix [[0, v^T], [v, Q]].
+    """Inverse of a bordered matrix [[0, v^T], [v, Q]], in factored form.
 
-    ``z`` is the top-left scalar of the inverse, ``order`` the size of the
-    inner block ``Q``, and ``inv`` the full (order+1) x (order+1) inverse
-    when no drops are pending.
-    ``ids`` optionally names the samples behind the rows of ``Q``, in order,
-    so a holder can tell whether the inverse still matches its row set.
-
-    Shrinking is deferred.  :meth:`shrink` records the positions of the
-    leaving rows in ``dropped`` and keeps ``inv`` as it is: the inverse over
-    the rows before they left, with ``corner`` the inverse of its
-    dropped x dropped block.  ``z``, ``order`` and ``ids`` always describe
-    the live rows.  :meth:`apply` solves over them with a Schur correction,
-    and :meth:`grow` or :meth:`compact` absorb the drops in one rewrite.
-    ``inv`` itself is never written, so holders may share it.
+    ``z`` is the top-left scalar of the inverse and ``order`` the size of
+    the inner block ``Q`` over the live rows.  ``inv`` is the full inverse
+    over the rows of the last rewrite, and ``pending`` (``None`` when the
+    two agree) carries every membership change since, in Schur-complement
+    form (see :class:`_Pending`); :meth:`compact` rewrites them into a
+    plain inverse.  ``ids`` optionally names the samples behind the live
+    rows of ``Q``, in order, so a holder can tell whether the inverse still
+    matches its row set.  No array entry a holder reads is ever written
+    after it is built, so holders may share them.
     """
 
     z: float
     order: int
     inv: np.ndarray
     ids: np.ndarray | None = None
-    dropped: np.ndarray = field(default_factory=lambda: _NO_ROWS)
-    corner: np.ndarray = field(default_factory=lambda: _NO_BLOCK)
-
-    @property
-    def live(self) -> np.ndarray:
-        """Positions in ``inv`` of the live rows, the border row first."""
-        return np.delete(np.arange(self.inv.shape[0]), self.dropped)
+    pending: _Pending | None = None
 
     def apply(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the live bordered system for ``rhs`` (border entry first).
 
-        With ``D`` the dropped positions and ``L`` the live ones, the live
-        inverse is ``inv[L, L] - inv[L, D] corner inv[D, L]``: one product
-        with the stored array plus an O(order x |D|) correction.
+        One product with ``inv``, O(order x p) for the p pending columns and
+        a p x p solve with the capacitance factors.
         """
-        if not self.dropped.size:
+        pend = self.pending
+        if pend is None:
             return self.inv @ rhs
-        live = self.live
-        full = np.zeros(self.inv.shape[0])
-        full[live] = rhs
-        out = self.inv @ full
-        # the dropped rows double as the dropped columns: inv is symmetric
-        out -= self.inv[self.dropped].T @ (self.corner @ out[self.dropped])
-        return out[live]
+        n, ht = self.inv.shape[0], pend.ht
+        full = np.zeros((n + pend.rows.size,) + np.shape(rhs)[1:])
+        full[pend.live] = rhs
+        base = full[:n]
+        out = self.inv @ base
+        cols = sla.lu_solve(pend.lu, full[n:] - ht @ base, check_finite=False)
+        out -= ht.T @ cols
+        return np.concatenate([out, cols])[pend.live]
+
+    def _changes(self) -> _Pending:
+        """The pending changes, or none over the base rows."""
+        if self.pending is not None:
+            return self.pending
+        n = self.inv.shape[0]
+        return _Pending(_NO_ROWS, np.arange(n), np.zeros((0, n)), [0], _NO_BLOCK, None,
+                        np.zeros((n, 0)), _NO_BLOCK)
 
     def shrink(self, positions) -> BorderedInverse:
         """Drop the live inner rows at ``positions`` (the border row is 0).
 
-        Nothing is rewritten; raises :class:`SingularCornerBlock` when the
-        dropped block of ``inv`` is singular, as :func:`inverse_shrink` does.
+        A base row becomes a pending drop; a pending join leaves the pending
+        set.  Raises :class:`SingularCornerBlock` when the capacitance block
+        turns singular, as :func:`inverse_shrink` does on a singular corner.
         """
         pos = np.unique(np.asarray(positions, dtype=int))
         if not pos.size:
             return self
         if pos.min() < 1 or pos.max() > self.order:
             raise IndexError(f"positions out of range for order {self.order}")
-        dropped = np.union1d(self.dropped, self.live[pos])
-        rows = self.inv.take(dropped, axis=0)
-        corner = _checked_inverse(rows[:, dropped], SingularCornerBlock)
-        return replace(
-            self, z=float(self.inv[0, 0] - rows[:, 0] @ corner @ rows[:, 0]),
-            order=self.order - pos.size, dropped=dropped, corner=corner,
-            ids=None if self.ids is None else np.delete(self.ids, pos - 1),
-        )
+        pend, n = self._changes(), self.inv.shape[0]
+        leaving = pend.live[pos]
+        live = np.delete(pend.live, pos)
+        gone = np.sort(leaving[leaving >= n] - n)
+        if gone.size:
+            joins = pend.rows < 0
+            kept = np.delete(np.arange(pend.rows.size), gone)
+            kept_joins = np.delete(np.arange(pend.cross.shape[1]),
+                                   np.cumsum(joins)[gone] - 1)
+            live = live - np.searchsorted(gone, live - n)
+            pend = _Pending(pend.rows[kept], live, pend.ht[kept], [kept.size],
+                            pend.cap[np.ix_(kept, kept)], None, pend.cross[:, kept_joins],
+                            pend.block[np.ix_(kept_joins, kept_joins)])
+        drops = leaving[leaving < n]
+        # a drop's column of inv V is a row of inv, which is symmetric
+        h = self.inv[drops]
+        return self._extend(pend, live, drops, -pend.ht[:, drops], -h[:, drops], h, None,
+                            None if self.ids is None else np.delete(self.ids, pos - 1),
+                            SingularCornerBlock)
 
     def grow(self, cross, new, ids=None, order=None) -> BorderedInverse:
-        """Admit ``k`` inner rows, absorbing the pending drops in one rewrite.
+        """Admit ``k`` inner rows as pending joins.
 
         ``cross`` (order+1 x k) couples the live rows, border first, to the
         new ones, and ``new`` (k x k) is their own block.  The new rows follow
         the live ones unless ``order``, a permutation of the order + k inner
-        rows, rearranges them.  ``ids`` names the rows of the result.
+        rows, rearranges them.  ``ids`` names the rows of the result.  Raises
+        :class:`SingularSchurBlock` when the capacitance block turns singular.
         """
         cross = np.asarray(cross, dtype=float)
-        full = np.zeros((self.inv.shape[0], cross.shape[1]))
-        full[self.live] = cross
-        perm = None if order is None else np.concatenate(([0], 1 + np.asarray(order)))
-        inv = _grow_shrink(self.inv, self.dropped, full, _as_square(new), perm, self.corner)
-        return BorderedInverse(z=float(inv[0, 0]), order=inv.shape[0] - 1, inv=inv, ids=ids)
+        new = _as_square(new)
+        k = new.shape[0]
+        pend, n = self._changes(), self.inv.shape[0]
+        on_base = pend.live < n
+        base_cross = np.zeros((n, k))
+        base_cross[pend.live[on_base]] = cross[on_base]
+        block = np.zeros((pend.rows.size, k))  # D between the pending columns and the joins
+        block[pend.live[~on_base] - n] = cross[~on_base]
+        h = base_cross.T @ self.inv
+        live = np.concatenate([pend.live, n + pend.rows.size + np.arange(k)])
+        if order is not None:
+            live = live[np.concatenate(([0], 1 + np.asarray(order)))]
+        return self._extend(pend, live, np.full(k, -1), block - pend.ht @ base_cross,
+                            new - h @ base_cross, h, (base_cross, block[pend.rows < 0], new),
+                            ids, SingularSchurBlock)
+
+    def _extend(self, pend, live, rows, cap_cross, cap_new, h, join, ids, exc):
+        """Append pending columns, refactor the capacitance, rewrite past the limit.
+
+        ``cap_cross`` and ``cap_new`` are the new columns' capacitance
+        entries, ``h`` their rows of ``(inv V)^T`` and ``join`` the joins'
+        ``(cross, D against the pending joins, D among themselves)``.
+        """
+        p, k = pend.rows.size, rows.size
+        buf, claim = pend.buf, pend.claim
+        if claim[0] != p or buf.shape[0] < p + k:
+            buf, claim = np.empty((2 * (p + k) + 16, buf.shape[1])), [p]
+            buf[:p] = pend.ht
+        buf[p:p + k] = h
+        claim[0] = p + k
+        cap = np.empty((p + k, p + k))
+        cap[:p, :p], cap[:p, p:], cap[p:, :p] = pend.cap, cap_cross, cap_cross.T
+        cap[p:, p:] = 0.5 * (cap_new + cap_new.T)
+        cross, block = pend.cross, pend.block
+        if join is not None:
+            join_cross, join_block, join_new = join
+            j = block.shape[0]
+            cross = np.hstack([cross, join_cross])
+            block = np.empty((j + k, j + k))
+            block[:j, :j], block[:j, j:], block[j:, :j] = pend.block, join_block, join_block.T
+            block[j:, j:] = join_new
+        rows = np.concatenate([pend.rows, rows])
+        lu = _checked_lu(cap, exc) if rows.size else None
+        pend = _Pending(rows, live, buf, claim, cap, lu, cross, block)
+        z = float(self.inv[0, 0])
+        if rows.size:
+            ht0 = pend.ht[:, 0]
+            z -= ht0 @ sla.lu_solve(lu, -ht0, check_finite=False)
+        out = BorderedInverse(z=z, order=live.size - 1, inv=self.inv, ids=ids, pending=pend)
+        if not rows.size or rows.size > _pending_limit(out.order):
+            return out.compact()
+        return out
 
     def compact(self) -> BorderedInverse:
-        """The same live inverse with no drops pending."""
-        if not self.dropped.size:
+        """The same live inverse as one plain array, with nothing pending.
+
+        Rewrites through :func:`_grow_shrink`, drops first and then joins.
+        When every base row has left, the base minus its drops is the
+        singular ``[[0]]``, so the joins' bordered block is inverted afresh.
+        """
+        pend = self.pending
+        if pend is None:
             return self
-        return self.grow(np.zeros((self.order + 1, 0)), _NO_BLOCK, ids=self.ids)
+        n = self.inv.shape[0]
+        dropped = np.sort(pend.rows[pend.rows >= 0])
+        # rows of the rewrite before it is permuted into live order
+        src = np.concatenate([np.delete(np.arange(n), dropped), n + np.flatnonzero(pend.rows < 0)])
+        where = np.empty(n + pend.rows.size, dtype=int)
+        where[src] = np.arange(src.size)
+        perm = where[pend.live]
+        perm = None if np.array_equal(perm, np.arange(perm.size)) else perm
+        if dropped.size == n - 1:
+            inv = bordered_inverse(pend.block, pend.cross[0]).inv
+            if perm is not None:
+                inv = inv.take(perm, axis=0).take(perm, axis=1)
+        elif pend.rows.size or perm is not None:
+            inv = _grow_shrink(self.inv, dropped, pend.cross, pend.block, perm)
+        else:
+            inv = self.inv
+        return BorderedInverse(z=float(inv[0, 0]), order=inv.shape[0] - 1, inv=inv, ids=self.ids)
 
 
 def _as_square(m) -> np.ndarray:
@@ -133,16 +267,21 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
-def _checked_inverse(m: np.ndarray, exc: type) -> np.ndarray:
-    """Invert a small square block, raising ``exc`` on tiny pivots."""
-    if m.size == 0:
-        return m.reshape(0, 0).copy()
+def _checked_lu(m: np.ndarray, exc: type) -> tuple:
+    """LU factors of a small square block, raising ``exc`` on tiny pivots."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sla.LinAlgWarning)
         lu, piv = sla.lu_factor(m, check_finite=False)
     if np.min(np.abs(np.diag(lu))) <= PIVOT_TOL:
         raise exc(f"block of order {m.shape[0]} is singular within {PIVOT_TOL}")
-    return sla.lu_solve((lu, piv), np.eye(m.shape[0]), check_finite=False)
+    return lu, piv
+
+
+def _checked_inverse(m: np.ndarray, exc: type) -> np.ndarray:
+    """Invert a small square block, raising ``exc`` on tiny pivots."""
+    if m.size == 0:
+        return m.reshape(0, 0).copy()
+    return sla.lu_solve(_checked_lu(m, exc), np.eye(m.shape[0]), check_finite=False)
 
 
 def invert_spd(m) -> np.ndarray:
@@ -213,7 +352,7 @@ def _symmetrize(m: np.ndarray) -> None:
         m[i:, i:i + strip] = mean.T
 
 
-def _grow_shrink(prev, removed, cross, new, order=None, corner=None) -> np.ndarray:
+def _grow_shrink(prev, removed, cross, new, order=None) -> np.ndarray:
     """Shrink the symmetric inverse ``prev`` and grow it, in one rewrite.
 
     ``removed`` are sorted, distinct indices into ``prev``; rows of
@@ -233,8 +372,7 @@ def _grow_shrink(prev, removed, cross, new, order=None, corner=None) -> np.ndarr
     keep = np.delete(np.arange(n), removed)
     m = keep.size
     rows = prev.take(removed, axis=0)  # the removed columns too: prev is symmetric
-    if corner is None:
-        corner = _checked_inverse(rows[:, removed], SingularCornerBlock)
+    corner = _checked_inverse(rows[:, removed], SingularCornerBlock)
     h = rows[:, keep].T
     cross = cross.copy()
     cross[removed] = 0.0

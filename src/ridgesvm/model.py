@@ -184,13 +184,15 @@ class _StateBase:
     def delete_rows(self, rows) -> None:
         keep = np.ones(self.n, dtype=bool)
         keep[np.asarray(rows, dtype=int)] = False
-        self.X = self.X[keep]
-        self.ids = self.ids[keep]
-        self.targets = self.targets[keep]
-        self.partition = self.partition[keep]
-        self.mult = self.mult[keep]
-        self.resid = self.resid[keep]
-        self.cache_slots = self.cache_slots[keep]
+        # a boolean mask over the 2-D X is applied row by row; take is not
+        idx = np.flatnonzero(keep)
+        self.X = self.X.take(idx, axis=0)
+        self.ids = self.ids[idx]
+        self.targets = self.targets[idx]
+        self.partition = self.partition[idx]
+        self.mult = self.mult[idx]
+        self.resid = self.resid[idx]
+        self.cache_slots = self.cache_slots[idx]
 
     def append_samples(self, samples, mult, tags) -> None:
         """Append rows with the given multipliers and tags; residuals start at 0."""
@@ -414,10 +416,10 @@ def shrink_cached_inverse(state, leaving_rows) -> None:
     """Drop members of ``S`` from the cached bordered inverse.
 
     ``leaving_rows`` are state rows currently tagged ``S``; the caller
-    retags them afterwards.  The drop is deferred (see
-    :class:`ridgesvm.linalg.BorderedInverse`): the next grow or
-    :func:`compact_cached_inverse` rewrites the array.  Falls back to a
-    deferred full rebuild when no cache built for the current ``S`` exists.
+    retags them afterwards.  The drop is carried in factored form (see
+    :class:`ridgesvm.linalg.BorderedInverse`) until enough changes pile up
+    for a rewrite.  Falls back to a deferred full rebuild when no cache
+    built for the current ``S`` exists.
     """
     s = state.s_rows
     leaving = np.unique(np.asarray(leaving_rows, dtype=int))
@@ -432,17 +434,12 @@ def shrink_cached_inverse(state, leaving_rows) -> None:
     state.cached_inverse = state.cached_inverse.shrink(members + 1)  # +1: border row leads
 
 
-def compact_cached_inverse(state) -> None:
-    """Rewrite the cached inverse over exactly ``S``, absorbing pending drops."""
-    if state.cached_inverse is not None:
-        state.cached_inverse = state.cached_inverse.compact()
-
-
 def grow_cached_inverse(state, spec, join_rows) -> None:
     """Admit freshly tagged ``S`` rows into the cached bordered inverse.
 
-    One rewrite absorbs any pending drops too.  The grown rows are placed
-    in ascending row order, so the cache always mirrors ``state.s_rows``.
+    The joins are carried in factored form like drops.  The grown rows are
+    placed in ascending row order, so the cache always mirrors
+    ``state.s_rows``.
     """
     joins = np.unique(np.asarray(join_rows, dtype=int))
     if not joins.size:

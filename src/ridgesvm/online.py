@@ -117,9 +117,9 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
     progress is healthy, one at a time (which is safe at a subproblem
     optimum) as soon as a zero-length step signals that a bulk release
     overshot.  Passes never increase the dual objective, so the loop cannot
-    cycle; :class:`RepairDivergence` guards the pass budget.  Drops from
-    the cached inverse pile up over the passes and are compacted once
-    before returning.
+    cycle; :class:`RepairDivergence` guards the pass budget.  Membership
+    changes are carried by the cached inverse in factored form, also into
+    the state returned.
     """
     if max_repair_passes is None:
         # Every pass that does not end the repair moves at least one row
@@ -156,16 +156,10 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
                   np.where(below, seg_lo, seg_hi)[outside])
             continue
 
-        # B, held, and the targets (on their tube edges) pull on the members
-        b_rows = state.b_rows
-        signed_b = signs[b_rows] * state.mult[b_rows]
-        pull = -(state.targets[s_rows] + signs[s_rows] * edge)
-        if b_rows.size:
-            pull = kernels.kernel_matrix(state.X[s_rows], state.X[b_rows], spec) @ signed_b + pull
-        target_b, target_mult = equilibrium_solve(state, spec, float(signed_b.sum()), pull)
-
-        d_mult = target_mult - mult_s
-        d_b = target_b - state.b
+        # the step that takes the balance to zero and every member's cached
+        # residual onto its tube edge
+        d_b, d_mult = equilibrium_solve(state, spec, float(signs @ state.mult),
+                                        signs[s_rows] * (state.resid[s_rows] - edge))
 
         # longest feasible step toward the solve target
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -193,7 +187,6 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
         releases = _release_candidates(state, lo, eps)
         if not releases:
             np.clip(state.mult, lo, C, out=state.mult)
-            model.compact_cached_inverse(state)
             return state
         if single_release:
             releases = releases[:1]
@@ -288,7 +281,6 @@ def update_multi(state, batch: model.UpdateBatch, spec, hyper):
 
     # a batch whose deltas all vanish cannot move the model: splice rows only
     if not (mult_d.any() or signed_r.any()):
-        model.compact_cached_inverse(work)
         return work
 
     # pull of the moved multipliers on every row; G's diagonal gives each

@@ -1,3 +1,6 @@
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from ridgesvm.errors import (
     NotPositiveDefinite,
     SingularBorder,
     SingularCornerBlock,
+    SingularSchurBlock,
 )
 
 
@@ -230,7 +234,7 @@ def bordered_matrix(q, border, rows):
 
 
 class TestDeferredShrink:
-    """Drops recorded on a BorderedInverse act like the explicit shrink."""
+    """Drops carried by a BorderedInverse act like the explicit shrink."""
 
     def test_apply_matches_explicit_shrink(self):
         rng = np.random.default_rng(31)
@@ -254,14 +258,16 @@ class TestDeferredShrink:
         _, _, full = random_bordered(rng, 10)
         lazy = full.shrink([1, 7])
         compact = lazy.compact()
-        assert not compact.dropped.size and compact.order == 8
+        assert compact.pending is None and compact.order == 8
         expected = linalg.inverse_shrink(full.inv, [1, 7])
         assert np.max(np.abs(compact.inv - expected)) <= 1e-10
         assert np.array_equal(compact.inv, compact.inv.T)
 
     @pytest.mark.parametrize("joins", [[10, 11, 12], [1, 6, 11]])
     def test_grow_absorbs_drops(self, joins):
-        """Sorted joins append; interleaved ones need the permutation."""
+        """A grow over pending drops solves over the live rows and materialises
+        to the rebuilt inverse.  Sorted joins append; interleaved ones need the
+        permutation."""
         rng = np.random.default_rng(34)
         n = 13
         q, border, _ = random_bordered(rng, n)
@@ -275,7 +281,9 @@ class TestDeferredShrink:
         grown = lazy.grow(cross, q[np.ix_(joins, joins)], order=order)
         final = sorted(grown_rows)
         rebuilt = linalg.bordered_inverse(q[np.ix_(final, final)], border[final])
-        assert grown.order == len(final) and not grown.dropped.size
+        assert np.max(np.abs(grown.apply(np.eye(len(final) + 1)) - rebuilt.inv)) <= 1e-10
+        grown = grown.compact()
+        assert grown.order == len(final) and grown.pending is None
         assert np.max(np.abs(grown.inv - rebuilt.inv)) <= 1e-10
         # the same as an explicit shrink followed by a grow, then permuted
         two_step = linalg.inverse_grow(linalg.inverse_shrink(start.inv, [2, 5]), cross,
@@ -294,7 +302,8 @@ class TestDeferredShrink:
         back = lazy.grow(cross, q[np.ix_([3], [3])], order=np.argsort(live + [3]))
         rows = [0, 1, 2, 3, 4, 6, 7, 8]
         expected = linalg.bordered_inverse(q[np.ix_(rows, rows)], border[rows])
-        assert np.max(np.abs(back.inv - expected.inv)) <= 1e-10
+        assert np.max(np.abs(back.apply(np.eye(len(rows) + 1)) - expected.inv)) <= 1e-10
+        assert np.max(np.abs(back.compact().inv - expected.inv)) <= 1e-10
 
     def test_singular_dropped_corner_raises(self):
         # the inverse of [[0, 1], [1, -2]]: its inner entry is zero
@@ -306,3 +315,157 @@ class TestDeferredShrink:
         _, _, full = random_bordered(np.random.default_rng(36), 4)
         with pytest.raises(IndexError):
             full.shrink([0])
+
+
+class Membership:
+    """A BorderedInverse driven by drops and joins of samples, with its reference.
+
+    ``live`` are the samples of the live rows in order; ``left`` the base
+    samples that have left since the base was built, rejoined or not.
+    """
+
+    def __init__(self, q, border, base):
+        self.q, self.border = q, border
+        self.base, self.live, self.left = list(base), sorted(base), set()
+        self.inv = replace(self.rebuilt_inverse(), ids=np.array(self.live))
+
+    def drop(self, samples):
+        self.inv = self.inv.shrink([1 + self.live.index(r) for r in samples])
+        self.live = [r for r in self.live if r not in samples]
+        self.left |= set(samples) & set(self.base)
+
+    def join(self, samples):
+        cross = np.vstack([self.border[samples][None, :], self.q[np.ix_(self.live, samples)]])
+        grown = self.live + list(samples)
+        self.live = sorted(grown)
+        self.inv = self.inv.grow(cross, self.q[np.ix_(samples, samples)],
+                                 ids=np.array(self.live), order=np.argsort(grown))
+
+    def rebuilt_inverse(self):
+        return linalg.bordered_inverse(self.q[np.ix_(self.live, self.live)],
+                                       self.border[self.live])
+
+    def grow_shrink_reference(self):
+        """``_grow_shrink`` of the base inverse: every base row that left is
+        removed, and every live sample not on a kept base row joins."""
+        base_inv = linalg.bordered_inverse(self.q[np.ix_(self.base, self.base)],
+                                           self.border[self.base]).inv
+        kept = [r for r in self.base if r not in self.left]
+        joins = [r for r in self.live if r not in kept]
+        removed = np.array(sorted(1 + self.base.index(r) for r in self.left), dtype=int)
+        cross = np.vstack([self.border[joins][None, :], self.q[np.ix_(self.base, joins)]])
+        order = np.concatenate(([0], 1 + np.argsort(kept + joins)))
+        return linalg._grow_shrink(base_inv, removed, cross, self.q[np.ix_(joins, joins)],
+                                   order)
+
+    def check(self):
+        rebuilt = self.rebuilt_inverse().inv
+        assert self.inv.pending is not None  # nothing was rewritten
+        assert self.inv.order == len(self.live) and list(self.inv.ids) == self.live
+        assert self.inv.z == pytest.approx(rebuilt[0, 0], abs=1e-10)
+        assert np.max(np.abs(self.inv.apply(np.eye(len(self.live) + 1)) - rebuilt)) <= 1e-10
+        materialised = self.inv.compact().inv
+        assert np.max(np.abs(materialised - rebuilt)) <= 1e-10
+        if len(self.left) < len(self.base):
+            assert np.max(np.abs(materialised - self.grow_shrink_reference())) <= 1e-10
+
+
+class TestFactoredInverse:
+    """Drops and joins carried as pending columns of the base inverse."""
+
+    @staticmethod
+    def membership(seed, base):
+        rng = np.random.default_rng(seed)
+        q, border, _ = random_bordered(rng, 30)
+        return rng, Membership(q, border, base)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_interleaved_drops_and_joins(self, seed):
+        rng, m = self.membership(40 + seed, range(0, 20, 2))
+        # eight changes of at most two rows stay within the 16 pending columns
+        for _ in range(8):
+            out = [r for r in range(30) if r not in m.live]
+            k = int(rng.integers(1, 3))
+            if len(m.live) > k and rng.random() < 0.5:
+                m.drop([int(r) for r in rng.choice(m.live, k, replace=False)])
+            else:
+                m.join([int(r) for r in rng.choice(out, k, replace=False)])
+            m.check()
+
+    def test_pending_join_that_leaves(self):
+        _, m = self.membership(50, range(8))
+        m.join([20, 21])
+        m.drop([3])
+        m.drop([20])
+        # join 21 stays pending, sample 3 is dropped at base row 4 (the border is 0)
+        assert list(m.inv.pending.rows) == [-1, 4]
+        m.check()
+
+    def test_dropped_base_row_whose_sample_rejoins(self):
+        _, m = self.membership(51, range(8))
+        m.drop([2, 5])
+        m.join([5, 12])
+        m.check()
+        m.drop([5])
+        m.check()
+
+    def test_every_base_row_dropped_while_joins_keep_s(self):
+        _, m = self.membership(52, range(6))
+        m.join([20, 21])
+        m.drop([0, 1, 2])
+        m.check()
+        m.drop([3, 4, 5])
+        m.check()
+        m.join([2, 22])
+        m.check()
+
+    def test_shared_pending_arrays_are_never_written(self):
+        _, m = self.membership(53, range(12))
+        m.drop([4])
+        m.join([20])
+        branch = copy.copy(m)
+        branch.live, branch.left = list(m.live), set(m.left)
+        pending = m.inv.pending
+        arrays = [m.inv.inv, pending.ht, pending.cap, pending.lu[0], pending.cross,
+                  pending.block]
+        before = [a.copy() for a in arrays]
+        m.drop([7])
+        m.join([21, 22])
+        branch.join([23])  # a second extension of the shared inverse
+        branch.drop([20])
+        for a, b in zip(arrays, before):
+            assert np.array_equal(a, b)
+        m.check()
+        branch.check()
+
+    @pytest.mark.parametrize("order", [40, 100])
+    def test_rewrite_once_pending_passes_the_limit(self, order):
+        rng = np.random.default_rng(54)
+        q, border, full = random_bordered(rng, order)
+        base, cur = full.inv, full
+        for drops in range(1, order):
+            cur = cur.shrink([1])
+            if cur.pending is None:
+                break
+            assert cur.inv is base and cur.pending.rows.size == drops
+        assert drops > max(16, (order - drops) / 4) and drops - 1 <= max(16, (order - drops + 1) / 4)
+        rows = list(range(drops, order))
+        expected = linalg.bordered_inverse(q[np.ix_(rows, rows)], border[rows])
+        assert np.max(np.abs(cur.inv - expected.inv)) <= 1e-10
+
+    def test_singular_join_raises(self):
+        q, border, full = random_bordered(np.random.default_rng(55), 8)
+        lazy = full.shrink([2])
+        live = [0, 2, 3, 4, 5, 6, 7]
+        # a join that duplicates sample 3 (live position 3) makes the live
+        # matrix singular
+        cross = bordered_matrix(q, border, live)[:, [3]]
+        with pytest.raises(SingularSchurBlock):
+            lazy.grow(cross, q[np.ix_([3], [3])])
+
+    def test_dropping_every_live_row_raises(self):
+        q, border, full = random_bordered(np.random.default_rng(56), 4)
+        cross = np.vstack([[1.0], np.full((4, 1), 0.1)])
+        grown = full.grow(cross, [[2.0]])
+        with pytest.raises(SingularCornerBlock):
+            grown.shrink([1, 2, 3, 4, 5])

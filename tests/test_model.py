@@ -412,7 +412,7 @@ class TestCachedInverseMembership:
         state.partition[leaver] = "S"
         model.grow_cached_inverse(state, spec, [leaver])
         assert list(state.cached_inverse.ids) == list(state.ids[state.s_rows])
-        assert np.allclose(state.cached_inverse.inv, self.rebuilt(state, spec).inv,
+        assert np.allclose(state.cached_inverse.compact().inv, self.rebuilt(state, spec).inv,
                            atol=1e-8)
 
     def test_inverse_is_the_same_for_both_tasks(self):
@@ -430,12 +430,12 @@ class TestCachedInverseMembership:
             model.shrink_cached_inverse(state, [5])
             state.partition[[5, 10]] = "O", "S"
             model.grow_cached_inverse(state, spec, [10])
-        assert np.array_equal(svm.cached_inverse.inv, svr.cached_inverse.inv)
+        assert np.array_equal(svm.cached_inverse.compact().inv, svr.cached_inverse.compact().inv)
         assert np.array_equal(svm.cached_inverse.ids, svr.cached_inverse.ids)
 
 
 class TestDeferredInversePatches:
-    """Shrinks only record drops; grows and compaction absorb them."""
+    """Shrinks and grows are carried in factored form; compaction rewrites them."""
 
     spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
 
@@ -455,15 +455,15 @@ class TestDeferredInversePatches:
         self.leave(state, state.s_rows[[0, 2]])
         self.leave(state, state.s_rows[[1]])
         cache = state.cached_inverse
-        assert cache.inv is stored and cache.dropped.size == 3
+        assert cache.inv is stored and cache.pending.rows.size == 3
         assert cache.order == state.s_rows.size
         assert list(cache.ids) == list(state.ids[state.s_rows])
         fresh = TestCachedInverseMembership.rebuilt(state, self.spec)
         rhs = np.random.default_rng(0).standard_normal(cache.order + 1)
         assert np.max(np.abs(cache.apply(rhs) - fresh.apply(rhs))) <= 1e-10
-        model.compact_cached_inverse(state)
-        assert not state.cached_inverse.dropped.size
-        assert np.max(np.abs(state.cached_inverse.inv - fresh.inv)) <= 1e-10
+        compact = cache.compact()
+        assert compact.pending is None
+        assert np.max(np.abs(compact.inv - fresh.inv)) <= 1e-10
 
     def test_leaver_rejoins_with_an_interleaved_join(self):
         state = self.state()
@@ -474,13 +474,14 @@ class TestDeferredInversePatches:
         state.partition[joins] = "S"
         model.grow_cached_inverse(state, self.spec, joins)
         cache = state.cached_inverse
-        assert not cache.dropped.size
         assert list(cache.ids) == list(state.ids[state.s_rows])
         fresh = TestCachedInverseMembership.rebuilt(state, self.spec)
-        assert np.max(np.abs(cache.inv - fresh.inv)) <= 1e-10
+        assert np.max(np.abs(cache.apply(np.eye(cache.order + 1)) - fresh.inv)) <= 1e-10
+        assert np.max(np.abs(cache.compact().inv - fresh.inv)) <= 1e-10
 
     @pytest.mark.parametrize("task", ["svm", "svr"])
-    def test_updates_return_no_pending_drops(self, task):
+    def test_updates_return_an_exact_inverse_over_s(self, task):
+        """Pending changes are handed on, within the rewrite limit."""
         make, train, engine, _, hyper = ENGINE_TASKS[task]
         state = train(make(40, seed=1), self.spec, hyper)
         leaving = [int(state.ids[r]) for r in state.s_rows[:3]]
@@ -488,10 +489,11 @@ class TestDeferredInversePatches:
                                                              remove=leaving)):
             out = engine(state, upd, self.spec, hyper)
             cache = out.cached_inverse
-            assert not cache.dropped.size
+            assert cache.pending.rows.size <= linalg._pending_limit(cache.order)
             assert list(cache.ids) == list(out.ids[out.s_rows])
             fresh = TestCachedInverseMembership.rebuilt(out, self.spec)
-            assert np.max(np.abs(cache.inv - fresh.inv)) <= 1e-10
+            assert np.max(np.abs(cache.apply(np.eye(cache.order + 1)) - fresh.inv)) <= 1e-10
+            assert np.max(np.abs(cache.compact().inv - fresh.inv)) <= 1e-10
 
 
 def engine_cases():
@@ -690,6 +692,14 @@ class TestEngineInverseAndFallback:
     def test_input_inverse_is_never_written(self, task, monkeypatch):
         make, train, engine, _, hyper = ENGINE_TASKS[task]
         state = train(make(40, seed=1), self.spec, hyper)
+        # an input whose inverse carries pending changes from its own update
+        state = engine(state, UpdateBatch(remove=[int(state.ids[state.s_rows[-1]])]),
+                       self.spec, hyper)
+        pending = state.cached_inverse.pending
+        assert pending is not None
+        watched_arrays = [state.cached_inverse.inv, pending.rows, pending.live, pending.ht,
+                          pending.cap, pending.lu[0], pending.cross, pending.block]
+        before = [a.copy() for a in watched_arrays]
         patches = []
         watched = [(linalg, "inverse_shrink"), (linalg, "inverse_grow"),
                    (linalg.BorderedInverse, "shrink"), (linalg.BorderedInverse, "grow"),
@@ -698,7 +708,6 @@ class TestEngineInverseAndFallback:
             original = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=name, **kw:
                                 patches.append(_n) or _f(*a, **kw))
-        before = state.cached_inverse.inv.copy()
         arrivals = make(6, seed=51, start_id=500)
         leaving = [int(state.ids[r]) for r in state.s_rows[:2]]
         # the first patch of a round is a shrink when S members leave, a
@@ -706,7 +715,8 @@ class TestEngineInverseAndFallback:
         for upd in (UpdateBatch(add=arrivals, remove=leaving), UpdateBatch(add=arrivals)):
             patches.clear()
             engine(state, upd, self.spec, hyper)
-            assert np.array_equal(state.cached_inverse.inv, before)
+            assert state.cached_inverse.pending is pending
+            assert all(np.array_equal(a, b) for a, b in zip(watched_arrays, before))
             first = "shrink" if upd.remove else "grow"
             assert patches[0] == first
 
