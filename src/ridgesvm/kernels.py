@@ -96,19 +96,20 @@ class ColumnCache:
     ``i``.  :meth:`sync` moves it to a later row set of the same samples:
     a leaving sample frees its slot, and an arrival fills a free one and
     has its entries of the kept columns evaluated (arrivals x columns
-    entries).  ``entries`` counts the kernel entries evaluated so far;
+    entries).  The cache keeps no features of its own: ``x`` is the
+    holder's read-only feature array, read by slot through ``rows``, the
+    slot of each row.  ``entries`` counts the kernel entries evaluated so far;
     ``lease`` is bumped by each holder that takes the cache over (see
     :func:`ridgesvm.model.column_cache`).
     """
 
     def __init__(self, x, spec: KernelSpec):
-        x = np.asarray(x, dtype=float)
-        n = x.shape[0]
+        self.x = np.asarray(x, dtype=float)  # features by row of the current row set
+        n = self.x.shape[0]
         self.spec = spec
         self.entries = 0
         self.lease = 0
         self.rows = np.arange(n)  # slot of each row of the current row set
-        self._x = x.copy()  # features by slot
         self._live = np.ones(n, dtype=bool)
         self._column = np.full(n, -1, dtype=np.intp)  # buffer column of each slot
         self._owner = np.zeros(0, dtype=np.intp)  # slot of each buffer column
@@ -138,13 +139,19 @@ class ColumnCache:
                 free = np.flatnonzero(~self._live)
             new = free[:fresh.size]
             self._live[new] = True
-            self._x[new] = x[fresh]
-            if self._owner.size:
-                block = kernel_matrix(x[fresh], self._x[self._owner], self.spec)
-                self._buf[new, :self._owner.size] = block
-                self.entries += block.size
             slots[fresh] = new
-        self.rows = slots
+        self.rows, self.x = slots, x
+        if fresh.size and self._owner.size:
+            x_slot = self._slot_features()
+            block = kernel_matrix(x_slot[new], x_slot[self._owner], self.spec)
+            self._buf[new, :self._owner.size] = block
+            self.entries += block.size
+
+    def _slot_features(self) -> np.ndarray:
+        """Features by slot, read from the holder's rows; a free slot reads row 0's."""
+        row_of = np.zeros(self._live.size, dtype=np.intp)
+        row_of[self.rows] = np.arange(self.rows.size)
+        return self.x.take(row_of, axis=0)
 
     def _add_slots(self, extra: int) -> None:
         """Grow the slot count geometrically; new slots hold zeros until filled."""
@@ -152,9 +159,7 @@ class ColumnCache:
         grown = size + max(extra, size // 2)
         buf = np.zeros((grown, self._buf.shape[1]), order="F")
         buf[:size] = self._buf
-        x = np.zeros((grown, self._x.shape[1]))
-        x[:size] = self._x
-        self._buf, self._x = buf, x
+        self._buf = buf
         self._live = np.concatenate([self._live, np.zeros(grown - size, dtype=bool)])
         self._column = np.concatenate([self._column, np.full(grown - size, -1, dtype=np.intp)])
 
@@ -183,7 +188,8 @@ class ColumnCache:
         cols = self._buf[:, start:end]
         # evaluated in place: the transposed slice is C-contiguous, and
         # K(x_missing, x) is K(x, x_missing) transposed
-        kernel_matrix(self._x[missing], self._x, self.spec, out=cols.T)
+        x_slot = self._slot_features()
+        kernel_matrix(x_slot[missing], x_slot, self.spec, out=cols.T)
         cols[missing, np.arange(k)] += self.spec.ridge
         self._column[missing] = np.arange(start, end)
         self._owner = np.concatenate([self._owner, missing])
@@ -213,11 +219,12 @@ def decision_profile(xq, x_model, coefficients, bias, spec: KernelSpec) -> np.nd
     are evaluated for those rows alone; with none the result is the bias.
     """
     coeffs = np.asarray(coefficients, dtype=float)
-    support = np.flatnonzero(coeffs)
+    support = np.flatnonzero(coeffs != 0.0)  # a float compare, not a truth test
     if support.size == 0:
         base = np.atleast_2d(np.asarray(xq, dtype=float)).shape[0]
         return np.full(base, float(bias))
-    x_support = np.asarray(x_model, dtype=float)[support]
+    # take: fancy indexing copies the rows of a 2-D array several times slower
+    x_support = np.asarray(x_model, dtype=float).take(support, axis=0)
     return kernel_matrix(xq, x_support, spec) @ coeffs[support] + bias
 
 

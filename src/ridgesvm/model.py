@@ -65,18 +65,15 @@ class UpdateBatch:
         return not self.add and not self.remove
 
 
-def _check_batch(state, batch: UpdateBatch) -> None:
-    """Reject an arrival id already stored or repeated, or an unknown or repeated removal."""
+def _check_batch(state, batch: UpdateBatch) -> np.ndarray:
+    """Removal rows; rejects a stored or repeated arrival id, an unknown or repeated removal."""
     add_ids = np.array([s.id for s in batch.add], dtype=int)
-    repeated = np.ones(add_ids.size, dtype=bool)
-    repeated[np.unique(add_ids, return_index=True)[1]] = False
-    stale = np.flatnonzero(state._find(add_ids)[1] | repeated)
-    if stale.size:
-        raise InvalidBatch(f"arriving sample id {add_ids[stale[0]]} is not fresh")
-    state.rows_of(batch.remove)  # raises UnknownId on missing ids
-    remove_ids, counts = np.unique(np.asarray(batch.remove, dtype=int), return_counts=True)
-    if np.any(counts > 1):
-        raise InvalidBatch(f"removal id {remove_ids[np.argmax(counts > 1)]} is named twice")
+    rows = state.rows_of(batch.remove, fresh=add_ids)
+    twice = np.sort(rows)
+    twice = twice[1:][twice[1:] == twice[:-1]]
+    if twice.size:
+        raise InvalidBatch(f"removal id {state.ids[twice].min()} is named twice")
+    return rows
 
 
 @dataclass
@@ -103,6 +100,11 @@ class _StateBase:
     and ``resid`` meet ``beta`` and ``f``: ``d mult = s * d beta`` and
     ``d resid = s * d f``.
 
+    The sample arrays ``X``, ``ids`` and ``targets`` are read-only: a copy
+    shares them, and a splice replaces them by new arrays instead of
+    writing them, so every state keeps reading its own rows.  Region tags
+    ``partition`` are ``<U1`` strings, matched as their 4-byte code points.
+
     ``column_cache`` is the persistent :class:`ridgesvm.kernels.ColumnCache`
     of the lineage, ``cache_slots`` each row's slot in it (-1 until the
     cache has seen the row) and ``cache_lease`` the lease under which this
@@ -111,22 +113,15 @@ class _StateBase:
 
     def __init__(self, samples, mult=None, b=0.0):
         samples = list(samples)
-        if samples:
-            self.X = np.array([s.features for s in samples], dtype=float)
-        else:
-            self.X = np.zeros((0, 0))
-        self.ids = np.array([s.id for s in samples], dtype=int)
-        self.targets = np.array([s.target for s in samples], dtype=float)
-        self.partition = np.full(len(samples), REGION_O, dtype="<U1")
+        self.X, self.ids, self.targets = np.zeros((0, 0)), np.zeros(0, dtype=int), np.zeros(0)
+        self.partition, self.mult, self.resid = np.zeros(0, dtype="<U1"), np.zeros(0), np.zeros(0)
+        self.cache_slots = np.zeros(0, dtype=np.intp)
+        self.append_samples(samples, np.zeros(len(samples)) if mult is None else mult,
+                            np.full(len(samples), REGION_O))
         self.cached_inverse: linalg.BorderedInverse | None = None
         self.column_cache: kernels.ColumnCache | None = None
         self.cache_lease = 0
-        self.cache_slots = np.full(len(samples), -1, dtype=np.intp)
-        self.mult = (
-            np.zeros(self.n) if mult is None else np.asarray(mult, dtype=float).copy()
-        )
         self.b = float(b)
-        self.resid = np.zeros(self.n)
 
     @property
     def n(self) -> int:
@@ -148,26 +143,33 @@ class _StateBase:
         """Signed multipliers ``s * mult``: the kernel-expansion weights."""
         return self.signs_of(self.targets) * self.mult
 
-    def _find(self, wanted) -> tuple[np.ndarray, np.ndarray]:
-        """Candidate rows for the ``wanted`` ids and whether each is stored there."""
-        if self.n == 0:
-            return np.zeros(wanted.size, dtype=int), np.zeros(wanted.size, dtype=bool)
-        # stable sort: linear time on the mostly ascending ids a stream leaves
-        order = np.argsort(self.ids, kind="stable")
-        pos = np.searchsorted(self.ids, wanted, sorter=order)
-        rows = order[np.minimum(pos, self.n - 1)]
-        return rows, self.ids[rows] == wanted
+    def rows_of(self, sample_ids, fresh=()) -> np.ndarray:
+        """Rows holding ``sample_ids``, in request order.
 
-    def rows_of(self, sample_ids) -> np.ndarray:
-        """Rows holding ``sample_ids``, in request order."""
-        wanted = np.asarray(sample_ids, dtype=int).ravel()
-        rows, found = self._find(wanted)
-        if not found.all():
-            raise UnknownId(f"sample id {wanted[np.argmin(found)]} not in model")
-        return rows
+        The ``fresh`` ids (an update's arrivals) are looked up with the
+        same sort of the ids and must be neither stored nor repeated.
+        """
+        fresh = np.asarray(fresh, dtype=int).ravel()
+        wanted = np.concatenate([fresh, np.asarray(sample_ids, dtype=int).ravel()])
+        rows, found = np.zeros(wanted.size, dtype=int), np.zeros(wanted.size, dtype=bool)
+        if self.n:
+            # stable sort: linear time on the mostly ascending ids a stream leaves
+            order = np.argsort(self.ids, kind="stable")
+            rows = order[np.minimum(np.searchsorted(self.ids, wanted, sorter=order), self.n - 1)]
+            found = self.ids[rows] == wanted
+        # an arrival is stale when stored, or when an earlier arrival has its id
+        by_id = np.argsort(fresh, kind="stable")
+        found[by_id[1:][fresh[by_id[1:]] == fresh[by_id[:-1]]]] = True
+        stale = np.flatnonzero(found[:fresh.size])
+        if stale.size:
+            raise InvalidBatch(f"arriving sample id {fresh[stale[0]]} is not fresh")
+        missing = np.flatnonzero(~found[fresh.size:])
+        if missing.size:
+            raise UnknownId(f"sample id {wanted[fresh.size + missing[0]]} not in model")
+        return rows[fresh.size:]
 
     def region_rows(self, tag) -> np.ndarray:
-        return np.flatnonzero(self.partition == tag)
+        return np.flatnonzero(_in_region(self.partition, tag))
 
     @property
     def s_rows(self) -> np.ndarray:
@@ -182,48 +184,63 @@ class _StateBase:
         return self.region_rows(REGION_O)
 
     def delete_rows(self, rows) -> None:
-        keep = np.ones(self.n, dtype=bool)
-        keep[np.asarray(rows, dtype=int)] = False
-        # a boolean mask over the 2-D X is applied row by row; take is not
-        idx = np.flatnonzero(keep)
-        self.X = self.X.take(idx, axis=0)
-        self.ids = self.ids[idx]
-        self.targets = self.targets[idx]
-        self.partition = self.partition[idx]
-        self.mult = self.mult[idx]
-        self.resid = self.resid[idx]
-        self.cache_slots = self.cache_slots[idx]
+        self.append_samples([], [], [], drop=rows)
 
-    def append_samples(self, samples, mult, tags) -> None:
-        """Append rows with the given multipliers and tags; residuals start at 0."""
+    def append_samples(self, samples, mult, tags, drop=()) -> None:
+        """Drop the rows ``drop``, then append ``samples`` after the rest.
+
+        One gather per array: the appended rows take multipliers ``mult``
+        and tags ``tags``, residual 0 and no cache slot.  Every array is
+        replaced, none written, so a copy sharing them keeps its rows.
+        """
         samples = list(samples)
-        if not samples:
-            return
+        keep = np.ones(self.n, dtype=bool)
+        keep[np.asarray(drop, dtype=int)] = False
+        rows, k = np.flatnonzero(keep), len(samples)
         x_new = np.array([s.features for s in samples], dtype=float)
-        self.X = x_new if self.n == 0 else np.vstack([self.X, x_new])
-        self.ids = np.concatenate([self.ids, [s.id for s in samples]])
-        self.targets = np.concatenate([self.targets, [s.target for s in samples]])
-        self.mult = np.concatenate([self.mult, mult])
-        self.resid = np.concatenate([self.resid, np.zeros(len(samples))])
-        self.partition = np.concatenate([self.partition, tags])
-        self.cache_slots = np.concatenate([self.cache_slots,
-                                           np.full(len(samples), -1, dtype=np.intp)])
+        if self.n == 0 and k:  # an empty state takes the arrivals' width
+            self.X = np.zeros((0, x_new.shape[1]))
+        self.X = _read_only(_gathered(self.X, rows, x_new.reshape(k, self.X.shape[1])))
+        self.ids = _read_only(_gathered(self.ids, rows, [s.id for s in samples]))
+        self.targets = _read_only(_gathered(self.targets, rows, [s.target for s in samples]))
+        self.partition = _gathered(self.partition, rows, tags)
+        self.mult = _gathered(self.mult, rows, mult)
+        self.resid = _gathered(self.resid, rows, np.zeros(k))
+        self.cache_slots = _gathered(self.cache_slots, rows, np.full(k, -1))
 
     def copy(self):
-        """An independent copy sharing the cached inverse (never written) and the column cache."""
+        """A copy sharing the read-only arrays, the cached inverse and the column cache."""
         out = type(self).__new__(type(self))
-        out.X = self.X.copy()
-        out.ids = self.ids.copy()
-        out.targets = self.targets.copy()
-        out.partition = self.partition.copy()
-        out.cached_inverse = self.cached_inverse
-        out.column_cache = self.column_cache
-        out.cache_lease = self.cache_lease
-        out.cache_slots = self.cache_slots.copy()
-        out.mult = self.mult.copy()
-        out.b = self.b
-        out.resid = self.resid.copy()
+        out.__dict__.update(self.__dict__)
+        for name in ("partition", "mult", "resid", "cache_slots"):
+            setattr(out, name, getattr(self, name).copy())
         return out
+
+
+def _read_only(a) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _gathered(a, rows, tail) -> np.ndarray:
+    """``a[rows]`` followed by the rows of ``tail``, written once into a new array."""
+    tail = np.asarray(tail, dtype=a.dtype)
+    out = np.empty((rows.size + len(tail),) + a.shape[1:], dtype=a.dtype)
+    # take, not a mask: a boolean mask over the 2-D X is applied row by row
+    np.take(a, rows, axis=0, out=out[:rows.size], mode="clip")
+    out[rows.size:] = tail
+    return out
+
+
+def _alias(name: str, doc: str | None = None) -> property:
+    """A task-named view that reads and writes the stored array ``name``."""
+    return property(lambda self: getattr(self, name),
+                    lambda self, value: setattr(self, name, value), doc=doc)
+
+
+def _in_region(tags, tag) -> np.ndarray:
+    """Mask of ``tags == tag``, compared as 4-byte code points instead of strings."""
+    return np.asarray(tags, dtype="<U1").view(np.uint32) == ord(tag)
 
 
 class SvmState(_StateBase):
@@ -242,26 +259,9 @@ class SvmState(_StateBase):
         """``(lo, C, epsilon)``: alpha in ``[0, C]``, no tube."""
         return 0.0, hyper.C, 0.0
 
-    @property
-    def y(self) -> np.ndarray:
-        return self.targets
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.mult
-
-    @alpha.setter
-    def alpha(self, value) -> None:
-        self.mult = value
-
-    @property
-    def margins(self) -> np.ndarray:
-        """Margin residuals ``y f - 1``."""
-        return self.resid
-
-    @margins.setter
-    def margins(self, value) -> None:
-        self.resid = value
+    y = property(lambda self: self.targets)
+    alpha = _alias("mult")
+    margins = _alias("resid", "Margin residuals ``y f - 1``.")
 
 
 class SvrState(_StateBase):
@@ -280,22 +280,8 @@ class SvrState(_StateBase):
         """``(lo, C, epsilon)``: theta in ``[-C, C]`` around a tube of half-width epsilon."""
         return -hyper.C, hyper.C, hyper.epsilon
 
-    @property
-    def theta(self) -> np.ndarray:
-        return self.mult
-
-    @theta.setter
-    def theta(self, value) -> None:
-        self.mult = value
-
-    @property
-    def outputs(self) -> np.ndarray:
-        """Tube residuals ``f - t``."""
-        return self.resid
-
-    @outputs.setter
-    def outputs(self, value) -> None:
-        self.resid = value
+    theta = _alias("mult")
+    outputs = _alias("resid", "Tube residuals ``f - t``.")
 
 
 def compute_residuals(state, spec) -> np.ndarray:
@@ -393,7 +379,7 @@ def column_cache(state, spec) -> kernels.ColumnCache:
         cache = state.column_cache = kernels.ColumnCache(state.X, spec)
         state.cache_lease = cache.lease
         state.cache_slots = cache.rows.copy()
-    cache.sync(state.X, state.cache_slots, state.partition == REGION_S)
+    cache.sync(state.X, state.cache_slots, _in_region(state.partition, REGION_S))
     return cache
 
 
@@ -465,9 +451,9 @@ def _region_violations(tags, mult, resid, lo, C, eps, tol, checked) -> list[Viol
     """
     two_sided = lo < 0
     g = np.abs(resid) - eps if two_sided else resid
-    in_s = checked & (tags == REGION_S)
-    in_b = checked & (tags == REGION_B)
-    in_o = checked & ~(tags == REGION_S) & ~(tags == REGION_B)
+    in_s = checked & _in_region(tags, REGION_S)
+    in_b = checked & _in_region(tags, REGION_B)
+    in_o = checked & ~in_s & ~in_b
     off_bound = np.abs(np.abs(mult) - C) if two_sided else np.abs(mult - C)
     # (rows to report, rank within a row, kind, magnitude, detail)
     checks = [

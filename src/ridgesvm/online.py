@@ -102,7 +102,8 @@ def _release_candidates(state, lo, eps) -> list[int]:
     viols = np.concatenate([viol_b, viol_o])
     rows = np.concatenate([b_rows, o_rows])
     keep = viols > _MIGRATE_TOL
-    order = np.lexsort((rows[keep], -viols[keep]))
+    # ties go to the lower sample id, so row order cannot change the release order
+    order = np.lexsort((state.ids[rows[keep]], -viols[keep]))
     return [int(r) for r in rows[keep][order]]
 
 
@@ -140,7 +141,10 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
     for _ in range(max_repair_passes):
         s_rows = state.s_rows
         if s_rows.size == 0:
-            if not _release_candidates(state, lo, eps):
+            # with no member left to move, only a balanced state without
+            # violators is a solution
+            if (abs(float(signs @ state.mult)) <= model.BALANCE_TOL
+                    and not _release_candidates(state, lo, eps)):
                 np.clip(state.mult, lo, C, out=state.mult)
                 return state
             raise EmptyS("no unbounded set left to repair against")
@@ -211,10 +215,9 @@ def rebuild_empty_S(state, incoming, spec, hyper):
     try:
         sub = retrain(state, free_samples, spec, hyper)
         merged = state.copy()
-        merged.delete_rows(b_rows)
-        merged.mult[:] = 0.0
-        merged.partition[:] = REGION_O
-        merged.append_samples(free_samples, sub.mult, sub.partition)
+        merged.append_samples(free_samples, sub.mult, sub.partition, drop=b_rows)
+        rest = slice(0, merged.n - len(free_samples))
+        merged.mult[rest], merged.partition[rest] = 0.0, REGION_O
         merged.b = sub.b
         merged.resid = model.compute_residuals(merged, spec)
         model.refresh_cached_inverse(merged, spec)
@@ -225,22 +228,21 @@ def rebuild_empty_S(state, incoming, spec, hyper):
 
 
 def open_update(state, batch: model.UpdateBatch, spec, hyper):
-    """Opening of both update arms: check, copy, take leavers out of ``S``, stage arrivals.
+    """Opening of both update arms: check, copy, take leavers out of ``S``, price arrivals.
 
-    Arrivals become the last rows, at multiplier 0 and tag ``O``, with the
-    residual ``s (f - t)`` of the model before the batch.  Returns the rows
-    ``(work, remove_rows, arrivals)``, or ``(result, None, None)`` when the
-    batch is empty or leaves no ``S`` to solve against (:func:`rebuild_empty_S`).
+    Returns ``(work, remove_rows, resid_d)`` with the arrivals' residuals
+    ``s (f - t)`` under the model before the batch, for the arm to stage
+    (:func:`stage_arrivals`), or ``(result, None, None)`` when the batch is
+    empty or leaves no ``S`` to solve against (:func:`rebuild_empty_S`).
     The work copy takes over the input's column cache in every case.
     """
-    model._check_batch(state, batch)
+    remove_rows = model._check_batch(state, batch)
     work = state.copy()
     model.take_column_cache(work)  # the input state is stale from here on
     if batch.is_empty():
         return work, None, None
     if work.n == 0:
         return rebuild_empty_S(work, batch.add, spec, hyper), None, None
-    remove_rows = work.rows_of(batch.remove)
     s_leavers = remove_rows[work.partition[remove_rows] == REGION_S]
     if s_leavers.size:
         model.shrink_cached_inverse(work, s_leavers)
@@ -248,36 +250,40 @@ def open_update(state, batch: model.UpdateBatch, spec, hyper):
     if work.s_rows.size == 0:
         work.delete_rows(remove_rows)
         return rebuild_empty_S(work, batch.add, spec, hyper), None, None
-    arrivals = np.arange(work.n, work.n + len(batch.add))
-    if arrivals.size:
-        x_d = np.array([s.features for s in batch.add], dtype=float)
-        f = kernels.decision_values(x_d, work, spec)
-        work.append_samples(batch.add, np.zeros(arrivals.size), np.full(arrivals.size, REGION_O))
-        t = work.targets[arrivals]
-        work.resid[arrivals] = work.signs_of(t) * (f - t)
-    return work, remove_rows, arrivals
+    t = np.array([s.target for s in batch.add], dtype=float)
+    f = t if not t.size else kernels.decision_values(
+        np.array([s.features for s in batch.add], dtype=float), work, spec)
+    return work, remove_rows, work.signs_of(t) * (f - t)
+
+
+def stage_arrivals(work, batch: model.UpdateBatch, resid_d, drop=()) -> np.ndarray:
+    """Append the arrivals at multiplier 0, tag ``O`` and residual ``resid_d``,
+    dropping the rows ``drop`` in the same splice; returns the arrivals' rows."""
+    k = len(batch.add)
+    work.append_samples(batch.add, np.zeros(k), np.full(k, REGION_O), drop=drop)
+    work.resid[work.n - k:] = resid_d
+    return np.arange(work.n - k, work.n)
 
 
 def update_multi(state, batch: model.UpdateBatch, spec, hyper):
     """Apply one add/remove batch atomically; returns a new state.
 
-    Pipeline: predict the staged arrivals' multipliers from the weight-error
-    curve, negate and splice out leaving ones, absorb both through one kernel
-    pull and a single bordered equilibrium solve, patch the cached inverse,
+    Pipeline: predict the arrivals' multipliers from the weight-error curve,
+    drop the leavers and stage the arrivals in one splice, absorb both through
+    one kernel pull and a single bordered solve, patch the cached inverse,
     and run membership repair.  The input state is not modified.
     """
-    work, remove_rows, arrivals = open_update(state, batch, spec, hyper)
+    work, remove_rows, resid_d = open_update(state, batch, spec, hyper)
     if remove_rows is None:
         return work
     lo, C, eps = work.box(hyper)
-    mult_d = wec_predict(work.resid[arrivals], spec.ridge, lo, C, eps)
+    mult_d = wec_predict(resid_d, spec.ridge, lo, C, eps)
     # the features of leavers with a nonzero multiplier are kept for their
-    # pull; the arrivals move up by the splice
-    signed_r = -work.dual_coefficients[remove_rows]
+    # pull; one splice drops the leavers and stages the arrivals
+    signed_r = -(work.signs_of(work.targets[remove_rows]) * work.mult[remove_rows])
     moving = signed_r != 0.0
     x_r, signed_r = work.X[remove_rows[moving]], signed_r[moving]
-    work.delete_rows(remove_rows)
-    arrivals -= remove_rows.size
+    arrivals = stage_arrivals(work, batch, resid_d, drop=remove_rows)
 
     # a batch whose deltas all vanish cannot move the model: splice rows only
     if not (mult_d.any() or signed_r.any()):

@@ -19,7 +19,7 @@ import numpy as np
 from . import kernels, model
 from .errors import EmptyS, InconsistentEvent, StalledPath
 from .model import REGION_B, REGION_O, REGION_S
-from .online import equilibrium_solve, open_update, retrain, tube_segments
+from .online import equilibrium_solve, open_update, retrain, stage_arrivals, tube_segments
 
 _DIR_TOL = 1e-12
 _EVENT_TOL = 1e-12
@@ -121,8 +121,8 @@ def _candidate_events(state, phi, directions, path: PathState, hyper):
     driven[path.drive_rows] = True
     transit = driven.copy()
     transit[path.removal_rows] = True
-    in_b = (state.partition == REGION_B) & ~transit
-    in_o = (state.partition == REGION_O) & ~transit
+    in_b = model._in_region(state.partition, REGION_B) & ~transit
+    in_o = model._in_region(state.partition, REGION_O) & ~transit
     rising, falling = phi > _DIR_TOL, phi < -_DIR_TOL
     two_sided = lo < 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -232,9 +232,10 @@ def _finalize(work, path: PathState, spec, hyper):
 
 def path_update(state, batch: model.UpdateBatch, spec, hyper):
     """Apply one add/remove batch via path following; returns a new state."""
-    work, removal_rows, arrivals = open_update(state, batch, spec, hyper)
+    work, removal_rows, resid_d = open_update(state, batch, spec, hyper)
     if removal_rows is None:
         return work
+    arrivals = stage_arrivals(work, batch, resid_d)
     # only arrivals that violate at a zero multiplier move
     lo, _, eps = work.box(hyper)
     reach = np.abs(work.resid[arrivals]) if lo < 0 else -work.resid[arrivals]

@@ -131,6 +131,28 @@ class TestHandOver:
         assert_same_model(got, s.update(dropped(state), 1), task)
         assert model.validate(got, SPEC, s.hyper.C, s.hyper.epsilon) == []
 
+    def test_shared_sample_arrays_cannot_be_written(self, task):
+        s = Stream(task)
+        state = s.update(s.base, 0)
+        new = s.update(state, 1)
+        for holder in (state, new, state.copy()):
+            for name in ("X", "ids", "targets"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(holder, name)[0] = 0
+
+    def test_stale_input_keeps_its_rows_while_the_lineage_splices_on(self, task):
+        s = Stream(task)
+        state = s.update(s.base, 0)
+        before = arrays(state)
+        want = kernels.decision_values(QUERIES[task], state, SPEC)
+        kept = state
+        for rnd in range(1, 31):
+            kept = s.update(kept, rnd)
+        assert not np.isin(state.ids, kept.ids).all()
+        assert_unchanged(state, before)
+        assert np.array_equal(kernels.decision_values(QUERIES[task], state, SPEC), want)
+        assert_same_model(s.update(state, 99), s.update(dropped(state), 99), task)
+
     def test_long_chain_matches_the_chain_without_a_cache(self, task):
         s = Stream(task, seed=3)
         kept = fresh = s.base

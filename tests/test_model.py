@@ -266,7 +266,7 @@ class TestNativeStorage:
         assert np.array_equal(state.dual_coefficients, state.y * state.alpha)
 
     @pytest.mark.parametrize("kind", ["svm", "svr"])
-    def test_copy_shares_the_inverse_and_no_array(self, kind):
+    def test_copy_shares_the_inverse_and_no_writable_array(self, kind):
         state = stored_state(kind)
         state.cached_inverse = linalg.bordered_inverse(np.eye(2) * 2.0, np.ones(2))
         model.column_cache(state, KernelSpec())
@@ -275,8 +275,12 @@ class TestNativeStorage:
         assert out.cached_inverse is state.cached_inverse
         assert out.column_cache is state.column_cache
         assert out.cache_lease == state.cache_lease
-        for name in ("X", "ids", "targets", "partition", "mult", "resid", "cache_slots"):
+        for name in ("X", "ids", "targets"):
+            assert getattr(out, name) is getattr(state, name)
+            assert not getattr(out, name).flags.writeable
+        for name in ("partition", "mult", "resid", "cache_slots"):
             assert np.array_equal(getattr(out, name), getattr(state, name))
+            assert getattr(out, name).flags.writeable
             assert not np.shares_memory(getattr(out, name), getattr(state, name))
         assert out.b == state.b
         # samples are derived from the arrays, row by row, as copies
@@ -552,7 +556,9 @@ def test_open_update_stages_arrivals(case):
     make = data.two_gaussians if case == 0 else data.noisy_sine
     arrivals = make(5, seed=7, start_id=900)
     upd = UpdateBatch(add=arrivals, remove=[int(state.ids[0])])
-    work, _, staged = online.open_update(state, upd, spec, hyper)
+    work, remove_rows, resid_d = online.open_update(state, upd, spec, hyper)
+    assert work.n == state.n and np.array_equal(remove_rows, [0])
+    staged = online.stage_arrivals(work, upd, resid_d)
     assert np.array_equal(staged, np.arange(state.n, state.n + 5))
     assert np.array_equal(work.ids[staged], [s.id for s in arrivals])
     assert np.all(work.mult[staged] == 0.0)

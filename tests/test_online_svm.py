@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from ridgesvm import batch, data, kernels, model, online_svm
+from ridgesvm import batch, data, kernels, model, online, online_svm
 from ridgesvm.batch import SolverConfig
 from ridgesvm.errors import EmptyS, NonpositiveRho, RepairDivergence
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample, UpdateBatch
-from ridgesvm.online import equilibrium_solve, kkt_repair, wec_predict
+from ridgesvm.online import _release_candidates, equilibrium_solve, kkt_repair, wec_predict
 from ridgesvm.online_svm import update_multi_svm, wec_predict_svm
 
 SPEC = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
@@ -144,6 +144,35 @@ class TestKktRepair:
         gap = np.max(np.abs(kernels.decision_values(pts, state, spec)
                             - kernels.decision_values(pts, oracle, spec)))
         assert gap <= 1e-4
+
+    def test_unbalanced_state_without_s_raises_empty_s(self):
+        """Two +1 rows at C = 0.1 in B and a -1 row at 0 in O: no violator, balance 0.2."""
+        spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.05)
+        hyper = Hyperparams(C=0.1)
+        samples = [Sample(0, np.array([0.0, 0.0]), 1.0), Sample(1, np.array([0.5, 0.0]), 1.0),
+                   Sample(2, np.array([3.0, 3.0]), -1.0)]
+        state = model.SvmState(samples, alpha=[0.1, 0.1, 0.0], b=-5.0)
+        state.margins = model.compute_residuals(state, spec)
+        state.partition = np.array(["B", "B", "O"])
+        assert [v.kind for v in model.validate(state, spec, hyper.C)] == ["balance"]
+        with pytest.raises(EmptyS):
+            kkt_repair(state.copy(), spec, hyper)
+        # the route update_multi takes on EmptyS ends in a consistent state
+        assert clean(online.rebuild_empty_S(state, [], spec, hyper), spec, hyper)
+
+    def test_release_ties_follow_sample_ids_not_rows(self):
+        """Tied violators are released by id, so a row-permuted state releases alike."""
+        resid = np.array([-0.5, -0.2, -0.5, 0.3, -0.2, -0.5])
+        ids = [14, 11, 10, 13, 12, 15]
+        samples = [Sample(i, np.array([float(i)]), 1.0) for i in ids]
+
+        def released(perm):
+            state = model.SvmState([samples[k] for k in perm])
+            state.margins = resid[perm]
+            return state.ids[_release_candidates(state, 0.0, 0.0)].tolist()
+
+        assert released(np.arange(6)) == [10, 14, 15, 11, 12]
+        assert released(np.array([5, 3, 1, 0, 4, 2])) == [10, 14, 15, 11, 12]
 
     def test_exhausted_budget_raises(self):
         samples = data.two_gaussians(30, seed=4)

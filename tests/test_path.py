@@ -4,7 +4,7 @@ import pytest
 from ridgesvm import batch, data, kernels, model, path
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample, UpdateBatch
-from ridgesvm.online import open_update
+from ridgesvm.online import open_update, stage_arrivals
 from ridgesvm.online_svm import update_multi_svm
 from ridgesvm.online_svr import update_multi_svr
 from ridgesvm.path import (
@@ -33,8 +33,9 @@ def svm_path_fixture(seed=0, n=30, n_add=4, n_rem=2):
 
 def prepared_path(state, arrivals, remove_ids, spec=SPEC, hyper=HYPER):
     """Stage the batch as the update opening does and mark transit sets, like the loop."""
-    work, remove_rows, staged = open_update(
-        state, UpdateBatch(add=arrivals, remove=remove_ids), spec, hyper)
+    upd = UpdateBatch(add=arrivals, remove=remove_ids)
+    work, remove_rows, resid_d = open_update(state, upd, spec, hyper)
+    staged = stage_arrivals(work, upd, resid_d)
     lo, _, eps = work.box(hyper)
     reach = np.abs(work.resid[staged]) if lo < 0 else -work.resid[staged]
     return work, PathState(drive_rows=staged[reach > eps + 1e-12], removal_rows=remove_rows)
