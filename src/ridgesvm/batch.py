@@ -81,19 +81,6 @@ def _pair_values(beta, resid, epsilon):
     return -(resid + up_sub), resid - dn_sub
 
 
-def _bias(beta, resid, lo, hi, C, epsilon) -> float:
-    """Bias from the unbounded members, else the middle of the feasible range."""
-    interior = (np.abs(beta) > model.BOUND_TOL) & (np.abs(beta) < C - model.BOUND_TOL)
-    if interior.any():
-        return float(np.mean(-resid[interior] - epsilon * np.sign(beta[interior])))
-    vals_up, vals_dn = _pair_values(beta, resid, epsilon)
-    can_up = beta < hi - _BOX_EPS
-    can_dn = beta > lo + _BOX_EPS
-    top = np.max(vals_up[can_up]) if can_up.any() else 0.0
-    bottom = np.max(vals_dn[can_dn]) if can_dn.any() else 0.0
-    return float(0.5 * (top - bottom))
-
-
 def _train(state, spec, hyper, config: SolverConfig | None):
     """Batch-solve the dual over the samples of a fresh ``state`` (in place)."""
     config = config or SolverConfig()
@@ -111,9 +98,13 @@ def _train(state, spec, hyper, config: SolverConfig | None):
         raise NoConvergence(
             f"pair solver stopped with optimality gap {gap:.3e}", worst_gap=gap
         )
-    state.b = _bias(beta, resid, beta_lo, beta_hi, C, eps)
+    # an interior multiplier's equilibrium fixes the bias, else the shared rule does
+    interior = (np.abs(beta) > model.BOUND_TOL) & (np.abs(beta) < C - model.BOUND_TOL)
+    if interior.any():
+        state.b = float(np.mean(-resid[interior] - eps * np.sign(beta[interior])))
     state.mult = signs * beta
     state.resid = signs * (resid + state.b)
+    model.settle_bias(state, hyper)
     state.partition = model.classify_regions(state.mult, state.resid, C, eps)
     model.refresh_cached_inverse(state, spec)
     return state

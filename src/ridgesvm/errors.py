@@ -62,7 +62,10 @@ class NonpositiveRho(RidgeSvmError):
 
 
 class EmptyS(RidgeSvmError):
-    """No unbounded support vectors: the equilibrium system is undefined."""
+    """No unbounded support vectors: the equilibrium system is undefined.
+
+    Raised by a bordered solve over an empty ``S``, and by the empty-S step if
+    no row bounds the bias on the side the balance needs (a one-class SVM)."""
 
 
 class RepairDivergence(RidgeSvmError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels, linalg
-from .errors import EmptyS, InconsistentState, InvalidBatch, UnknownId
+from .errors import EmptyS, InconsistentState, InvalidBatch, SingleClassInput, UnknownId
 
 REGION_TOL = 1e-6
 HARD_TOL = 1e-3
@@ -66,13 +66,20 @@ class UpdateBatch:
 
 
 def _check_batch(state, batch: UpdateBatch) -> np.ndarray:
-    """Removal rows; rejects a stored or repeated arrival id, an unknown or repeated removal."""
+    """Removal rows; rejects a stored or repeated arrival id, an unknown or repeated
+    removal, and an SVM batch that leaves samples of one class only."""
     add_ids = np.array([s.id for s in batch.add], dtype=int)
     rows = state.rows_of(batch.remove, fresh=add_ids)
     twice = np.sort(rows)
     twice = twice[1:][twice[1:] == twice[:-1]]
     if twice.size:
         raise InvalidBatch(f"removal id {state.ids[twice].min()} is named twice")
+    if isinstance(state, SvmState):
+        left = state.n - rows.size + len(batch.add)
+        negative = (np.count_nonzero(state.targets < 0) - np.count_nonzero(state.targets[rows] < 0)
+                    + sum(s.target < 0 for s in batch.add))
+        if left and negative in (0, left):
+            raise SingleClassInput("the batch leaves samples of one class only")
     return rows
 
 
@@ -318,13 +325,59 @@ def classify_regions(mult, resid, C, epsilon=0.0, strict: bool = True) -> np.nda
             raise InconsistentState(
                 f"interior multiplier at row {row} has tube slack {slack[row]:.3e}"
             )
-    tags[interior] = REGION_S
     on_edge = np.abs(slack) <= REGION_TOL
-    tags[at_zero & on_edge] = REGION_S
-    tags[at_c & on_edge] = REGION_S
-    tags[at_zero & ~on_edge] = REGION_O
-    tags[at_c & ~on_edge & ~interior] = REGION_B
+    tags[interior | on_edge] = REGION_S
+    tags[at_c & ~on_edge] = REGION_B
     return tags
+
+
+def bias_bounds(state, hyper, mult=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ``(lower, upper)`` bounds on a bias shift ``db`` that keeps the row's region.
+
+    A shift moves each residual by ``s db``.  Only a multiplier at zero or
+    at a box bound (``mult``, default ``state.mult``) imposes one: zero keeps
+    the residual in the tube (beyond the margin, for the SVM), a positive
+    bound at most ``-eps``, a negative one at least ``eps``; others are infinite.
+    """
+    lo, C, eps = state.box(hyper)
+    mult = state.mult if mult is None else mult
+    at_zero = np.abs(mult) <= BOUND_TOL
+    # bounds on the residual shift u = s db; -eps - resid puts a residual on -eps
+    u_lo = np.where(at_zero, -eps - state.resid, -np.inf)
+    u_hi = np.where(mult >= C - BOUND_TOL, -eps - state.resid, np.inf)
+    if lo < 0:  # two-sided: zero also keeps the residual at most eps, a negative bound at least
+        np.copyto(u_hi, eps - state.resid, where=at_zero)
+        np.copyto(u_lo, eps - state.resid, where=mult <= lo + BOUND_TOL)
+    up = state.signs_of(state.targets) > 0
+    return np.where(up, u_lo, -u_hi), np.where(up, u_hi, -u_lo)
+
+
+def bias_interval(state, hyper) -> tuple[float, float]:
+    """The feasible ``[lower, upper]`` for ``b`` over the rows at zero or a bound."""
+    lower, upper = bias_bounds(state, hyper)
+    return state.b + lower.max(initial=-np.inf), state.b + upper.min(initial=np.inf)
+
+
+def settle_bias(state, hyper) -> None:
+    """The one bias rule of every arm (in place).
+
+    While a multiplier is strictly inside its box (by value, not by tag) its
+    equilibrium fixes ``b``, which stays.  Otherwise ``b`` moves to the
+    midpoint of :func:`bias_interval`, the residuals follow, and ``S``
+    members pushed off their tube edge leave ``S``.
+    """
+    _, C, eps = state.box(hyper)
+    size = np.abs(state.mult)
+    if not state.n or ((size > BOUND_TOL) & (size < C - BOUND_TOL)).any():
+        return
+    lower, upper = bias_interval(state, hyper)
+    db = 0.5 * (lower + upper) - state.b
+    state.b += db
+    state.resid += state.signs_of(state.targets) * db
+    s = state.s_rows
+    off = s[np.abs(np.abs(state.resid[s]) - eps) > REGION_TOL]
+    shrink_cached_inverse(state, off)  # while tagged S
+    state.partition[off] = np.where(size[off] <= BOUND_TOL, REGION_O, REGION_B)
 
 
 def _gram_block(state, spec, rows_a, rows_b=None) -> np.ndarray:

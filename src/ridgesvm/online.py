@@ -21,7 +21,7 @@ import numpy as np
 
 from . import batch as batch_solver
 from . import kernels, model
-from .errors import EmptyS, NoConvergence, NonpositiveRho, RepairDivergence, SingleClassInput
+from .errors import EmptyS, NonpositiveRho, RepairDivergence
 from .model import REGION_B, REGION_O, REGION_S
 
 _MIGRATE_TOL = 1e-10
@@ -38,13 +38,6 @@ def wec_predict(resid, rho, lo, C, epsilon) -> np.ndarray:
         raise NonpositiveRho("multiplier prediction requires ridge > 0")
     raw = (epsilon * np.sign(resid) - resid) / rho
     return np.where(np.abs(resid) > epsilon, np.clip(raw, lo, C), 0.0)
-
-
-def retrain(state, samples, spec, hyper):
-    """Batch-train ``samples`` from scratch for the task of ``state``."""
-    train = (batch_solver.train_svm_batch if isinstance(state, model.SvmState)
-             else batch_solver.train_svr_batch)
-    return train(samples, spec, hyper)
 
 
 def equilibrium_solve(state, spec, top, pull):
@@ -88,23 +81,38 @@ def _snap(state, cache, signs, rows, bounds) -> None:
     state.partition[rows] = np.where(bounds == 0.0, REGION_O, REGION_B)
 
 
-def _release_candidates(state, lo, eps) -> list[int]:
-    """Margin/tube violators among bounded and zero members, worst first.
+def enter_bias_end(state, spec, drive, bounds) -> int:
+    """The exact step out of an empty ``S`` (in place); returns the row that enters.
 
-    A member at a positive bound must keep its residual <= -eps, one at a
-    negative bound >= eps; a zero multiplier must keep it >= -eps and, when
-    the box lets it go negative (lo < 0), <= eps.
+    Without ``S`` the bias is free within the per-row shift ``bounds`` of
+    :func:`ridgesvm.model.bias_bounds`.  A positive ``drive`` (the signed
+    multiplier sum, or its rate on a path) needs a member whose signed
+    multiplier can fall, and raising ``b`` brings those onto their edge: ``b``
+    moves to the upper end (the lower one for a negative drive), and the row
+    defining it (ties to the lower id) enters ``S``.  :class:`EmptyS` if none does.
     """
-    b_rows, o_rows = state.b_rows, state.o_rows
-    g_b, g_o = state.resid[b_rows], state.resid[o_rows]
-    viol_b = np.where(state.mult[b_rows] < 0, eps - g_b, g_b + eps)
-    viol_o = np.abs(g_o) - eps if lo < 0 else -eps - g_o
-    viols = np.concatenate([viol_b, viol_o])
-    rows = np.concatenate([b_rows, o_rows])
-    keep = viols > _MIGRATE_TOL
+    ends = bounds[1] if drive > 0 else -bounds[0]
+    end = float(ends.min(initial=np.inf))
+    if end == np.inf:
+        raise EmptyS("no row bounds the bias on the side the balance needs")
+    tied = np.flatnonzero(ends <= end + _MIGRATE_TOL)
+    row = int(tied[np.argmin(state.ids[tied])])
+    db = end if drive > 0 else -end
+    state.b += db
+    state.resid += state.signs_of(state.targets) * db
+    state.partition[row] = REGION_S
+    model.grow_cached_inverse(state, spec, [row])
+    return row
+
+
+def _release_candidates(state, hyper) -> list[int]:
+    """Rows outside ``S`` that break their region, worst first: by how far
+    the bias lies outside their :func:`ridgesvm.model.bias_bounds`."""
+    lower, upper = model.bias_bounds(state, hyper)
+    viols = np.maximum(lower, -upper)
+    rows = np.flatnonzero((viols > _MIGRATE_TOL) & ~model._in_region(state.partition, REGION_S))
     # ties go to the lower sample id, so row order cannot change the release order
-    order = np.lexsort((state.ids[rows[keep]], -viols[keep]))
-    return [int(r) for r in rows[keep][order]]
+    return [int(r) for r in rows[np.lexsort((state.ids[rows], -viols[rows]))]]
 
 
 def kkt_repair(state, spec, hyper, max_repair_passes=None):
@@ -117,82 +125,72 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
     violators among B/O are released back into ``S`` -- in bulk while
     progress is healthy, one at a time (which is safe at a subproblem
     optimum) as soon as a zero-length step signals that a bulk release
-    overshot.  Passes never increase the dual objective, so the loop cannot
-    cycle; :class:`RepairDivergence` guards the pass budget.  Membership
-    changes are carried by the cached inverse in factored form, also into
-    the state returned.
+    overshot; an unbalanced state without ``S`` first takes the exact
+    empty-S step (:func:`enter_bias_end`).  Passes never increase the dual
+    objective, so the loop cannot cycle; :class:`RepairDivergence` guards
+    the pass budget.  Both exits settle the bias (:func:`ridgesvm.model.settle_bias`).
+    The cached inverse carries membership changes in factored form.
     """
     if max_repair_passes is None:
-        # Every pass that does not end the repair moves at least one row
-        # across the edge of S: a blocked step snaps a member out, a full
-        # step releases a violator in.  Single-release mode admits one
-        # violator per pass, so a repair that has to move every stored row
-        # (arrivals included) into S and, after an overshoot, back out needs
-        # about two passes per row.  This is a scale, not a proof -- the
-        # repair is an active-set method without a polynomial worst case --
-        # so a loop that moves each row more than about twice is taken as
-        # not settling.  (A cubic-kernel SVM round in the tests settles in
-        # 72 passes at 71 rows, after 73 snaps over 56 rows.)
+        # each pass but the last moves a row across the edge of S, a row in and out about
+        # once: a scale, not a proof (a cubic-kernel test round takes 72 passes at 71 rows)
         max_repair_passes = 2 * state.n + 10
-    lo, C, eps = state.box(hyper)
+    lo, C, _ = state.box(hyper)
     signs = state.signs_of(state.targets)
     cache = model.column_cache(state, spec)
     single_release = False
     for _ in range(max_repair_passes):
         s_rows = state.s_rows
-        if s_rows.size == 0:
-            # with no member left to move, only a balanced state without
-            # violators is a solution
-            if (abs(float(signs @ state.mult)) <= model.BALANCE_TOL
-                    and not _release_candidates(state, lo, eps)):
-                np.clip(state.mult, lo, C, out=state.mult)
-                return state
-            raise EmptyS("no unbounded set left to repair against")
-        edge, seg_lo, seg_hi = tube_segments(state, hyper, s_rows)
-        mult_s = state.mult[s_rows]
-
-        # the one-shot solve applies unclamped deltas: members it pushed out
-        # of their segment are reset onto the violated end before anything else
-        below = mult_s < seg_lo - _MIGRATE_TOL
-        outside = below | (mult_s > seg_hi + _MIGRATE_TOL)
-        if outside.any():
-            _snap(state, cache, signs, s_rows[outside],
-                  np.where(below, seg_lo, seg_hi)[outside])
+        balance = float(signs @ state.mult)
+        if s_rows.size == 0 and abs(balance) > model.BALANCE_TOL:
+            enter_bias_end(state, spec, balance, model.bias_bounds(state, hyper))
             continue
+        if s_rows.size:
+            edge, seg_lo, seg_hi = tube_segments(state, hyper, s_rows)
+            mult_s = state.mult[s_rows]
 
-        # the step that takes the balance to zero and every member's cached
-        # residual onto its tube edge
-        d_b, d_mult = equilibrium_solve(state, spec, float(signs @ state.mult),
-                                        signs[s_rows] * (state.resid[s_rows] - edge))
+            # the one-shot solve applies unclamped deltas: members it pushed out
+            # of their segment are reset onto the violated end before anything else
+            below = mult_s < seg_lo - _MIGRATE_TOL
+            outside = below | (mult_s > seg_hi + _MIGRATE_TOL)
+            if outside.any():
+                _snap(state, cache, signs, s_rows[outside],
+                      np.where(below, seg_lo, seg_hi)[outside])
+                continue
 
-        # longest feasible step toward the solve target
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(
-                d_mult > 1e-14, (seg_hi - mult_s) / d_mult,
-                np.where(d_mult < -1e-14, (seg_lo - mult_s) / d_mult, np.inf),
-            )
-        step = min(1.0, float(np.min(room, initial=np.inf)))
-        step = max(step, 0.0)
+            # the step that takes the balance to zero and every member's cached
+            # residual onto its tube edge
+            d_b, d_mult = equilibrium_solve(state, spec, balance,
+                                            signs[s_rows] * (state.resid[s_rows] - edge))
 
-        if step > 0.0:
-            move = step * d_mult
-            state.resid += signs * (cache.apply(s_rows, signs[s_rows] * move) + step * d_b)
-            state.mult[s_rows] += move
-            state.b += step * d_b
+            # longest feasible step toward the solve target
+            with np.errstate(divide="ignore", invalid="ignore"):
+                room = np.where(
+                    d_mult > 1e-14, (seg_hi - mult_s) / d_mult,
+                    np.where(d_mult < -1e-14, (seg_lo - mult_s) / d_mult, np.inf),
+                )
+            step = max(min(1.0, float(np.min(room, initial=np.inf))), 0.0)
 
-        if step < 1.0:
-            if step <= 1e-12:
-                single_release = True
-            blocked = np.flatnonzero(room <= step + 1e-12)
-            bounds = np.where(d_mult[blocked] > 0, seg_hi[blocked], seg_lo[blocked])
-            _snap(state, cache, signs, s_rows[blocked], bounds)
-            continue
+            if step > 0.0:
+                move = step * d_mult
+                state.resid += signs * (cache.apply(s_rows, signs[s_rows] * move) + step * d_b)
+                state.mult[s_rows] += move
+                state.b += step * d_b
 
-        releases = _release_candidates(state, lo, eps)
+            if step < 1.0:
+                single_release |= step <= 1e-12
+                blocked = np.flatnonzero(room <= step + 1e-12)
+                bounds = np.where(d_mult[blocked] > 0, seg_hi[blocked], seg_lo[blocked])
+                _snap(state, cache, signs, s_rows[blocked], bounds)
+                continue
+
+        releases = _release_candidates(state, hyper)
         if not releases:
             np.clip(state.mult, lo, C, out=state.mult)
+            model.settle_bias(state, hyper)
             return state
-        if single_release:
+        # a balanced state without S admits its worst violator alone
+        if single_release or not s_rows.size:
             releases = releases[:1]
         state.partition[releases] = REGION_S
         model.grow_cached_inverse(state, spec, releases)
@@ -201,55 +199,29 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
     )
 
 
-def rebuild_empty_S(state, incoming, spec, hyper):
-    """Re-establish an unbounded set when ``S`` is empty.
-
-    Batch-solves the subproblem over the bounded members plus the incoming
-    samples while non-support vectors stay at zero, then repairs the merged
-    state: the zeroed non-B rows first, in their order, then the subproblem's
-    rows.  Falls back to a full retrain on the combined data whenever the
-    restricted route cannot produce a consistent model.
-    """
-    b_rows = state.b_rows
-    free_samples = state.samples_at(b_rows) + list(incoming)
-    try:
-        sub = retrain(state, free_samples, spec, hyper)
-        merged = state.copy()
-        merged.append_samples(free_samples, sub.mult, sub.partition, drop=b_rows)
-        rest = slice(0, merged.n - len(free_samples))
-        merged.mult[rest], merged.partition[rest] = 0.0, REGION_O
-        merged.b = sub.b
-        merged.resid = model.compute_residuals(merged, spec)
-        model.refresh_cached_inverse(merged, spec)
-        return kkt_repair(merged, spec, hyper)
-    except (EmptyS, RepairDivergence, SingleClassInput, NoConvergence):
-        pass
-    return retrain(state, state.samples + list(incoming), spec, hyper)
-
-
 def open_update(state, batch: model.UpdateBatch, spec, hyper):
     """Opening of both update arms: check, copy, take leavers out of ``S``, price arrivals.
 
     Returns ``(work, remove_rows, resid_d)`` with the arrivals' residuals
     ``s (f - t)`` under the model before the batch, for the arm to stage
     (:func:`stage_arrivals`), or ``(result, None, None)`` when the batch is
-    empty or leaves no ``S`` to solve against (:func:`rebuild_empty_S`).
-    The work copy takes over the input's column cache in every case.
+    empty or keeps no stored row: a cold start, which batch-trains the
+    arrivals or, without any, returns an empty state of the same task.  The
+    work copy takes over the input's column cache in every case.
     """
     remove_rows = model._check_batch(state, batch)
     work = state.copy()
     model.take_column_cache(work)  # the input state is stale from here on
     if batch.is_empty():
         return work, None, None
-    if work.n == 0:
-        return rebuild_empty_S(work, batch.add, spec, hyper), None, None
+    if remove_rows.size == work.n:
+        svm = isinstance(state, model.SvmState)
+        train = batch_solver.train_svm_batch if svm else batch_solver.train_svr_batch
+        return (train(batch.add, spec, hyper) if batch.add else type(state)([])), None, None
     s_leavers = remove_rows[work.partition[remove_rows] == REGION_S]
     if s_leavers.size:
         model.shrink_cached_inverse(work, s_leavers)
         work.partition[s_leavers] = REGION_O
-    if work.s_rows.size == 0:
-        work.delete_rows(remove_rows)
-        return rebuild_empty_S(work, batch.add, spec, hyper), None, None
     t = np.array([s.target for s in batch.add], dtype=float)
     f = t if not t.size else kernels.decision_values(
         np.array([s.features for s in batch.add], dtype=float), work, spec)
@@ -297,19 +269,19 @@ def update_multi(state, batch: model.UpdateBatch, spec, hyper):
     pull = cache.apply(arrivals, signed_d)
     if signed_r.size:
         pull += kernels.kernel_matrix(work.X, x_r, spec) @ signed_r
+    # an empty S leaves the imbalance to the repair's empty-S step
     s_rows = work.s_rows
-    db, dmult_s = equilibrium_solve(work, spec, float(signed_d.sum() + signed_r.sum()),
-                                    pull[s_rows])
-    work.resid += signs * (pull + cache.apply(s_rows, signs[s_rows] * dmult_s) + db)
-    work.mult[s_rows] += dmult_s
+    if s_rows.size:
+        db, dmult_s = equilibrium_solve(work, spec, float(signed_d.sum() + signed_r.sum()),
+                                        pull[s_rows])
+        pull = pull + cache.apply(s_rows, signs[s_rows] * dmult_s) + db
+        work.mult[s_rows] += dmult_s
+        work.b += db
+    work.resid += signs * pull
     work.mult[arrivals] = mult_d
-    work.b += db
 
     work.partition[arrivals] = np.where(
         np.abs(mult_d) <= model.BOUND_TOL, REGION_O,
         np.where(np.abs(mult_d) >= C - model.BOUND_TOL, REGION_B, REGION_S))
     model.grow_cached_inverse(work, spec, arrivals[work.partition[arrivals] == REGION_S])
-    try:
-        return kkt_repair(work, spec, hyper)
-    except EmptyS:
-        return rebuild_empty_S(work, [], spec, hyper)
+    return kkt_repair(work, spec, hyper)

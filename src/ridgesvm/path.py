@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels, model
-from .errors import EmptyS, InconsistentEvent, StalledPath
+from .errors import InconsistentEvent, StalledPath
 from .model import REGION_B, REGION_O, REGION_S
-from .online import equilibrium_solve, open_update, retrain, stage_arrivals, tube_segments
+from .online import enter_bias_end, equilibrium_solve, open_update, stage_arrivals, tube_segments
 
 _DIR_TOL = 1e-12
 _EVENT_TOL = 1e-12
@@ -78,16 +78,21 @@ def _direction(state, spec, path: PathState, hyper,
 
     Arrivals move by (target - current), removals by (-current); the
     bordered solve gives the unbounded-set response that keeps the
-    equilibrium exact along the segment.
+    equilibrium exact along the segment.  An unbalanced drive over an empty ``S``
+    first takes :func:`ridgesvm.online.enter_bias_end` over :func:`_edges`.
     """
     d_add = _drive_targets(state, path, hyper) - state.mult[path.drive_rows]
     d_rem = -state.mult[path.removal_rows]
 
     signs = state.signs_of(state.targets)
     top = float(signs[path.drive_rows] @ d_add + signs[path.removal_rows] @ d_rem)
+    if not state.s_rows.size and top:
+        row = enter_bias_end(state, spec, top, _edges(state, path, hyper))
+        path.drive_rows = path.drive_rows[path.drive_rows != row]
+        return _direction(state, spec, path, hyper, columns)
     moved = np.concatenate([path.drive_rows, path.removal_rows])
     pull = columns.apply(moved, signs[moved] * np.concatenate([d_add, d_rem]))[state.s_rows]
-    db, dalpha_s = equilibrium_solve(state, spec, top, pull)
+    db, dalpha_s = equilibrium_solve(state, spec, top, pull) if pull.size else (0.0, pull)
     return Directions(db=db, dalpha_s=dalpha_s, d_add=d_add, d_rem=d_rem)
 
 
@@ -105,49 +110,42 @@ def sensitivity_phi(state, path: PathState, directions: Directions,
     return signs * (directions.db + columns.apply(moved, signs[moved] * coef))
 
 
+def _edges(state, path: PathState, hyper):
+    """Every row's :func:`ridgesvm.model.bias_bounds` on the path: a driven
+    arrival counts as at its target, until captured at its edge; a leaver has none."""
+    mult = state.mult.copy()
+    mult[path.drive_rows] = _drive_targets(state, path, hyper)
+    lower, upper = model.bias_bounds(state, hyper, mult)
+    lower[path.removal_rows], upper[path.removal_rows] = -np.inf, np.inf
+    return lower, upper
+
+
 def _candidate_events(state, phi, directions, path: PathState, hyper):
     """All margin/tube crossings and box hits reachable this segment.
 
-    Yields (eta, sample_id, kind, row, bound).  Transit rows (driven
-    arrivals, removals) are excluded from the B/O scans; removals generate
-    no events of their own.  A residual crosses the lower edge ``-eps``
-    while rising and the upper edge ``eps`` while falling (both are the
-    margin, 0, for the SVM); the upper one matters only when the box lets
-    multipliers go negative.
+    Yields (eta, sample_id, kind, row, bound).  A row outside ``S`` moving at
+    the bias-shift rate ``s phi`` toward a finite end of its :func:`_edges`
+    crosses it: a driven arrival is captured, another row released.
     """
-    lo, _, eps = state.box(hyper)
-    mult, resid = state.mult, state.resid
-    driven = np.zeros(state.n, dtype=bool)
-    driven[path.drive_rows] = True
-    transit = driven.copy()
-    transit[path.removal_rows] = True
-    in_b = model._in_region(state.partition, REGION_B) & ~transit
-    in_o = model._in_region(state.partition, REGION_O) & ~transit
-    rising, falling = phi > _DIR_TOL, phi < -_DIR_TOL
-    two_sided = lo < 0
+    lower, upper = _edges(state, path, hyper)
+    rate = state.signs_of(state.targets) * phi
+    rising, falling = rate > _DIR_TOL, rate < -_DIR_TOL
+    # a row within _EVENT_TOL of its edge has not passed it: a duplicate of a row just released
+    hits = ((rising & (upper > -_EVENT_TOL) & (upper < np.inf))
+            | (falling & (lower < _EVENT_TOL) & (lower > -np.inf)))
+    hits &= ~model._in_region(state.partition, REGION_S)
+    driven = set(path.drive_rows.tolist())
     with np.errstate(divide="ignore", invalid="ignore"):
-        to_lower = (-eps - resid) / phi
-        to_upper = (eps - resid) / phi
-    crossings = (
-        ("release", in_b & (mult > 0) & rising & (resid < -eps), to_lower),
-        ("release", in_b & (mult < 0) & falling & (resid > eps), to_upper),
-        ("release", in_o & falling & (resid > -eps), to_lower),
-        ("release", in_o & two_sided & rising & (resid < eps), to_upper),
-        ("capture", driven & rising & (resid < -eps), to_lower),
-        ("capture", driven & two_sided & falling & (resid > eps), to_upper),
-    )
-    out = [
-        (eta[r], int(state.ids[r]), kind, int(r), None)
-        for kind, mask, eta in crossings
-        for r in np.flatnonzero(mask)
-    ]
+        eta = np.where(rising, upper, lower) / rate
+    out = [(eta[r], int(state.ids[r]), "capture" if r in driven else "release", int(r), None)
+           for r in np.flatnonzero(hits).tolist()]
 
     s_rows = state.s_rows
     _, seg_lo, seg_hi = tube_segments(state, hyper, s_rows)
     d = directions.dalpha_s
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = np.where(d > 0, seg_hi, seg_lo)
-        eta = (bound - mult[s_rows]) / d
+        eta = (bound - state.mult[s_rows]) / d
     for k in np.flatnonzero(np.abs(d) > _DIR_TOL):
         s = int(s_rows[k])
         out.append((eta[k], int(state.ids[s]), "box", s, float(bound[k])))
@@ -191,16 +189,13 @@ def migrate(state, spec, path: PathState, event: PathEvent) -> None:
         state.mult[row] = event.bound
         model.shrink_cached_inverse(state, [row])  # while still tagged S
         state.partition[row] = REGION_O if event.bound == 0.0 else REGION_B
-    elif event.kind == "release":
-        if state.partition[row] == REGION_S:
-            raise InconsistentEvent(f"release event on S row {row}")
-        state.partition[row] = REGION_S
-        model.grow_cached_inverse(state, spec, [row])
-    elif event.kind == "capture":
-        mask = path.drive_rows != row
-        if mask.all():
-            raise InconsistentEvent(f"capture event on non-driven row {row}")
-        path.drive_rows = path.drive_rows[mask]
+    elif event.kind in ("release", "capture"):
+        # a driven arrival is captured, any other row outside S released
+        driven = path.drive_rows == row
+        if state.partition[row] == REGION_S or driven.any() != (event.kind == "capture"):
+            raise InconsistentEvent(f"{event.kind} event on row {row} tagged "
+                                    f"{state.partition[row]}, driven: {driven.any()}")
+        path.drive_rows = path.drive_rows[~driven]
         state.partition[row] = REGION_S
         model.grow_cached_inverse(state, spec, [row])
     else:
@@ -218,11 +213,12 @@ def _apply_step(state, phi, directions, path: PathState, eta: float) -> None:
 
 
 def _finalize(work, path: PathState, spec, hyper):
-    """Pin transit rows to their targets, drop removals, retag, validate."""
+    """Pin transit rows to their targets, drop removals, retag, settle the bias."""
     work.mult[path.drive_rows] = _drive_targets(work, path, hyper)
     work.delete_rows(path.removal_rows)
     _, C, eps = work.box(hyper)
     work.partition = model.classify_regions(work.mult, work.resid, C, eps)
+    model.settle_bias(work, hyper)
     model.refresh_cached_inverse(work, spec)
     # the comparison arm pays its columns per update, as it always has; a
     # kept cache would hold n x |S| floats for as long as the result lives
@@ -245,12 +241,7 @@ def path_update(state, batch: model.UpdateBatch, spec, hyper):
     stall_budget = work.n + arrivals.size + removal_rows.size + 10
 
     for _ in range(max_events):
-        try:
-            directions = _direction(work, spec, path, hyper, columns)
-        except EmptyS:
-            # no unbounded set left mid-path: fall back to a fresh solve
-            work.delete_rows(path.removal_rows)
-            return retrain(work, work.samples, spec, hyper)
+        directions = _direction(work, spec, path, hyper, columns)
         phi = sensitivity_phi(work, path, directions, columns)
         eta, event = step_select(work, phi, directions, path, hyper)
         if eta > 0.0:

@@ -486,7 +486,7 @@ class TestDeferredInversePatches:
     @pytest.mark.parametrize("task", ["svm", "svr"])
     def test_updates_return_an_exact_inverse_over_s(self, task):
         """Pending changes are handed on, within the rewrite limit."""
-        make, train, engine, _, hyper = ENGINE_TASKS[task]
+        make, train, engine, hyper = ENGINE_TASKS[task]
         state = train(make(40, seed=1), self.spec, hyper)
         leaving = [int(state.ids[r]) for r in state.s_rows[:3]]
         for upd in (UpdateBatch(remove=leaving), UpdateBatch(add=make(5, seed=52, start_id=600),
@@ -682,12 +682,10 @@ class TestValidateEachKind:
 
 
 ENGINE_TASKS = {
-    "svm": (data.two_gaussians, batch.train_svm_batch, update_multi_svm,
-            online.rebuild_empty_S, Hyperparams(C=1.0)),
+    "svm": (data.two_gaussians, batch.train_svm_batch, update_multi_svm, Hyperparams(C=1.0)),
     # noisy enough that bounded rows sit between zero-multiplier rows
     "svr": (functools.partial(data.noisy_sine, noise=0.6), batch.train_svr_batch,
-            update_multi_svr, online.rebuild_empty_S,
-            Hyperparams(C=1.0, epsilon=0.2)),
+            update_multi_svr, Hyperparams(C=1.0, epsilon=0.2)),
 }
 
 
@@ -696,7 +694,7 @@ class TestEngineInverseAndFallback:
     spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
 
     def test_input_inverse_is_never_written(self, task, monkeypatch):
-        make, train, engine, _, hyper = ENGINE_TASKS[task]
+        make, train, engine, hyper = ENGINE_TASKS[task]
         state = train(make(40, seed=1), self.spec, hyper)
         # an input whose inverse carries pending changes from its own update
         state = engine(state, UpdateBatch(remove=[int(state.ids[state.s_rows[-1]])]),
@@ -726,13 +724,42 @@ class TestEngineInverseAndFallback:
             first = "shrink" if upd.remove else "grow"
             assert patches[0] == first
 
-    def test_empty_s_fallback_keeps_o_rows_first(self, task):
-        make, train, _, rebuild, hyper = ENGINE_TASKS[task]
-        state = train(make(40, seed=11), self.spec, hyper)
-        state.delete_rows(state.s_rows)
-        state.cached_inverse = None
-        o_ids = state.ids[state.partition == "O"]
-        assert o_ids.size and (state.partition == "B").any()
-        out = rebuild(state, [], self.spec, hyper)
-        assert np.array_equal(out.ids[:o_ids.size], o_ids)
-        assert model.validate(out, spec=self.spec, C=hyper.C, epsilon=hyper.epsilon) == []
+
+class TestBiasInterval:
+    """``bias_interval`` against ``validate``, on batch states without an interior multiplier.
+
+    The oracle takes its bias from the same rule as the engines, so the
+    interval is checked here by the region conditions alone.
+    """
+
+    spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
+    cases = {
+        "svm": (batch.train_svm_batch, data.two_gaussians(40, seed=0, spread=2.0),
+                Hyperparams(C=0.02)),
+        "svr": (batch.train_svr_batch, data.noisy_sine(40, seed=1),
+                Hyperparams(C=0.02, epsilon=0.2)),
+    }
+
+    def with_bias(self, state, b, hyper):
+        out = state.copy()
+        out.resid = out.resid + out.signs_of(out.targets) * (b - state.b)
+        out.b = b
+        out.partition = model.classify_regions(out.mult, out.resid, hyper.C, hyper.epsilon)
+        return out
+
+    @pytest.mark.parametrize("task", ["svm", "svr"])
+    def test_ends_bound_the_feasible_bias_and_the_oracle_takes_the_middle(self, task):
+        train, samples, hyper = self.cases[task]
+        state = train(samples, self.spec, hyper)
+        size = np.abs(state.mult)
+        assert not ((size > model.BOUND_TOL) & (size < hyper.C - model.BOUND_TOL)).any()
+        lower, upper = model.bias_interval(state, hyper)
+        assert lower < upper
+        assert state.b == pytest.approx(0.5 * (lower + upper), abs=1e-12)
+        for b in (lower, 0.5 * (lower + upper), upper):
+            shifted = self.with_bias(state, b, hyper)
+            assert model.validate(shifted, self.spec, hyper.C, hyper.epsilon) == [], b
+        for b in (lower - 1e-4, upper + 1e-4):
+            report = model.validate(self.with_bias(state, b, hyper), self.spec, hyper.C,
+                                    hyper.epsilon)
+            assert report and all(v.kind.startswith("region") for v in report), b

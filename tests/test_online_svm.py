@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ridgesvm import batch, data, kernels, model, online, online_svm
+from ridgesvm import batch, data, kernels, model, online_svm
 from ridgesvm.batch import SolverConfig
 from ridgesvm.errors import EmptyS, NonpositiveRho, RepairDivergence
 from ridgesvm.kernels import KernelSpec
@@ -145,8 +145,13 @@ class TestKktRepair:
                             - kernels.decision_values(pts, oracle, spec)))
         assert gap <= 1e-4
 
-    def test_unbalanced_state_without_s_raises_empty_s(self):
-        """Two +1 rows at C = 0.1 in B and a -1 row at 0 in O: no violator, balance 0.2."""
+    def test_unbalanced_state_without_s_is_repaired(self):
+        """Two +1 rows at C = 0.1 in B and a -1 row at 0 in O: no violator, balance 0.2.
+
+        The empty-S step moves the bias to the end of its feasible interval
+        and enters the row defining it into S, so the repair restores the
+        balance from |S| = 1 and meets the batch oracle.
+        """
         spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.05)
         hyper = Hyperparams(C=0.1)
         samples = [Sample(0, np.array([0.0, 0.0]), 1.0), Sample(1, np.array([0.5, 0.0]), 1.0),
@@ -155,10 +160,13 @@ class TestKktRepair:
         state.margins = model.compute_residuals(state, spec)
         state.partition = np.array(["B", "B", "O"])
         assert [v.kind for v in model.validate(state, spec, hyper.C)] == ["balance"]
-        with pytest.raises(EmptyS):
-            kkt_repair(state.copy(), spec, hyper)
-        # the route update_multi takes on EmptyS ends in a consistent state
-        assert clean(online.rebuild_empty_S(state, [], spec, hyper), spec, hyper)
+        out = kkt_repair(state.copy(), spec, hyper)
+        assert clean(out, spec, hyper)
+        oracle = batch.train_svm_batch(samples, spec, hyper)
+        pts = np.vstack([state.X, np.linspace(-3.0, 4.0, 15)[:, None].repeat(2, axis=1)])
+        gap = np.max(np.abs(kernels.decision_values(pts, out, spec)
+                            - kernels.decision_values(pts, oracle, spec)))
+        assert gap <= 1e-6
 
     def test_release_ties_follow_sample_ids_not_rows(self):
         """Tied violators are released by id, so a row-permuted state releases alike."""
@@ -169,7 +177,7 @@ class TestKktRepair:
         def released(perm):
             state = model.SvmState([samples[k] for k in perm])
             state.margins = resid[perm]
-            return state.ids[_release_candidates(state, 0.0, 0.0)].tolist()
+            return state.ids[_release_candidates(state, HYPER)].tolist()
 
         assert released(np.arange(6)) == [10, 14, 15, 11, 12]
         assert released(np.array([5, 3, 1, 0, 4, 2])) == [10, 14, 15, 11, 12]
