@@ -75,11 +75,15 @@ def _check_batch(state, batch: UpdateBatch) -> np.ndarray:
     if twice.size:
         raise InvalidBatch(f"removal id {state.ids[twice].min()} is named twice")
     if isinstance(state, SvmState):
-        left = state.n - rows.size + len(batch.add)
-        negative = (np.count_nonzero(state.targets < 0) - np.count_nonzero(state.targets[rows] < 0)
-                    + sum(s.target < 0 for s in batch.add))
-        if left and negative in (0, left):
-            raise SingleClassInput("the batch leaves samples of one class only")
+        # a class can vanish only when the batch removes some of it and brings none,
+        # so most batches skip the count over every stored label
+        gone = state.targets[rows] < 0
+        if not state.n or {bool(g) for g in gone} - {bool(s.target < 0) for s in batch.add}:
+            left = state.n - rows.size + len(batch.add)
+            negative = (np.count_nonzero(state.targets < 0) - np.count_nonzero(gone)
+                        + sum(s.target < 0 for s in batch.add))
+            if left and negative in (0, left):
+                raise SingleClassInput("the batch leaves samples of one class only")
     return rows
 
 
@@ -129,6 +133,8 @@ class _StateBase:
         self.column_cache: kernels.ColumnCache | None = None
         self.cache_lease = 0
         self.b = float(b)
+        # whether an interior multiplier held b at the last settle_bias (none yet)
+        self.bias_held = False
 
     @property
     def n(self) -> int:
@@ -331,23 +337,30 @@ def classify_regions(mult, resid, C, epsilon=0.0, strict: bool = True) -> np.nda
     return tags
 
 
-def bias_bounds(state, hyper, mult=None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row ``(lower, upper)`` bounds on a bias shift ``db`` that keeps the row's region.
+def shift_bounds(state, hyper, mult=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ``(lower, upper)`` bounds on a residual shift that keeps the row's region.
 
-    A shift moves each residual by ``s db``.  Only a multiplier at zero or
-    at a box bound (``mult``, default ``state.mult``) imposes one: zero keeps
-    the residual in the tube (beyond the margin, for the SVM), a positive
-    bound at most ``-eps``, a negative one at least ``eps``; others are infinite.
+    Only a multiplier at zero or at a box bound (``mult``, default
+    ``state.mult``) imposes one: zero keeps the residual in the tube (beyond
+    the margin, for the SVM), a positive bound at most ``-eps``, a negative
+    one at least ``eps``; others are infinite.
     """
     lo, C, eps = state.box(hyper)
     mult = state.mult if mult is None else mult
     at_zero = np.abs(mult) <= BOUND_TOL
-    # bounds on the residual shift u = s db; -eps - resid puts a residual on -eps
-    u_lo = np.where(at_zero, -eps - state.resid, -np.inf)
-    u_hi = np.where(mult >= C - BOUND_TOL, -eps - state.resid, np.inf)
+    to_lower_edge = -eps - state.resid
+    u_lo = np.where(at_zero, to_lower_edge, -np.inf)
+    u_hi = np.where(mult >= C - BOUND_TOL, to_lower_edge, np.inf)
     if lo < 0:  # two-sided: zero also keeps the residual at most eps, a negative bound at least
         np.copyto(u_hi, eps - state.resid, where=at_zero)
         np.copyto(u_lo, eps - state.resid, where=mult <= lo + BOUND_TOL)
+    return u_lo, u_hi
+
+
+def bias_bounds(state, hyper, mult=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ``(lower, upper)`` bounds on a bias shift ``db``: a shift moves each
+    residual by ``s db``, which must stay within its :func:`shift_bounds`."""
+    u_lo, u_hi = shift_bounds(state, hyper, mult)
     up = state.signs_of(state.targets) > 0
     return np.where(up, u_lo, -u_hi), np.where(up, u_hi, -u_lo)
 
@@ -364,11 +377,13 @@ def settle_bias(state, hyper) -> None:
     While a multiplier is strictly inside its box (by value, not by tag) its
     equilibrium fixes ``b``, which stays.  Otherwise ``b`` moves to the
     midpoint of :func:`bias_interval`, the residuals follow, and ``S``
-    members pushed off their tube edge leave ``S``.
+    members pushed off their tube edge leave ``S``.  Which case held is kept
+    in ``state.bias_held``, for a round that moves no multiplier.
     """
     _, C, eps = state.box(hyper)
     size = np.abs(state.mult)
-    if not state.n or ((size > BOUND_TOL) & (size < C - BOUND_TOL)).any():
+    state.bias_held = bool(((size > BOUND_TOL) & (size < C - BOUND_TOL)).any())
+    if not state.n or state.bias_held:
         return
     lower, upper = bias_interval(state, hyper)
     db = 0.5 * (lower + upper) - state.b

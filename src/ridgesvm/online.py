@@ -107,9 +107,9 @@ def enter_bias_end(state, spec, drive, bounds) -> int:
 
 def _release_candidates(state, hyper) -> list[int]:
     """Rows outside ``S`` that break their region, worst first: by how far
-    the bias lies outside their :func:`ridgesvm.model.bias_bounds`."""
-    lower, upper = model.bias_bounds(state, hyper)
-    viols = np.maximum(lower, -upper)
+    their residual lies outside its :func:`ridgesvm.model.shift_bounds`."""
+    u_lo, u_hi = model.shift_bounds(state, hyper)
+    viols = np.maximum(u_lo, -u_hi)
     rows = np.flatnonzero((viols > _MIGRATE_TOL) & ~model._in_region(state.partition, REGION_S))
     # ties go to the lower sample id, so row order cannot change the release order
     return [int(r) for r in rows[np.lexsort((state.ids[rows], -viols[rows]))]]
@@ -132,8 +132,16 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
     The cached inverse carries membership changes in factored form.
     """
     if max_repair_passes is None:
-        # each pass but the last moves a row across the edge of S, a row in and out about
-        # once: a scale, not a proof (a cubic-kernel test round takes 72 passes at 71 rows)
+        # Every pass that does not end the repair moves at least one row
+        # across the edge of S: a blocked step snaps a member out, a full
+        # step releases a violator in.  Single-release mode admits one
+        # violator per pass, so a repair that has to move every stored row
+        # (arrivals included) into S and, after an overshoot, back out needs
+        # about two passes per row.  This is a scale, not a proof -- the
+        # repair is an active-set method without a polynomial worst case --
+        # so a loop that moves each row more than about twice is taken as
+        # not settling.  (A cubic-kernel SVM round in the tests settles in
+        # 72 passes at 71 rows, after 73 snaps over 56 rows.)
         max_repair_passes = 2 * state.n + 10
     lo, C, _ = state.box(hyper)
     signs = state.signs_of(state.targets)
@@ -257,8 +265,12 @@ def update_multi(state, batch: model.UpdateBatch, spec, hyper):
     x_r, signed_r = work.X[remove_rows[moving]], signed_r[moving]
     arrivals = stage_arrivals(work, batch, resid_d, drop=remove_rows)
 
-    # a batch whose deltas all vanish cannot move the model: splice rows only
+    # a batch whose deltas all vanish moves no multiplier: splice rows only, and
+    # settle a bias that no interior multiplier holds, as the splice can move the
+    # ends of its interval
     if not (mult_d.any() or signed_r.any()):
+        if not work.bias_held:
+            model.settle_bias(work, hyper)
         return work
 
     # pull of the moved multipliers on every row; G's diagonal gives each

@@ -7,14 +7,15 @@ of a batch retrain on the same samples, and have reached the batch solver
 not once: an empty unbounded set is left by the exact empty-S step, never
 by a sub-solve or a retrain.  Small C puts many rounds through that step.
 Degenerate batches (every row removed, all of S removed, duplicate
-features, one class wiped out) get their defined outcomes on both arms.
+features, one class wiped out, the end of a free bias's interval removed)
+get their defined outcomes on both arms.
 """
 import itertools
 
 import numpy as np
 import pytest
 
-from ridgesvm import batch, bench, kernels, model
+from ridgesvm import batch, bench, data, kernels, model
 from ridgesvm.errors import SingleClassInput
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample, UpdateBatch
@@ -149,3 +150,28 @@ class TestDegenerateBatches:
         oracle = TRAIN["svm"](out.samples, self.spec, hyper)
         assert np.max(np.abs(kernels.decision_values(points, out, self.spec)
                              - kernels.decision_values(points, oracle, self.spec))) <= 1e-5
+
+    @pytest.mark.parametrize("task", ["svm", "svr"])
+    def test_removing_the_zero_row_at_an_end_of_a_free_bias(self, task, arm, batch_calls):
+        """Without an interior multiplier the bias sits at the middle of its interval.
+        Removing the zero row that defines one end moves no multiplier, but it
+        widens the interval, and the bias follows to the new middle."""
+        spec, samples, hyper = {
+            "svm": (KernelSpec(family="linear", ridge=0.05),
+                    data.two_gaussians(40, seed=3, spread=1.0), Hyperparams(C=0.2)),
+            "svr": (self.spec, data.noisy_sine(40, seed=1), Hyperparams(C=0.02, epsilon=0.2)),
+        }[task]
+        state = TRAIN[task](samples, spec, hyper)
+        size = np.abs(state.mult)
+        assert not ((size > model.BOUND_TOL) & (size < hyper.C - model.BOUND_TOL)).any()
+        lower, upper = model.bias_bounds(state, hyper)
+        row = next(r for r in (int(np.argmax(lower)), int(np.argmin(upper)))
+                   if state.mult[r] == 0.0)
+        out = ARMS[arm](state, UpdateBatch(remove=[int(state.ids[row])]), spec, hyper)
+        assert batch_calls == []
+        assert model.validate(out, spec=spec, C=hyper.C, epsilon=hyper.epsilon) == []
+        oracle = TRAIN[task](out.samples, spec, hyper)
+        assert abs(oracle.b - state.b) > bench.PARITY_TOL
+        points = np.array([s.features for s in samples])
+        assert np.max(np.abs(kernels.decision_values(points, out, spec)
+                             - kernels.decision_values(points, oracle, spec))) <= 1e-9
