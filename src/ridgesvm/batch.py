@@ -99,7 +99,7 @@ def _train(state, spec, hyper, config: SolverConfig | None):
             f"pair solver stopped with optimality gap {gap:.3e}", worst_gap=gap
         )
     # an interior multiplier's equilibrium fixes the bias, else the shared rule does
-    interior = (np.abs(beta) > model.BOUND_TOL) & (np.abs(beta) < C - model.BOUND_TOL)
+    interior = model.interior_mask(beta, C)
     if interior.any():
         state.b = float(np.mean(-resid[interior] - eps * np.sign(beta[interior])))
     state.mult = signs * beta

@@ -115,7 +115,7 @@ def cmd_train(args) -> int:
         state = train_svm_batch(samples, spec, hyper)
     else:
         state = train_svr_batch(samples, spec, hyper)
-    save_model(state, args.out, spec, hyper, stats, task=args.task)
+    save_model(state, args.out, spec, hyper, stats)
     print(f"trained on {state.n} samples: {_counts(state)}")
     print(_train_metric(state, spec, args.task))
     print(f"model written to {args.out}")
@@ -149,7 +149,7 @@ def cmd_update(args) -> int:
     report = model.validate(new_state, spec=spec, C=hyper.C, epsilon=hyper.epsilon)
     residual = max((v.magnitude for v in report), default=0.0)
     out = args.out or args.model
-    save_model(new_state, out, spec, hyper, stats, task=task)
+    save_model(new_state, out, spec, hyper, stats)
     print(f"applied +{len(adds)}/-{len(removals)} via {args.engine}: "
           f"delta|S|={new_state.s_rows.size - s_before:+d}, "
           f"wall {wall:.4f}s, KKT residual {residual:.3e}")

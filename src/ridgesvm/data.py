@@ -260,15 +260,16 @@ def _stats_from_doc(doc):
     )
 
 
+_STATE_CLASSES = {"classification": model.SvmState, "regression": model.SvrState}
+
+
 def save_model(state, path, spec: KernelSpec, hyper: Hyperparams,
-               standardizer: StandardizationStats | None = None,
-               task: str | None = None) -> None:
-    """Write a versioned JSON model document (atomic whole-file replace)."""
-    if task is None:
-        task = "classification" if isinstance(state, model.SvmState) else "regression"
+               standardizer: StandardizationStats | None = None) -> None:
+    """Write a versioned JSON model document (atomic whole-file replace);
+    the task follows the state's class."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "task": task,
+        "task": "classification" if isinstance(state, model.SvmState) else "regression",
         "kernel": asdict(spec),
         "hyper": asdict(hyper),
         "standardizer": _stats_to_doc(standardizer),
@@ -321,12 +322,19 @@ def load_model(path):
         partition = np.asarray(doc["partition"], dtype="<U1")
         if len(multipliers) != len(samples) or len(partition) != len(samples):
             raise KeyError("length mismatch")
+        if task not in _STATE_CLASSES:
+            raise ValueError(f"unknown task {task!r}")
+        if not set(doc["partition"]) <= {model.REGION_S, model.REGION_B, model.REGION_O}:
+            raise ValueError("a region tag is not S, B or O")
+        if len({s.features.shape for s in samples}) > 1:
+            raise ValueError("feature rows of different lengths")
+        if len({s.id for s in samples}) != len(samples):
+            raise ValueError("a sample id is repeated")
         standardizer = _stats_from_doc(doc.get("standardizer"))
     except (KeyError, TypeError, ValueError) as err:
         raise CorruptFile(f"{path}: {err}") from err
 
-    state_class = model.SvmState if task == "classification" else model.SvrState
-    state = state_class(samples, multipliers, bias)
+    state = _STATE_CLASSES[task](samples, multipliers, bias)
     state.partition = partition
     state.resid = model.compute_residuals(state, spec)
     return state, spec, hyper, standardizer, task

@@ -8,9 +8,11 @@ Samples are partitioned by their multiplier and margin/tube status into
 * ``O`` -- non-support vectors (zero multiplier, strictly satisfied
   constraint).
 
-Two tolerance tiers separate numerical noise from logic errors: region
-membership is judged at ``REGION_TOL``; an interior multiplier whose active
-condition misses by more than ``HARD_TOL`` signals a broken equilibrium.
+This module alone decides regions (:func:`interior_mask`, :func:`region_tags`,
+:func:`shift_bounds`, :func:`tube_segments`).  Two tolerance tiers separate
+numerical noise from logic errors: region membership is judged at
+``REGION_TOL``; an interior multiplier whose active condition misses by more
+than ``HARD_TOL`` signals a broken equilibrium.
 """
 from __future__ import annotations
 
@@ -309,6 +311,20 @@ def compute_residuals(state, spec) -> np.ndarray:
     return state.signs_of(state.targets) * (f - state.targets)
 
 
+def interior_mask(mult, C) -> np.ndarray:
+    """The one interior rule: which multipliers lie strictly inside their box, by value."""
+    size = np.abs(mult)
+    return (size > BOUND_TOL) & (size < C - BOUND_TOL)
+
+
+def region_tags(mult, C, on_edge=False) -> np.ndarray:
+    """The one three-way tag: ``S`` for an interior multiplier or a row ``on_edge``,
+    else ``B`` for one at a box bound, else ``O``."""
+    tags = np.where(np.abs(mult) >= C - BOUND_TOL, REGION_B, REGION_O)
+    tags[interior_mask(mult, C) | on_edge] = REGION_S
+    return tags
+
+
 def classify_regions(mult, resid, C, epsilon=0.0, strict: bool = True) -> np.ndarray:
     """Region tags from native multipliers and residuals ``s (f - t)``.
 
@@ -320,21 +336,14 @@ def classify_regions(mult, resid, C, epsilon=0.0, strict: bool = True) -> np.nda
     """
     mult = np.asarray(mult, dtype=float)
     slack = np.abs(np.asarray(resid, dtype=float)) - epsilon
-    tags = np.full(mult.shape[0], REGION_O, dtype="<U1")
-    at_zero = np.abs(mult) <= BOUND_TOL
-    at_c = np.abs(mult) >= C - BOUND_TOL
-    interior = ~at_zero & ~at_c
     if strict:
-        bad = interior & (np.abs(slack) > HARD_TOL)
+        bad = interior_mask(mult, C) & (np.abs(slack) > HARD_TOL)
         if bad.any():
             row = int(np.flatnonzero(bad)[0])
             raise InconsistentState(
                 f"interior multiplier at row {row} has tube slack {slack[row]:.3e}"
             )
-    on_edge = np.abs(slack) <= REGION_TOL
-    tags[interior | on_edge] = REGION_S
-    tags[at_c & ~on_edge] = REGION_B
-    return tags
+    return region_tags(mult, C, np.abs(slack) <= REGION_TOL)
 
 
 def shift_bounds(state, hyper, mult=None) -> tuple[np.ndarray, np.ndarray]:
@@ -355,6 +364,23 @@ def shift_bounds(state, hyper, mult=None) -> tuple[np.ndarray, np.ndarray]:
         np.copyto(u_hi, eps - state.resid, where=at_zero)
         np.copyto(u_lo, eps - state.resid, where=mult <= lo + BOUND_TOL)
     return u_lo, u_hi
+
+
+def tube_segments(state, hyper, rows):
+    """Residual target and multiplier segment ``[lo, hi]`` of unbounded members.
+
+    Without a tube every member targets residual 0 over the whole box.  With
+    one, a member is pinned to one tube edge and its multiplier kept on that
+    side of zero: a nonzero multiplier fixes the side (the residual opposes
+    it), and a member entering at zero takes the edge its residual touched.
+    """
+    lo, C, eps = state.box(hyper)
+    if eps == 0.0:
+        return np.zeros(rows.size), np.full(rows.size, lo), np.full(rows.size, C)
+    mult = state.mult[rows]
+    edge = np.where(np.abs(mult) > BOUND_TOL, -eps * np.sign(mult),
+                    eps * np.sign(state.resid[rows]))
+    return edge, np.where(edge > 0, lo, 0.0), np.where(edge > 0, 0.0, C)
 
 
 def bias_bounds(state, hyper, mult=None) -> tuple[np.ndarray, np.ndarray]:
@@ -381,8 +407,7 @@ def settle_bias(state, hyper) -> None:
     in ``state.bias_held``, for a round that moves no multiplier.
     """
     _, C, eps = state.box(hyper)
-    size = np.abs(state.mult)
-    state.bias_held = bool(((size > BOUND_TOL) & (size < C - BOUND_TOL)).any())
+    state.bias_held = bool(interior_mask(state.mult, C).any())
     if not state.n or state.bias_held:
         return
     lower, upper = bias_interval(state, hyper)
@@ -392,7 +417,7 @@ def settle_bias(state, hyper) -> None:
     s = state.s_rows
     off = s[np.abs(np.abs(state.resid[s]) - eps) > REGION_TOL]
     shrink_cached_inverse(state, off)  # while tagged S
-    state.partition[off] = np.where(size[off] <= BOUND_TOL, REGION_O, REGION_B)
+    state.partition[off] = region_tags(state.mult[off], C)
 
 
 def _gram_block(state, spec, rows_a, rows_b=None) -> np.ndarray:

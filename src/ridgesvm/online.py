@@ -54,23 +54,6 @@ def equilibrium_solve(state, spec, top, pull):
     return float(sol[0]), state.signs_of(state.targets[state.s_rows]) * sol[1:]
 
 
-def tube_segments(state, hyper, rows):
-    """Residual target and multiplier segment ``[lo, hi]`` of unbounded members.
-
-    Without a tube every member targets residual 0 over the whole box.  With
-    one, a member is pinned to one tube edge and its multiplier kept on that
-    side of zero: a nonzero multiplier fixes the side (the residual opposes
-    it), and a member entering at zero takes the edge its residual touched.
-    """
-    lo, C, eps = state.box(hyper)
-    if eps == 0.0:
-        return np.zeros(rows.size), np.full(rows.size, lo), np.full(rows.size, C)
-    mult = state.mult[rows]
-    edge = np.where(np.abs(mult) > model.BOUND_TOL, -eps * np.sign(mult),
-                    eps * np.sign(state.resid[rows]))
-    return edge, np.where(edge > 0, lo, 0.0), np.where(edge > 0, 0.0, C)
-
-
 def _snap(state, cache, signs, rows, bounds) -> None:
     """Pin ``S`` members onto a segment end: zero exits to ``O``, a box bound to ``B``."""
     deltas = bounds - state.mult[rows]
@@ -120,8 +103,8 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
 
     Each pass solves the equilibrium over the current ``S`` and walks
     toward that solution only as far as each member's segment (see
-    :func:`tube_segments`) allows; members that block are snapped onto the
-    segment end they hit and retagged.  Once the solution is reached,
+    :func:`ridgesvm.model.tube_segments`) allows; members that block are
+    snapped onto the segment end they hit and retagged.  Once the solution is reached,
     violators among B/O are released back into ``S`` -- in bulk while
     progress is healthy, one at a time (which is safe at a subproblem
     optimum) as soon as a zero-length step signals that a bulk release
@@ -154,7 +137,7 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
             enter_bias_end(state, spec, balance, model.bias_bounds(state, hyper))
             continue
         if s_rows.size:
-            edge, seg_lo, seg_hi = tube_segments(state, hyper, s_rows)
+            edge, seg_lo, seg_hi = model.tube_segments(state, hyper, s_rows)
             mult_s = state.mult[s_rows]
 
             # the one-shot solve applies unclamped deltas: members it pushed out
@@ -292,8 +275,6 @@ def update_multi(state, batch: model.UpdateBatch, spec, hyper):
     work.resid += signs * pull
     work.mult[arrivals] = mult_d
 
-    work.partition[arrivals] = np.where(
-        np.abs(mult_d) <= model.BOUND_TOL, REGION_O,
-        np.where(np.abs(mult_d) >= C - model.BOUND_TOL, REGION_B, REGION_S))
+    work.partition[arrivals] = model.region_tags(mult_d, C)
     model.grow_cached_inverse(work, spec, arrivals[work.partition[arrivals] == REGION_S])
     return kkt_repair(work, spec, hyper)

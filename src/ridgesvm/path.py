@@ -19,7 +19,7 @@ import numpy as np
 from . import kernels, model
 from .errors import InconsistentEvent, StalledPath
 from .model import REGION_B, REGION_O, REGION_S
-from .online import enter_bias_end, equilibrium_solve, open_update, stage_arrivals, tube_segments
+from .online import enter_bias_end, equilibrium_solve, open_update, stage_arrivals
 
 _DIR_TOL = 1e-12
 _EVENT_TOL = 1e-12
@@ -120,12 +120,16 @@ def _edges(state, path: PathState, hyper):
     return lower, upper
 
 
-def _candidate_events(state, phi, directions, path: PathState, hyper):
-    """All margin/tube crossings and box hits reachable this segment.
+def step_select(state, phi, directions, path: PathState, hyper):
+    """Smallest step before any membership event, capped at the path's end (1).
 
-    Yields (eta, sample_id, kind, row, bound).  A row outside ``S`` moving at
-    the bias-shift rate ``s phi`` toward a finite end of its :func:`_edges`
-    crosses it: a driven arrival is captured, another row released.
+    Returns (eta, event); the event is ``end`` when the cap wins.  A row
+    outside ``S`` moving at the bias-shift rate ``s phi`` toward a finite end
+    of its :func:`_edges` crosses it: a driven arrival is captured, another
+    row released.  An ``S`` member moving along its
+    :func:`ridgesvm.model.tube_segments` segment hits an end (``box``).  Ties
+    are broken toward the lowest sample id.  Steps that repeatedly select
+    zero-length events trip :class:`StalledPath` at the caller.
     """
     lower, upper = _edges(state, path, hyper)
     rate = state.signs_of(state.targets) * phi
@@ -133,47 +137,28 @@ def _candidate_events(state, phi, directions, path: PathState, hyper):
     # a row within _EVENT_TOL of its edge has not passed it: a duplicate of a row just released
     hits = ((rising & (upper > -_EVENT_TOL) & (upper < np.inf))
             | (falling & (lower < _EVENT_TOL) & (lower > -np.inf)))
-    hits &= ~model._in_region(state.partition, REGION_S)
-    driven = set(path.drive_rows.tolist())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta = np.where(rising, upper, lower) / rate
-    out = [(eta[r], int(state.ids[r]), "capture" if r in driven else "release", int(r), None)
-           for r in np.flatnonzero(hits).tolist()]
-
+    crossing = np.flatnonzero(hits & ~model._in_region(state.partition, REGION_S))
     s_rows = state.s_rows
-    _, seg_lo, seg_hi = tube_segments(state, hyper, s_rows)
+    _, seg_lo, seg_hi = model.tube_segments(state, hyper, s_rows)
     d = directions.dalpha_s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = np.where(d > 0, seg_hi, seg_lo)
-        eta = (bound - state.mult[s_rows]) / d
-    for k in np.flatnonzero(np.abs(d) > _DIR_TOL):
-        s = int(s_rows[k])
-        out.append((eta[k], int(state.ids[s]), "box", s, float(bound[k])))
-    return out
-
-
-def step_select(state, phi, directions, path: PathState, hyper):
-    """Smallest step before any membership event, capped at the path's end (1).
-
-    Returns (eta, event); the event is ``end`` when the cap wins.  Ties are
-    broken toward the lowest sample id.  Steps that repeatedly select
-    zero-length events trip :class:`StalledPath` at the caller.
-    """
-    reachable = [
-        (max(eta, 0.0), sid, kind, row, bound)
-        for eta, sid, kind, row, bound in _candidate_events(
-            state, phi, directions, path, hyper
-        )
-        if eta < 1.0 - _EVENT_TOL
-    ]
-    if not reachable:
+    bound = np.where(d > 0, seg_hi, seg_lo)
+    moving = np.flatnonzero(np.abs(d) > _DIR_TOL)
+    rows = np.concatenate([crossing, s_rows[moving]])
+    eta = np.concatenate([np.where(rising, upper, lower)[crossing] / rate[crossing],
+                          (bound - state.mult[s_rows])[moving] / d[moving]])
+    reachable = eta < 1.0 - _EVENT_TOL
+    if not reachable.any():
         return 1.0, PathEvent(kind="end", sample_id=None, eta=1.0)
-    first = min(e[0] for e in reachable)
+    rows, eta = rows[reachable], np.maximum(eta[reachable], 0.0)
     # degenerate simultaneous events resolve toward the lowest sample id
-    eta, sid, kind, row, bound = min(
-        (e for e in reachable if e[0] <= first + _EVENT_TOL), key=lambda e: e[1]
-    )
-    return eta, PathEvent(kind=kind, sample_id=sid, eta=eta, row=row, bound=bound)
+    tied = np.flatnonzero(eta <= eta.min() + _EVENT_TOL)
+    k = tied[np.argmin(state.ids[rows[tied]])]
+    row, eta = int(rows[k]), float(eta[k])
+    if state.partition[row] == REGION_S:
+        kind, end = "box", float(bound[np.searchsorted(s_rows, row)])
+    else:
+        kind, end = ("capture" if (path.drive_rows == row).any() else "release"), None
+    return eta, PathEvent(kind=kind, sample_id=int(state.ids[row]), eta=eta, row=row, bound=end)
 
 
 def migrate(state, spec, path: PathState, event: PathEvent) -> None:
@@ -232,10 +217,10 @@ def path_update(state, batch: model.UpdateBatch, spec, hyper):
     if removal_rows is None:
         return work
     arrivals = stage_arrivals(work, batch, resid_d)
-    # only arrivals that violate at a zero multiplier move
-    lo, _, eps = work.box(hyper)
-    reach = np.abs(work.resid[arrivals]) if lo < 0 else -work.resid[arrivals]
-    path = PathState(drive_rows=arrivals[reach > eps + _DIR_TOL], removal_rows=removal_rows)
+    # only arrivals that break their region at a zero multiplier move
+    u_lo, u_hi = model.shift_bounds(work, hyper)
+    breach = np.maximum(u_lo, -u_hi)[arrivals]
+    path = PathState(drive_rows=arrivals[breach > _DIR_TOL], removal_rows=removal_rows)
     columns = model.column_cache(work, spec)
     max_events = 100 * (work.n + arrivals.size + removal_rows.size)
     stall_budget = work.n + arrivals.size + removal_rows.size + 10

@@ -125,6 +125,19 @@ class TestUpdateEval:
         assert main(["eval", "--model", str(broken),
                      "--data", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("command", ["eval", "update", "wec"])
+    def test_ragged_model_is_input_error(self, tmp_path, capsys, command):
+        model_path = self.make_model(tmp_path, seed=2)
+        doc = json.loads(model_path.read_text())
+        doc["samples"][1]["features"] = doc["samples"][1]["features"][:1]
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        args = {"eval": ["--data", str(tmp_path / "train.csv")],
+                "update": ["--out", str(tmp_path / "updated.json")],
+                "wec": ["--out", str(tmp_path / "wec.csv")]}[command]
+        assert main([command, "--model", str(model_path)] + args) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+
 
 class TestBenchCommand:
     def test_synthetic_bench(self, tmp_path, capsys):

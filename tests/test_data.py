@@ -230,6 +230,24 @@ class TestModelPersistence:
         with pytest.raises(CorruptFile):
             load_model(str(p))
 
+    @pytest.mark.parametrize("case", ["unknown-task", "unknown-tag", "ragged-features",
+                                      "repeated-id"])
+    def test_malformed_document_is_corrupt(self, tmp_path, case):
+        p = tmp_path / "model.json"
+        save_model(self.state, str(p), self.spec, self.hyper)
+        doc = json.loads(p.read_text())
+        if case == "unknown-task":
+            doc["task"] = "ranking"
+        elif case == "unknown-tag":
+            doc["partition"][3] = "X"
+        elif case == "ragged-features":
+            doc["samples"][3]["features"] = [0.5]
+        else:
+            doc["samples"][3]["id"] = doc["samples"][0]["id"]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFile):
+            load_model(str(p))
+
     def test_svr_round_trip(self, tmp_path):
         hyper = Hyperparams(C=1.0, epsilon=0.2)
         state = batch.train_svr_batch(data.noisy_sine(20, seed=7), self.spec, hyper)
@@ -268,5 +286,5 @@ def test_format_v1_fixture_loads_and_resaves_identically(name, state_class, tmp_
     assert state.partition.tolist() == doc["partition"]
     assert model.validate(state, spec=spec, C=hyper.C, epsilon=hyper.epsilon) == []
     resaved = tmp_path / "resaved.json"
-    save_model(state, str(resaved), spec, hyper, stats, task=task)
+    save_model(state, str(resaved), spec, hyper, stats)
     assert resaved.read_bytes() == raw

@@ -220,6 +220,14 @@ class TestValidate:
         report = model.validate(state, C=1.0)
         assert any(v.kind == "box" and v.magnitude == pytest.approx(0.5) for v in report)
 
+    def test_residual_cache_drift_reported(self):
+        state, spec = two_point_state()
+        assert model.validate(state, spec=spec) == []
+        state.margins[1] += 1e-3
+        report = model.validate(state, spec=spec)
+        assert [v.kind for v in report] == ["residual-cache"]
+        assert report[0].magnitude == pytest.approx(1e-3, abs=1e-12)
+
 
 def validate_empty(state, spec, hyper):
     report = model.validate(

@@ -6,7 +6,8 @@ from ridgesvm.batch import SolverConfig
 from ridgesvm.errors import EmptyS, NonpositiveRho, RepairDivergence
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample, UpdateBatch
-from ridgesvm.online import _release_candidates, equilibrium_solve, kkt_repair, wec_predict
+from ridgesvm.online import (_release_candidates, enter_bias_end, equilibrium_solve, kkt_repair,
+                             wec_predict)
 from ridgesvm.online_svm import update_multi_svm, wec_predict_svm
 
 SPEC = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
@@ -167,6 +168,20 @@ class TestKktRepair:
         gap = np.max(np.abs(kernels.decision_values(pts, out, spec)
                             - kernels.decision_values(pts, oracle, spec)))
         assert gap <= 1e-6
+
+    def test_empty_s_step_needs_a_row_bounding_the_bias(self):
+        """A +1 row at zero and a -1 row at C: neither signed multiplier can fall, so
+        no row bounds the bias from above and a positive drive has no exact step."""
+        spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
+        samples = [Sample(0, np.array([0.0]), 1.0), Sample(1, np.array([1.0]), -1.0)]
+        state = model.SvmState(samples, alpha=[0.0, HYPER.C])
+        state.margins = model.compute_residuals(state, spec)
+        state.partition = np.array(["O", "B"])
+        bounds = model.bias_bounds(state, HYPER)
+        assert np.isinf(bounds[1]).all() and np.isfinite(bounds[0]).all()
+        with pytest.raises(EmptyS):
+            enter_bias_end(state, spec, 1.0, bounds)
+        assert state.b == 0.0 and state.partition.tolist() == ["O", "B"]
 
     def test_release_ties_follow_sample_ids_not_rows(self):
         """Tied violators are released by id, so a row-permuted state releases alike."""
