@@ -211,6 +211,14 @@ class ColumnCache:
                               minlength=self._owner.size)
         return (self._buf[:, :self._owner.size] @ weights)[self.rows]
 
+    def apply_at(self, at, rows, coef) -> np.ndarray:
+        """``G[at, rows] @ coef``: :meth:`apply` read at the rows ``at`` alone."""
+        coef = np.asarray(coef, dtype=float).ravel()
+        moved = coef != 0.0
+        slots = self.rows[np.asarray(rows, dtype=np.intp).ravel()[moved]]
+        self._fill(slots)
+        return self._buf[np.ix_(self.rows[at], self._column[slots])] @ coef[moved]
+
 
 def decision_profile(xq, x_model, coefficients, bias, spec: KernelSpec) -> np.ndarray:
     """Raw decision values sum_j c_j K(x, x_j) + b for query rows ``xq``.

@@ -14,11 +14,11 @@ over dense row-major arrays.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import (
     NotPositiveDefinite,
@@ -45,8 +45,9 @@ def _pending_limit(order: int) -> float:
     memory: at order 520 a rank-9 rewrite takes 5.7 ms against 0.08 ms for
     one product with ``inv`` (one core of a Xeon host, one BLAS thread).  A
     pending column adds only O(order) to each solve plus its share of the
-    p x p capacitance factors, so carrying up to order/4 of them keeps a
-    solve within about 1.6 products with ``inv``, while a rewrite happens
+    p x p capacitance factors, and a change of k costs O(p^2 k) of capacitance
+    work (the factors are extended), so carrying up to order/4 of them keeps
+    a solve within about 1.6 products with ``inv``, while a rewrite happens
     once per order/4 changes instead of at every grow.  The floor keeps
     small inverses from rewriting on almost every change, where a rewrite's
     fixed costs outweigh its O(order^2) work.
@@ -68,7 +69,9 @@ class _Pending:
     zero and gives the live rows the solution of the live system; ``live``
     indexes them there, border first, in order.  The rows of ``(inv V)^T``
     are the first ``p`` rows of ``buf``; ``cap = D - V^T inv V`` is the
-    capacitance matrix and ``lu`` its checked LU factors.
+    capacitance matrix and ``lu`` its checked LAPACK factors ``(lu, piv)``,
+    extended when columns are appended (:func:`_extended_lu`) and refactored
+    only when a pending join leaves, taking a column out of the middle.
 
     ``buf`` has room for more rows.  ``claim[0]`` counts the rows that some
     holder uses: an extension writes past its own rows only while no other
@@ -124,7 +127,7 @@ class BorderedInverse:
         full[pend.live] = rhs
         base = full[:n]
         out = self.inv @ base
-        cols = sla.lu_solve(pend.lu, full[n:] - ht @ base, check_finite=False)
+        cols = lapack.dgetrs(*pend.lu, full[n:] - ht @ base)[0]
         out -= ht.T @ cols
         return np.concatenate([out, cols])[pend.live]
 
@@ -195,7 +198,7 @@ class BorderedInverse:
                             ids, SingularSchurBlock)
 
     def _extend(self, pend, live, rows, cap_cross, cap_new, h, join, ids, exc):
-        """Append pending columns, refactor the capacitance, rewrite past the limit.
+        """Append pending columns, extend the capacitance factors, rewrite past the limit.
 
         ``cap_cross`` and ``cap_new`` are the new columns' capacitance
         entries, ``h`` their rows of ``(inv V)^T`` and ``join`` the joins'
@@ -220,12 +223,13 @@ class BorderedInverse:
             block[:j, :j], block[:j, j:], block[j:, :j] = pend.block, join_block, join_block.T
             block[j:, j:] = join_new
         rows = np.concatenate([pend.rows, rows])
-        lu = _checked_lu(cap, exc) if rows.size else None
+        lu, z = None, float(self.inv[0, 0])
+        if rows.size:  # factored afresh at the first change or after a pending join left
+            lu = (_checked_lu(cap, exc) if pend.lu is None
+                  else _extended_lu(pend.lu, cap_cross, cap[p:, p:], exc))
+            ht0 = buf[:rows.size, 0]
+            z -= ht0 @ lapack.dgetrs(*lu, -ht0)[0]
         pend = _Pending(rows, live, buf, claim, cap, lu, cross, block)
-        z = float(self.inv[0, 0])
-        if rows.size:
-            ht0 = pend.ht[:, 0]
-            z -= ht0 @ sla.lu_solve(lu, -ht0, check_finite=False)
         out = BorderedInverse(z=z, order=live.size - 1, inv=self.inv, ids=ids, pending=pend)
         if not rows.size or rows.size > _pending_limit(out.order):
             return out.compact()
@@ -268,20 +272,33 @@ def _as_square(m) -> np.ndarray:
 
 
 def _checked_lu(m: np.ndarray, exc: type) -> tuple:
-    """LU factors of a small square block, raising ``exc`` on tiny pivots."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(m, check_finite=False)
+    """LAPACK's LU factors ``(lu, piv)`` of a small block, raising ``exc`` on tiny pivots."""
+    lu, piv, _ = lapack.dgetrf(m)
     if np.min(np.abs(np.diag(lu))) <= PIVOT_TOL:
         raise exc(f"block of order {m.shape[0]} is singular within {PIVOT_TOL}")
     return lu, piv
+
+
+def _extended_lu(factors: tuple, cross: np.ndarray, new: np.ndarray, exc: type) -> tuple:
+    """LU factors of ``[[A, cross], [cross^T, new]]``, in a fresh array, from those of
+    ``A = P L U``: with ``X = L^-1 P^T cross``, ``Y = cross^T U^-1`` and the checked
+    ``P2 L2 U2 = new - Y X``, they are ``diag(P, P2) [[L, 0], [P2^T Y, L2]] [[U, X], [0, U2]]``."""
+    lu, piv = factors
+    p = piv.size
+    x = lapack.dtrtrs(lu, lapack.dlaswp(cross, piv), lower=1, unitdiag=1)[0]
+    y = lapack.dtrtrs(lu, cross, trans=1)[0].T
+    lu2, piv2 = _checked_lu(new - y @ x, exc)
+    out = np.empty((p + piv2.size,) * 2, order="F")
+    out[:p, :p], out[:p, p:], out[p:, p:] = lu, x, lu2
+    out[p:, :p] = lapack.dlaswp(y, piv2)
+    return out, np.concatenate([piv, piv2 + p])
 
 
 def _checked_inverse(m: np.ndarray, exc: type) -> np.ndarray:
     """Invert a small square block, raising ``exc`` on tiny pivots."""
     if m.size == 0:
         return m.reshape(0, 0).copy()
-    return sla.lu_solve(_checked_lu(m, exc), np.eye(m.shape[0]), check_finite=False)
+    return lapack.dgetrs(*_checked_lu(m, exc), np.eye(m.shape[0]))[0]
 
 
 def invert_spd(m) -> np.ndarray:

@@ -54,14 +54,23 @@ def equilibrium_solve(state, spec, top, pull):
     return float(sol[0]), state.signs_of(state.targets[state.s_rows]) * sol[1:]
 
 
-def _snap(state, cache, signs, rows, bounds) -> None:
-    """Pin ``S`` members onto a segment end: zero exits to ``O``, a box bound to ``B``."""
+def _snap(state, cache, signs, members, rows, bounds) -> None:
+    """Pin ``S`` members onto a segment end: zero exits to ``O``, a box bound to ``B``.
+    Only the residuals of ``members``, all of ``S``, follow (see :func:`_catch_up`)."""
     deltas = bounds - state.mult[rows]
     state.mult[rows] = bounds
-    if deltas.any():
-        state.resid += signs * cache.apply(rows, signs[rows] * deltas)
+    state.resid[members] += signs[members] * cache.apply_at(members, rows, signs[rows] * deltas)
     model.shrink_cached_inverse(state, rows)  # while tagged S
     state.partition[rows] = np.where(bounds == 0.0, REGION_O, REGION_B)
+
+
+def _catch_up(state, cache, signs, base) -> tuple:
+    """Every residual from ``base``, the ``(resid, mult, b)`` of the last catch-up,
+    by one product over the multipliers moved since; returns the new base."""
+    resid, mult, b = base
+    pull = cache.apply(np.arange(state.n), signs * (state.mult - mult))
+    state.resid = resid + signs * (pull + (state.b - b))
+    return state.resid.copy(), state.mult.copy(), state.b
 
 
 def enter_bias_end(state, spec, drive, bounds) -> int:
@@ -109,10 +118,14 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
     progress is healthy, one at a time (which is safe at a subproblem
     optimum) as soon as a zero-length step signals that a bulk release
     overshot; an unbalanced state without ``S`` first takes the exact
-    empty-S step (:func:`enter_bias_end`).  Passes never increase the dual
-    objective, so the loop cannot cycle; :class:`RepairDivergence` guards
-    the pass budget.  Both exits settle the bias (:func:`ridgesvm.model.settle_bias`).
-    The cached inverse carries membership changes in factored form.
+    empty-S step (:func:`enter_bias_end`).  No pass increases the dual
+    objective, but a zero-length release and snap leaves it where it was, so
+    the loop can cycle; :class:`RepairDivergence` guards the pass budget.
+    Both exits settle the bias (:func:`ridgesvm.model.settle_bias`).  The
+    cached inverse carries membership changes in factored form.  Passes move
+    only the residuals of ``S``, a step by ``step (edge - resid_S)`` (what the
+    solve targets); every row catches up before each release check and each
+    empty-S step (:func:`_catch_up`), so no solve error outlives it.
     """
     if max_repair_passes is None:
         # Every pass that does not end the repair moves at least one row
@@ -130,10 +143,12 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
     signs = state.signs_of(state.targets)
     cache = model.column_cache(state, spec)
     single_release = False
+    base = state.resid.copy(), state.mult.copy(), state.b
     for _ in range(max_repair_passes):
         s_rows = state.s_rows
         balance = float(signs @ state.mult)
         if s_rows.size == 0 and abs(balance) > model.BALANCE_TOL:
+            base = _catch_up(state, cache, signs, base)
             enter_bias_end(state, spec, balance, model.bias_bounds(state, hyper))
             continue
         if s_rows.size:
@@ -145,7 +160,7 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
             below = mult_s < seg_lo - _MIGRATE_TOL
             outside = below | (mult_s > seg_hi + _MIGRATE_TOL)
             if outside.any():
-                _snap(state, cache, signs, s_rows[outside],
+                _snap(state, cache, signs, s_rows, s_rows[outside],
                       np.where(below, seg_lo, seg_hi)[outside])
                 continue
 
@@ -163,18 +178,18 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
             step = max(min(1.0, float(np.min(room, initial=np.inf))), 0.0)
 
             if step > 0.0:
-                move = step * d_mult
-                state.resid += signs * (cache.apply(s_rows, signs[s_rows] * move) + step * d_b)
-                state.mult[s_rows] += move
+                state.resid[s_rows] += step * (edge - state.resid[s_rows])
+                state.mult[s_rows] += step * d_mult
                 state.b += step * d_b
 
             if step < 1.0:
                 single_release |= step <= 1e-12
                 blocked = np.flatnonzero(room <= step + 1e-12)
                 bounds = np.where(d_mult[blocked] > 0, seg_hi[blocked], seg_lo[blocked])
-                _snap(state, cache, signs, s_rows[blocked], bounds)
+                _snap(state, cache, signs, s_rows, s_rows[blocked], bounds)
                 continue
 
+        base = _catch_up(state, cache, signs, base)
         releases = _release_candidates(state, hyper)
         if not releases:
             np.clip(state.mult, lo, C, out=state.mult)

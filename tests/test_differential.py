@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from ridgesvm import batch, bench, data, kernels, model
-from ridgesvm.errors import SingleClassInput
+from ridgesvm.errors import RepairDivergence, SingleClassInput
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample, UpdateBatch
 from ridgesvm.online import update_multi
@@ -101,6 +101,27 @@ def test_every_round_matches_the_oracle_without_the_batch_solver(task, source, k
         gap = np.max(np.abs(kernels.decision_values(points, state, spec)
                             - kernels.decision_values(points, oracle, spec)))
         assert gap <= bench.PARITY_TOL, (rnd, gap)
+
+
+@pytest.mark.parametrize("arm", [
+    pytest.param("online", marks=pytest.mark.xfail(
+        raises=RepairDivergence, strict=True,
+        reason="a zero-length release and snap of one row repeats until the pass budget ends")),
+    "path"])
+def test_cubic_svm_round_that_cycles_the_repair(arm):
+    """Round 7 of the cubic-kernel SVM trial at seed 2: the repair releases one
+    violator alone, the next pass snaps it straight back to C, where it breaks
+    its region again.  The path follower settles the same round."""
+    spec = KernelSpec(ridge=0.05, **KERNELS["cubic"])
+    hyper = Hyperparams(C=1.0)
+    start, batches, points = corpus("svm", seed=2)
+    state = TRAIN["svm"](start, spec, hyper)
+    for upd in batches:
+        state = ARMS[arm](state, upd, spec, hyper)
+    assert model.validate(state, spec=spec, C=hyper.C) == []
+    oracle = TRAIN["svm"](state.samples, spec, hyper)
+    assert np.max(np.abs(kernels.decision_values(points, state, spec)
+                         - kernels.decision_values(points, oracle, spec))) <= bench.PARITY_TOL
 
 
 @pytest.mark.parametrize("arm", sorted(ARMS))

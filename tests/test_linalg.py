@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from ridgesvm import linalg
 from ridgesvm.errors import (
@@ -469,3 +470,54 @@ class TestFactoredInverse:
         grown = full.grow(cross, [[2.0]])
         with pytest.raises(SingularCornerBlock):
             grown.shrink([1, 2, 3, 4, 5])
+
+
+class TestExtendedFactors:
+    """Appended columns extend the capacitance factors; a pending join that leaves refactors."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        calls = {"_extended_lu": 0, "_checked_lu": 0}
+        for name in calls:
+            fn = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda *a, _f=fn, _n=name:
+                                calls.__setitem__(_n, calls[_n] + 1) or _f(*a))
+        return calls
+
+    def test_chain_of_drops_and_joins(self, monkeypatch):
+        rng = np.random.default_rng(57)
+        q, border, _ = random_bordered(rng, 160)
+        m = Membership(q, border, range(0, 160, 2))
+        calls, left = self.spied(monkeypatch), 0
+        for _ in range(64):
+            pend = m.inv.pending
+            joins = [] if pend is None else m.inv.ids[pend.live[1:] >= m.inv.inv.shape[0]]
+            kind = rng.integers(3)
+            if kind == 0 and len(joins):  # a pending join leaves: the refactor branch
+                m.drop([int(rng.choice(joins))])
+                left += 1
+            elif kind == 1:
+                m.drop([int(r) for r in rng.choice(m.live, int(rng.integers(1, 3)), replace=False)])
+            else:
+                out = [r for r in range(160) if r not in m.live]
+                m.join([int(r) for r in rng.choice(out, int(rng.integers(1, 3)), replace=False)])
+            rebuilt = m.rebuilt_inverse().inv
+            assert np.max(np.abs(m.inv.apply(np.eye(len(m.live) + 1)) - rebuilt)) <= 1e-10
+            pend = m.inv.pending
+            if pend is not None:
+                p = pend.rows.size
+                assert np.max(np.abs(sla.lu_solve(pend.lu, pend.cap) - np.eye(p))) <= 1e-10
+        assert left >= 5 and calls["_extended_lu"] >= 30
+
+    def test_singular_changes_raise_from_the_extension(self, monkeypatch):
+        q, border, full = random_bordered(np.random.default_rng(55), 8)
+        lazy = full.shrink([2])
+        calls = self.spied(monkeypatch)
+        # a join that duplicates sample 3 (live position 3) makes the live matrix singular
+        cross = bordered_matrix(q, border, [0, 2, 3, 4, 5, 6, 7])[:, [3]]
+        with pytest.raises(SingularSchurBlock):
+            lazy.grow(cross, q[np.ix_([3], [3])])
+        # dropping every inner row leaves the singular [[0]]
+        with pytest.raises(SingularCornerBlock):
+            lazy.shrink(range(1, 8))
+        assert calls == {"_extended_lu": 2, "_checked_lu": 2}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ridgesvm import batch, data, kernels, model, online_svm
+from ridgesvm import batch, data, kernels, model, online, online_svm
 from ridgesvm.batch import SolverConfig
 from ridgesvm.errors import EmptyS, NonpositiveRho, RepairDivergence
 from ridgesvm.kernels import KernelSpec
@@ -45,6 +45,27 @@ class TestWecPredict:
             vector = wec_predict(y * (f - y), 0.5, 0.0, 1.0, 0.0)
             assert np.array_equal(vector, scalar)
             assert {0.0, 1.0} <= set(scalar) and len(set(scalar)) > 4
+
+
+def counted_repair(monkeypatch, state, upd, spec, hyper):
+    """Run one update and count, inside its repair, the n-wide
+    ``ColumnCache.apply`` calls, the snaps, release checks and empty-S steps."""
+    counts = dict.fromkeys(("apply", "_snap", "_release_candidates", "enter_bias_end"), 0)
+    repairing = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += bool(repairing)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(kernels.ColumnCache, "apply",
+                        counted("apply", kernels.ColumnCache.apply))
+    for name in ("_snap", "_release_candidates", "enter_bias_end"):
+        monkeypatch.setattr(online, name, counted(name, getattr(online, name)))
+    repair = online.kkt_repair
+    monkeypatch.setattr(online, "kkt_repair", lambda *args: repairing.append(1) or repair(*args))
+    return online.update_multi(state, upd, spec, hyper), counts
 
 
 def one_member_s_state(ridge=1.0):
@@ -204,6 +225,20 @@ class TestKktRepair:
         perturbed.margins = model.compute_residuals(perturbed, SPEC)
         with pytest.raises(RepairDivergence):
             kkt_repair(perturbed, SPEC, HYPER, max_repair_passes=1)
+
+    def test_rows_outside_s_catch_up_once_per_release_check(self, monkeypatch):
+        """Passes move the residuals of S alone.  All n catch up in one product
+        before each release check -- the exit's, which finds none, included --
+        and each empty-S step, and the returned residuals are exact."""
+        hyper = Hyperparams(C=0.1)
+        state = batch.train_svm_batch(data.two_gaussians(40, seed=0), SPEC, hyper)
+        upd = UpdateBatch(add=data.two_gaussians(8, seed=100, start_id=900),
+                          remove=[int(i) for i in state.ids[:6]])
+        out, counts = counted_repair(monkeypatch, state, upd, SPEC, hyper)
+        assert counts["_snap"] >= 3 and counts["enter_bias_end"] >= 1
+        assert counts["apply"] == counts["_release_candidates"] + counts["enter_bias_end"]
+        assert np.max(np.abs(out.margins - model.compute_residuals(out, SPEC))) <= 1e-9
+        assert clean(out, hyper=hyper)
 
 
 class TestUpdateMultiSvm:

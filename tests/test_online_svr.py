@@ -7,6 +7,7 @@ from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample, UpdateBatch
 from ridgesvm.online import equilibrium_solve, wec_predict
 from ridgesvm.online_svr import update_multi_svr, wec_predict_svr
+from test_online_svm import counted_repair
 
 SPEC = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
 HYPER = Hyperparams(C=1.0, epsilon=0.2)
@@ -142,6 +143,20 @@ class TestUpdateMultiSvr:
         ).max()
         assert gap <= 1e-3
         assert clean(out)
+
+    def test_rows_outside_s_catch_up_once_per_release_check(self, monkeypatch):
+        """Passes move the residuals of S alone.  All n catch up in one product
+        before each release check -- the exit's, which finds none, included --
+        and each empty-S step, and the returned residuals are exact."""
+        hyper = Hyperparams(C=0.05, epsilon=0.05)
+        state = batch.train_svr_batch(data.noisy_sine(40, seed=1), SPEC, hyper)
+        upd = UpdateBatch(add=data.noisy_sine(8, seed=101, start_id=900),
+                          remove=[int(i) for i in state.ids[:6]])
+        out, counts = counted_repair(monkeypatch, state, upd, SPEC, hyper)
+        assert counts["_snap"] >= 3 and counts["enter_bias_end"] >= 1
+        assert counts["apply"] == counts["_release_candidates"] + counts["enter_bias_end"]
+        assert np.max(np.abs(out.outputs - model.compute_residuals(out, SPEC))) <= 1e-9
+        assert clean(out, hyper=hyper)
 
     def test_cold_start(self):
         arrivals = data.noisy_sine(20, seed=7)
