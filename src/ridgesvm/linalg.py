@@ -67,51 +67,47 @@ class _Pending:
     ``D`` (in ``block``) are its block among the pending joins.  Solved over
     ``[base rows, columns]``, the augmented system pins each dropped row at
     zero and gives the live rows the solution of the live system; ``live``
-    indexes them there, border first, in order.  The rows of ``(inv V)^T``
-    are the first ``p`` rows of ``buf``; ``cap = D - V^T inv V`` is the
-    capacitance matrix and ``lu`` its checked LAPACK factors ``(lu, piv)``,
-    extended when columns are appended (:func:`_extended_lu`) and refactored
-    only when a pending join leaves, taking a column out of the middle.
-
-    ``buf`` has room for more rows.  ``claim[0]`` counts the rows that some
-    holder uses: an extension writes past its own rows only while no other
-    extension has claimed them, so no holder's rows are ever written.
+    indexes them there, border first, in order.  ``ht`` holds the rows of
+    ``(inv V)^T``; ``cap = D - V^T inv V`` is the capacitance matrix and
+    ``lu`` its checked LAPACK factors ``(lu, piv)``, extended when columns
+    are appended (:func:`_extended_lu`) and refactored only when a pending
+    join leaves, taking a column out of the middle.
     """
 
     rows: np.ndarray
     live: np.ndarray
-    buf: np.ndarray
-    claim: list
+    ht: np.ndarray
     cap: np.ndarray
     lu: tuple | None
     cross: np.ndarray
     block: np.ndarray
-
-    @property
-    def ht(self) -> np.ndarray:
-        return self.buf[:self.rows.size]
 
 
 @dataclass(frozen=True)
 class BorderedInverse:
     """Inverse of a bordered matrix [[0, v^T], [v, Q]], in factored form.
 
-    ``z`` is the top-left scalar of the inverse and ``order`` the size of
-    the inner block ``Q`` over the live rows.  ``inv`` is the full inverse
-    over the rows of the last rewrite, and ``pending`` (``None`` when the
-    two agree) carries every membership change since, in Schur-complement
-    form (see :class:`_Pending`); :meth:`compact` rewrites them into a
-    plain inverse.  ``ids`` optionally names the samples behind the live
-    rows of ``Q``, in order, so a holder can tell whether the inverse still
-    matches its row set.  No array entry a holder reads is ever written
-    after it is built, so holders may share them.
+    ``order`` is the size of the inner block ``Q`` over the live rows.
+    ``inv`` is the full inverse over the rows of the last rewrite, and
+    ``pending`` (``None`` when the two agree) carries every membership
+    change since, in Schur-complement form (see :class:`_Pending`);
+    :meth:`compact` rewrites them into a plain inverse.  ``ids`` optionally
+    names the samples behind the live rows of ``Q``, in order, so a holder
+    can tell which of its rows the inverse covers.  No array entry a holder
+    reads is ever written after it is built, so holders may share them.
     """
 
-    z: float
     order: int
     inv: np.ndarray
     ids: np.ndarray | None = None
     pending: _Pending | None = None
+
+    @property
+    def z(self) -> float:
+        """The top-left scalar of the live inverse."""
+        e0 = np.zeros(self.order + 1)
+        e0[0] = 1.0
+        return float(self.apply(e0)[0])
 
     def apply(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the live bordered system for ``rhs`` (border entry first).
@@ -136,7 +132,7 @@ class BorderedInverse:
         if self.pending is not None:
             return self.pending
         n = self.inv.shape[0]
-        return _Pending(_NO_ROWS, np.arange(n), np.zeros((0, n)), [0], _NO_BLOCK, None,
+        return _Pending(_NO_ROWS, np.arange(n), np.zeros((0, n)), _NO_BLOCK, None,
                         np.zeros((n, 0)), _NO_BLOCK)
 
     def shrink(self, positions) -> BorderedInverse:
@@ -161,8 +157,8 @@ class BorderedInverse:
             kept_joins = np.delete(np.arange(pend.cross.shape[1]),
                                    np.cumsum(joins)[gone] - 1)
             live = live - np.searchsorted(gone, live - n)
-            pend = _Pending(pend.rows[kept], live, pend.ht[kept], [kept.size],
-                            pend.cap[np.ix_(kept, kept)], None, pend.cross[:, kept_joins],
+            pend = _Pending(pend.rows[kept], live, pend.ht[kept], pend.cap[np.ix_(kept, kept)],
+                            None, pend.cross[:, kept_joins],
                             pend.block[np.ix_(kept_joins, kept_joins)])
         drops = leaving[leaving < n]
         # a drop's column of inv V is a row of inv, which is symmetric
@@ -205,12 +201,6 @@ class BorderedInverse:
         ``(cross, D against the pending joins, D among themselves)``.
         """
         p, k = pend.rows.size, rows.size
-        buf, claim = pend.buf, pend.claim
-        if claim[0] != p or buf.shape[0] < p + k:
-            buf, claim = np.empty((2 * (p + k) + 16, buf.shape[1])), [p]
-            buf[:p] = pend.ht
-        buf[p:p + k] = h
-        claim[0] = p + k
         cap = np.empty((p + k, p + k))
         cap[:p, :p], cap[:p, p:], cap[p:, :p] = pend.cap, cap_cross, cap_cross.T
         cap[p:, p:] = 0.5 * (cap_new + cap_new.T)
@@ -223,14 +213,12 @@ class BorderedInverse:
             block[:j, :j], block[:j, j:], block[j:, :j] = pend.block, join_block, join_block.T
             block[j:, j:] = join_new
         rows = np.concatenate([pend.rows, rows])
-        lu, z = None, float(self.inv[0, 0])
+        lu = None
         if rows.size:  # factored afresh at the first change or after a pending join left
             lu = (_checked_lu(cap, exc) if pend.lu is None
                   else _extended_lu(pend.lu, cap_cross, cap[p:, p:], exc))
-            ht0 = buf[:rows.size, 0]
-            z -= ht0 @ lapack.dgetrs(*lu, -ht0)[0]
-        pend = _Pending(rows, live, buf, claim, cap, lu, cross, block)
-        out = BorderedInverse(z=z, order=live.size - 1, inv=self.inv, ids=ids, pending=pend)
+        pend = _Pending(rows, live, np.vstack([pend.ht, h]), cap, lu, cross, block)
+        out = BorderedInverse(order=live.size - 1, inv=self.inv, ids=ids, pending=pend)
         if not rows.size or rows.size > _pending_limit(out.order):
             return out.compact()
         return out
@@ -261,7 +249,7 @@ class BorderedInverse:
             inv = _grow_shrink(self.inv, dropped, pend.cross, pend.block, perm)
         else:
             inv = self.inv
-        return BorderedInverse(z=float(inv[0, 0]), order=inv.shape[0] - 1, inv=inv, ids=self.ids)
+        return BorderedInverse(order=inv.shape[0] - 1, inv=inv, ids=self.ids)
 
 
 def _as_square(m) -> np.ndarray:
@@ -352,7 +340,7 @@ def bordered_inverse(q, border) -> BorderedInverse:
     inv[0, 1:] = -z * u
     inv[1:, 0] = -z * u
     inv[1:, 1:] = z * np.outer(u, u) + q_inv
-    return BorderedInverse(z=z, order=n, inv=inv)
+    return BorderedInverse(order=n, inv=inv)
 
 
 def _symmetrize(m: np.ndarray) -> None:

@@ -129,9 +129,9 @@ class _StateBase:
         self.X, self.ids, self.targets = np.zeros((0, 0)), np.zeros(0, dtype=int), np.zeros(0)
         self.partition, self.mult, self.resid = np.zeros(0, dtype="<U1"), np.zeros(0), np.zeros(0)
         self.cache_slots = np.zeros(0, dtype=np.intp)
+        self.cached_inverse: linalg.BorderedInverse | None = None
         self.append_samples(samples, np.zeros(len(samples)) if mult is None else mult,
                             np.full(len(samples), REGION_O))
-        self.cached_inverse: linalg.BorderedInverse | None = None
         self.column_cache: kernels.ColumnCache | None = None
         self.cache_lease = 0
         self.b = float(b)
@@ -166,12 +166,7 @@ class _StateBase:
         """
         fresh = np.asarray(fresh, dtype=int).ravel()
         wanted = np.concatenate([fresh, np.asarray(sample_ids, dtype=int).ravel()])
-        rows, found = np.zeros(wanted.size, dtype=int), np.zeros(wanted.size, dtype=bool)
-        if self.n:
-            # stable sort: linear time on the mostly ascending ids a stream leaves
-            order = np.argsort(self.ids, kind="stable")
-            rows = order[np.minimum(np.searchsorted(self.ids, wanted, sorter=order), self.n - 1)]
-            found = self.ids[rows] == wanted
+        rows, found = _lookup(self.ids, wanted)
         # an arrival is stale when stored, or when an earlier arrival has its id
         by_id = np.argsort(fresh, kind="stable")
         found[by_id[1:][fresh[by_id[1:]] == fresh[by_id[:-1]]]] = True
@@ -206,17 +201,23 @@ class _StateBase:
 
         One gather per array: the appended rows take multipliers ``mult``
         and tags ``tags``, residual 0 and no cache slot.  Every array is
-        replaced, none written, so a copy sharing them keeps its rows.
+        replaced, none written, so a copy sharing them keeps its rows.  A
+        cached inverse that still holds the id of an arrival (one that left
+        before a solve brought the inverse up to date) is dropped.
         """
         samples = list(samples)
         keep = np.ones(self.n, dtype=bool)
         keep[np.asarray(drop, dtype=int)] = False
         rows, k = np.flatnonzero(keep), len(samples)
         x_new = np.array([s.features for s in samples], dtype=float)
+        new_ids = np.array([s.id for s in samples], dtype=int)
+        inv = self.cached_inverse
+        if k and inv is not None and _lookup(inv.ids, new_ids)[1].any():
+            self.cached_inverse = None
         if self.n == 0 and k:  # an empty state takes the arrivals' width
             self.X = np.zeros((0, x_new.shape[1]))
         self.X = _read_only(_gathered(self.X, rows, x_new.reshape(k, self.X.shape[1])))
-        self.ids = _read_only(_gathered(self.ids, rows, [s.id for s in samples]))
+        self.ids = _read_only(_gathered(self.ids, rows, new_ids))
         self.targets = _read_only(_gathered(self.targets, rows, [s.target for s in samples]))
         self.partition = _gathered(self.partition, rows, tags)
         self.mult = _gathered(self.mult, rows, mult)
@@ -230,6 +231,16 @@ class _StateBase:
         for name in ("partition", "mult", "resid", "cache_slots"):
             setattr(out, name, getattr(self, name).copy())
         return out
+
+
+def _lookup(keys, wanted) -> tuple[np.ndarray, np.ndarray]:
+    """Index into ``keys`` of each ``wanted`` value, and whether it is there at all."""
+    if not keys.size:
+        return np.zeros(wanted.size, dtype=int), np.zeros(wanted.size, dtype=bool)
+    # stable sort: linear time on the mostly ascending ids a stream leaves
+    order = np.argsort(keys, kind="stable")
+    at = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), keys.size - 1)]
+    return at, keys[at] == wanted
 
 
 def _read_only(a) -> np.ndarray:
@@ -416,7 +427,6 @@ def settle_bias(state, hyper) -> None:
     state.resid += state.signs_of(state.targets) * db
     s = state.s_rows
     off = s[np.abs(np.abs(state.resid[s]) - eps) > REGION_TOL]
-    shrink_cached_inverse(state, off)  # while tagged S
     state.partition[off] = region_tags(state.mult[off], C)
 
 
@@ -476,64 +486,38 @@ def column_cache(state, spec) -> kernels.ColumnCache:
     return cache
 
 
-def _cache_covers(state, rows) -> bool:
-    """Whether the cached inverse was built for exactly the samples at ``rows``."""
-    cache = state.cached_inverse
-    return cache is not None and np.array_equal(cache.ids, state.ids[rows])
-
-
 def ensure_cached_inverse(state, spec) -> linalg.BorderedInverse:
+    """The cached inverse over the current ``S``, brought up to date from the tags.
+
+    The region tags are the one record of ``S``; the inverse follows them
+    only here, when a solve reads it.  Its members no longer tagged ``S``
+    leave in one :meth:`~ridgesvm.linalg.BorderedInverse.shrink`, and the
+    rows tagged ``S`` since join in one ``grow``, placed in ascending row
+    order like ``state.s_rows``.  It is rebuilt only when there is none or
+    none of its members is left.
+    """
     s = state.s_rows
     if s.size == 0:
         raise EmptyS("no unbounded support vectors")
-    if not _cache_covers(state, s):
+    inv, ids = state.cached_inverse, state.ids[s]
+    held = np.zeros(0, dtype=int) if inv is None else inv.ids
+    if np.array_equal(held, ids):
+        return inv
+    # where in S each member of the inverse is; members keep their relative row order
+    at, kept = _lookup(ids, held)
+    if not kept.any():
         refresh_cached_inverse(state, spec)
-    return state.cached_inverse
-
-
-def shrink_cached_inverse(state, leaving_rows) -> None:
-    """Drop members of ``S`` from the cached bordered inverse.
-
-    ``leaving_rows`` are state rows currently tagged ``S``; the caller
-    retags them afterwards.  The drop is carried in factored form (see
-    :class:`ridgesvm.linalg.BorderedInverse`) until enough changes pile up
-    for a rewrite.  Falls back to a deferred full rebuild when no cache
-    built for the current ``S`` exists.
-    """
-    s = state.s_rows
-    leaving = np.unique(np.asarray(leaving_rows, dtype=int))
-    if not leaving.size:
-        return
-    if not _cache_covers(state, s) or leaving.size == s.size:
-        state.cached_inverse = None
-        return
-    members = np.searchsorted(s, leaving)
-    if members.max() >= s.size or not np.array_equal(s[members], leaving):
-        raise ValueError("shrink_cached_inverse: a leaving row is not in S")
-    state.cached_inverse = state.cached_inverse.shrink(members + 1)  # +1: border row leads
-
-
-def grow_cached_inverse(state, spec, join_rows) -> None:
-    """Admit freshly tagged ``S`` rows into the cached bordered inverse.
-
-    The joins are carried in factored form like drops.  The grown rows are
-    placed in ascending row order, so the cache always mirrors
-    ``state.s_rows``.
-    """
-    joins = np.unique(np.asarray(join_rows, dtype=int))
-    if not joins.size:
-        return
-    s = state.s_rows
-    old = np.setdiff1d(s, joins, assume_unique=True)
-    if not _cache_covers(state, old):
-        refresh_cached_inverse(state, spec)
-        return
-    corner = _gram_block(state, spec, joins)
-    cross = np.vstack([np.ones((1, joins.size)), _gram_block(state, spec, old, joins)])
-    grown = np.concatenate([old, joins])
-    order = np.argsort(grown) if np.any(grown[1:] < grown[:-1]) else None
-    state.cached_inverse = state.cached_inverse.grow(cross, corner, ids=state.ids[s],
-                                                     order=order)
+        return state.cached_inverse
+    inv = inv.shrink(1 + np.flatnonzero(~kept))  # +1: the border row leads
+    old, joins = s[at[kept]], np.delete(s, at[kept])
+    if joins.size:
+        corner = _gram_block(state, spec, joins)
+        cross = np.vstack([np.ones((1, joins.size)), _gram_block(state, spec, old, joins)])
+        grown = np.concatenate([old, joins])
+        order = np.argsort(grown) if np.any(grown[1:] < grown[:-1]) else None
+        inv = inv.grow(cross, corner, ids=ids, order=order)
+    state.cached_inverse = inv
+    return inv
 
 
 def _region_violations(tags, mult, resid, lo, C, eps, tol, checked) -> list[Violation]:

@@ -60,7 +60,6 @@ def _snap(state, cache, signs, members, rows, bounds) -> None:
     deltas = bounds - state.mult[rows]
     state.mult[rows] = bounds
     state.resid[members] += signs[members] * cache.apply_at(members, rows, signs[rows] * deltas)
-    model.shrink_cached_inverse(state, rows)  # while tagged S
     state.partition[rows] = np.where(bounds == 0.0, REGION_O, REGION_B)
 
 
@@ -73,7 +72,7 @@ def _catch_up(state, cache, signs, base) -> tuple:
     return state.resid.copy(), state.mult.copy(), state.b
 
 
-def enter_bias_end(state, spec, drive, bounds) -> int:
+def enter_bias_end(state, drive, bounds) -> int:
     """The exact step out of an empty ``S`` (in place); returns the row that enters.
 
     Without ``S`` the bias is free within the per-row shift ``bounds`` of
@@ -93,7 +92,6 @@ def enter_bias_end(state, spec, drive, bounds) -> int:
     state.b += db
     state.resid += state.signs_of(state.targets) * db
     state.partition[row] = REGION_S
-    model.grow_cached_inverse(state, spec, [row])
     return row
 
 
@@ -121,8 +119,9 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
     empty-S step (:func:`enter_bias_end`).  No pass increases the dual
     objective, but a zero-length release and snap leaves it where it was, so
     the loop can cycle; :class:`RepairDivergence` guards the pass budget.
-    Both exits settle the bias (:func:`ridgesvm.model.settle_bias`).  The
-    cached inverse carries membership changes in factored form.  Passes move
+    Both exits settle the bias (:func:`ridgesvm.model.settle_bias`).  Passes
+    only retag rows; each solve brings the cached inverse up to date from the
+    tags (:func:`ridgesvm.model.ensure_cached_inverse`).  Passes move
     only the residuals of ``S``, a step by ``step (edge - resid_S)`` (what the
     solve targets); every row catches up before each release check and each
     empty-S step (:func:`_catch_up`), so no solve error outlives it.
@@ -149,7 +148,7 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
         balance = float(signs @ state.mult)
         if s_rows.size == 0 and abs(balance) > model.BALANCE_TOL:
             base = _catch_up(state, cache, signs, base)
-            enter_bias_end(state, spec, balance, model.bias_bounds(state, hyper))
+            enter_bias_end(state, balance, model.bias_bounds(state, hyper))
             continue
         if s_rows.size:
             edge, seg_lo, seg_hi = model.tube_segments(state, hyper, s_rows)
@@ -166,14 +165,18 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
 
             # the step that takes the balance to zero and every member's cached
             # residual onto its tube edge
-            d_b, d_mult = equilibrium_solve(state, spec, balance,
-                                            signs[s_rows] * (state.resid[s_rows] - edge))
+            target = signs[s_rows] * (state.resid[s_rows] - edge)
+            d_b, d_mult = equilibrium_solve(state, spec, balance, target)
+            # a move at the solve's roundoff is no move: taken as real, it could snap
+            # a member that the exact solve leaves where it is
+            tiny = 1e-12 * max(1.0, abs(balance), float(np.max(np.abs(target))))
+            d_mult[np.abs(d_mult) <= tiny] = 0.0
 
             # longest feasible step toward the solve target
             with np.errstate(divide="ignore", invalid="ignore"):
                 room = np.where(
-                    d_mult > 1e-14, (seg_hi - mult_s) / d_mult,
-                    np.where(d_mult < -1e-14, (seg_lo - mult_s) / d_mult, np.inf),
+                    d_mult > tiny, (seg_hi - mult_s) / d_mult,
+                    np.where(d_mult < -tiny, (seg_lo - mult_s) / d_mult, np.inf),
                 )
             step = max(min(1.0, float(np.min(room, initial=np.inf))), 0.0)
 
@@ -199,7 +202,6 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
         if single_release or not s_rows.size:
             releases = releases[:1]
         state.partition[releases] = REGION_S
-        model.grow_cached_inverse(state, spec, releases)
     raise RepairDivergence(
         f"membership did not settle within {max_repair_passes} passes"
     )
@@ -225,9 +227,7 @@ def open_update(state, batch: model.UpdateBatch, spec, hyper):
         train = batch_solver.train_svm_batch if svm else batch_solver.train_svr_batch
         return (train(batch.add, spec, hyper) if batch.add else type(state)([])), None, None
     s_leavers = remove_rows[work.partition[remove_rows] == REGION_S]
-    if s_leavers.size:
-        model.shrink_cached_inverse(work, s_leavers)
-        work.partition[s_leavers] = REGION_O
+    work.partition[s_leavers] = REGION_O
     t = np.array([s.target for s in batch.add], dtype=float)
     f = t if not t.size else kernels.decision_values(
         np.array([s.features for s in batch.add], dtype=float), work, spec)
@@ -248,8 +248,8 @@ def update_multi(state, batch: model.UpdateBatch, spec, hyper):
 
     Pipeline: predict the arrivals' multipliers from the weight-error curve,
     drop the leavers and stage the arrivals in one splice, absorb both through
-    one kernel pull and a single bordered solve, patch the cached inverse,
-    and run membership repair.  The input state is not modified.
+    one kernel pull and a single bordered solve, tag the arrivals, and run
+    membership repair.  The input state is not modified.
     """
     work, remove_rows, resid_d = open_update(state, batch, spec, hyper)
     if remove_rows is None:
@@ -291,5 +291,4 @@ def update_multi(state, batch: model.UpdateBatch, spec, hyper):
     work.mult[arrivals] = mult_d
 
     work.partition[arrivals] = model.region_tags(mult_d, C)
-    model.grow_cached_inverse(work, spec, arrivals[work.partition[arrivals] == REGION_S])
     return kkt_repair(work, spec, hyper)

@@ -87,7 +87,7 @@ def _direction(state, spec, path: PathState, hyper,
     signs = state.signs_of(state.targets)
     top = float(signs[path.drive_rows] @ d_add + signs[path.removal_rows] @ d_rem)
     if not state.s_rows.size and top:
-        row = enter_bias_end(state, spec, top, _edges(state, path, hyper))
+        row = enter_bias_end(state, top, _edges(state, path, hyper))
         path.drive_rows = path.drive_rows[path.drive_rows != row]
         return _direction(state, spec, path, hyper, columns)
     moved = np.concatenate([path.drive_rows, path.removal_rows])
@@ -161,8 +161,8 @@ def step_select(state, phi, directions, path: PathState, hyper):
     return eta, PathEvent(kind=kind, sample_id=int(state.ids[row]), eta=eta, row=row, bound=end)
 
 
-def migrate(state, spec, path: PathState, event: PathEvent) -> None:
-    """Apply one membership event and refresh the cached bordered inverse."""
+def migrate(state, path: PathState, event: PathEvent) -> None:
+    """Apply one membership event: retag its row and, for a box event, pin its multiplier."""
     row = event.row
     if event.kind == "end":
         return
@@ -172,7 +172,6 @@ def migrate(state, spec, path: PathState, event: PathEvent) -> None:
         if state.partition[row] != REGION_S:
             raise InconsistentEvent(f"box event on non-S row {row}")
         state.mult[row] = event.bound
-        model.shrink_cached_inverse(state, [row])  # while still tagged S
         state.partition[row] = REGION_O if event.bound == 0.0 else REGION_B
     elif event.kind in ("release", "capture"):
         # a driven arrival is captured, any other row outside S released
@@ -182,7 +181,6 @@ def migrate(state, spec, path: PathState, event: PathEvent) -> None:
                                     f"{state.partition[row]}, driven: {driven.any()}")
         path.drive_rows = path.drive_rows[~driven]
         state.partition[row] = REGION_S
-        model.grow_cached_inverse(state, spec, [row])
     else:
         raise InconsistentEvent(f"unknown event kind {event.kind!r}")
     path.events.append(event)
@@ -241,7 +239,7 @@ def path_update(state, batch: model.UpdateBatch, spec, hyper):
                 )
         if event.kind == "end":
             return _finalize(work, path, spec, hyper)
-        migrate(work, spec, path, event)
+        migrate(work, path, event)
     raise StalledPath(f"path exceeded {max_events} events")
 
 

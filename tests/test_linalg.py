@@ -251,7 +251,7 @@ class TestDeferredShrink:
     def test_ids_follow_the_live_rows(self):
         rng = np.random.default_rng(32)
         _, _, full = random_bordered(rng, 6)
-        named = linalg.BorderedInverse(full.z, full.order, full.inv, ids=np.arange(10, 16))
+        named = linalg.BorderedInverse(full.order, full.inv, ids=np.arange(10, 16))
         assert list(named.shrink([1, 4]).shrink([2]).ids) == [11, 14, 15]
 
     def test_compact_matches_explicit_shrink(self):
@@ -308,7 +308,7 @@ class TestDeferredShrink:
 
     def test_singular_dropped_corner_raises(self):
         # the inverse of [[0, 1], [1, -2]]: its inner entry is zero
-        inv = linalg.BorderedInverse(z=2.0, order=1, inv=np.array([[2.0, 1.0], [1.0, 0.0]]))
+        inv = linalg.BorderedInverse(order=1, inv=np.array([[2.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(SingularCornerBlock):
             inv.shrink([1])
 

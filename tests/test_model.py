@@ -370,19 +370,17 @@ class TestDeleteRows:
         assert state.n == 8
 
 
-class TestCachedInverseMembership:
-    """The cached inverse is trusted only for the S it was built for."""
+def svm_with_inverse(spec):
+    """A trained SVM state with at least four S members and two O rows."""
+    state = batch.train_svm_batch(data.two_gaussians(40, seed=3), spec, Hyperparams(C=1.0))
+    assert state.s_rows.size >= 4 and state.o_rows.size >= 2
+    return state
 
-    @staticmethod
-    def swapped_state():
-        spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
-        state = batch.train_svm_batch(data.two_gaussians(40, seed=3), spec,
-                                      Hyperparams(C=1.0))
-        assert state.s_rows.size >= 2 and state.o_rows.size >= 1
-        stale = state.cached_inverse
-        leaver, joiner = int(state.s_rows[0]), int(state.o_rows[0])
-        state.partition[leaver], state.partition[joiner] = "O", "S"
-        return state, spec, stale, leaver, joiner
+
+class TestCachedInverseMembership:
+    """The tags are the one record of S: the inverse follows them when a solve reads it."""
+
+    spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
 
     @staticmethod
     def rebuilt(state, spec):
@@ -390,76 +388,102 @@ class TestCachedInverseMembership:
         model.refresh_cached_inverse(fresh, spec)
         return fresh.cached_inverse
 
-    def test_ensure_refreshes_on_equal_size_swap(self):
-        state, spec, stale, _, _ = self.swapped_state()
-        inv = model.ensure_cached_inverse(state, spec)
-        assert inv is not stale and inv.order == stale.order
+    def ensured(self, state):
+        """``ensure_cached_inverse``, checked against the tags and a rebuild."""
+        inv = model.ensure_cached_inverse(state, self.spec)
+        assert inv is state.cached_inverse
         assert list(inv.ids) == list(state.ids[state.s_rows])
-        assert np.allclose(inv.inv, self.rebuilt(state, spec).inv, atol=1e-10)
-        assert not np.allclose(inv.inv, stale.inv, atol=1e-6)
+        fresh = self.rebuilt(state, self.spec)
+        assert np.max(np.abs(inv.apply(np.eye(inv.order + 1)) - fresh.inv)) <= 1e-10
+        return inv
 
-    def test_grow_refreshes_on_equal_size_swap(self):
-        state, spec, _, _, _ = self.swapped_state()
-        second = int(state.o_rows[0])
-        state.partition[second] = "S"
-        model.grow_cached_inverse(state, spec, [second])
-        assert list(state.cached_inverse.ids) == list(state.ids[state.s_rows])
-        assert np.allclose(state.cached_inverse.inv, self.rebuilt(state, spec).inv,
-                           atol=1e-10)
+    def test_an_equal_size_swap_is_patched(self):
+        state = svm_with_inverse(self.spec)
+        stale = state.cached_inverse
+        leaver, joiner = int(state.s_rows[0]), int(state.o_rows[0])
+        state.partition[leaver], state.partition[joiner] = "O", "S"
+        inv = self.ensured(state)
+        assert inv.order == stale.order and inv.inv is stale.inv
+        assert list(inv.pending.rows) == [1, -1]  # a drop of base row 1 (after the border), a join
+        assert not np.allclose(inv.apply(np.eye(inv.order + 1)), stale.inv, atol=1e-6)
 
-    def test_shrink_drops_a_stale_cache(self):
-        state, spec, _, _, joiner = self.swapped_state()
-        other = int(next(r for r in state.s_rows if r != joiner))
-        model.shrink_cached_inverse(state, [other])
-        assert state.cached_inverse is None
+    def test_tags_flipped_between_solves(self):
+        """Only the net change of the tags since the last solve reaches the inverse."""
+        state = svm_with_inverse(self.spec)
+        s, o = state.s_rows, state.o_rows
+        flips = {
+            "a join, then a leave": ([(o[0], "S"), (o[0], "O")], False),
+            "a leave, then a rejoin": ([(s[1], "O"), (s[1], "S")], False),
+            "a swap at equal size": ([(s[0], "O"), (o[1], "S")], True),
+            "a leave, a join, a rejoin": ([(s[2], "O"), (o[0], "S"), (s[0], "S")], True),
+        }
+        for name, (changes, patched) in flips.items():
+            before = model.ensure_cached_inverse(state, self.spec)
+            for row, tag in changes:
+                state.partition[row] = tag
+            inv = self.ensured(state)
+            assert (inv is not before) == patched, name
+            assert inv.inv is before.inv or inv.pending is None, name
+
+    def test_rebuilt_only_without_a_member_left(self):
+        state = svm_with_inverse(self.spec)
+        stale, s, o = state.cached_inverse, state.s_rows, state.o_rows
+        state.partition[s], state.partition[o[:3]] = "O", "S"
+        inv = self.ensured(state)
+        assert inv.inv is not stale.inv and inv.pending is None
+        state.cached_inverse = None
+        assert self.ensured(state).pending is None
 
     def test_patches_track_members(self):
-        spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
-        state = batch.train_svm_batch(data.two_gaussians(40, seed=3), spec,
-                                      Hyperparams(C=1.0))
+        state = svm_with_inverse(self.spec)
         leaver = int(state.s_rows[0])
-        model.shrink_cached_inverse(state, [leaver])
         state.partition[leaver] = "O"
-        assert list(state.cached_inverse.ids) == list(state.ids[state.s_rows])
+        assert self.ensured(state).pending.rows.size == 1
         state.partition[leaver] = "S"
-        model.grow_cached_inverse(state, spec, [leaver])
-        assert list(state.cached_inverse.ids) == list(state.ids[state.s_rows])
-        assert np.allclose(state.cached_inverse.compact().inv, self.rebuilt(state, spec).inv,
-                           atol=1e-8)
+        assert np.allclose(self.ensured(state).compact().inv,
+                           self.rebuilt(state, self.spec).inv, atol=1e-8)
+
+    def test_an_arrival_reusing_a_held_id_drops_the_inverse(self):
+        """A member that left before any solve stays in the inverse; an arrival
+        with its id is another sample, so the inverse is dropped at the splice."""
+        state = svm_with_inverse(self.spec)
+        leaver = int(state.s_rows[0])
+        reused = int(state.ids[leaver])
+        state.partition[leaver] = "O"
+        state.delete_rows([leaver])
+        assert reused in state.cached_inverse.ids
+        state.append_samples([Sample(reused, state.X[0] + 1.0, 1.0)], [0.0], ["S"])
+        assert state.cached_inverse is None
+        self.ensured(state)
 
     def test_inverse_is_the_same_for_both_tasks(self):
         """The cached inverse is over the unsigned ridge Gram: labels do not enter it."""
-        spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
         samples = data.two_gaussians(24, seed=4)
         assert len({s.target for s in samples}) == 2
         svm, svr = model.SvmState(samples), model.SvrState(samples)
         for state in (svm, svr):
             state.partition[:] = "O"
             state.partition[[1, 2, 5, 8, 13, 21]] = "S"
-            model.refresh_cached_inverse(state, spec)
+            model.refresh_cached_inverse(state, self.spec)
         assert np.array_equal(svm.cached_inverse.inv, svr.cached_inverse.inv)
-        for state in (svm, svr):  # a deferred drop, then a grow that absorbs it
-            model.shrink_cached_inverse(state, [5])
+        for state in (svm, svr):  # a drop and a join, in one patch
             state.partition[[5, 10]] = "O", "S"
-            model.grow_cached_inverse(state, spec, [10])
+            self.ensured(state)
         assert np.array_equal(svm.cached_inverse.compact().inv, svr.cached_inverse.compact().inv)
         assert np.array_equal(svm.cached_inverse.ids, svr.cached_inverse.ids)
 
 
 class TestDeferredInversePatches:
-    """Shrinks and grows are carried in factored form; compaction rewrites them."""
+    """Drops and joins are carried in factored form; compaction rewrites them."""
 
     spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
 
     def state(self):
-        state = batch.train_svm_batch(data.two_gaussians(40, seed=3), self.spec,
-                                      Hyperparams(C=1.0))
-        assert state.s_rows.size >= 4 and state.o_rows.size >= 2
-        return state
+        return svm_with_inverse(self.spec)
 
     def leave(self, state, rows):
-        model.shrink_cached_inverse(state, rows)
         state.partition[rows] = "O"
+        model.ensure_cached_inverse(state, self.spec)
 
     def test_shrink_records_drops_and_solves_over_s(self):
         state = self.state()
@@ -482,10 +506,8 @@ class TestDeferredInversePatches:
         s, o = state.s_rows, state.o_rows
         leaver, stays_out = int(s[1]), int(s[2])
         self.leave(state, [leaver, stays_out])
-        joins = [leaver, int(o[0])]
-        state.partition[joins] = "S"
-        model.grow_cached_inverse(state, self.spec, joins)
-        cache = state.cached_inverse
+        state.partition[[leaver, int(o[0])]] = "S"
+        cache = model.ensure_cached_inverse(state, self.spec)
         assert list(cache.ids) == list(state.ids[state.s_rows])
         fresh = TestCachedInverseMembership.rebuilt(state, self.spec)
         assert np.max(np.abs(cache.apply(np.eye(cache.order + 1)) - fresh.inv)) <= 1e-10
@@ -701,7 +723,7 @@ ENGINE_TASKS = {
 class TestEngineInverseAndFallback:
     spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
 
-    def test_input_inverse_is_never_written(self, task, monkeypatch):
+    def test_input_inverse_is_never_written(self, task):
         make, train, engine, hyper = ENGINE_TASKS[task]
         state = train(make(40, seed=1), self.spec, hyper)
         # an input whose inverse carries pending changes from its own update
@@ -712,25 +734,12 @@ class TestEngineInverseAndFallback:
         watched_arrays = [state.cached_inverse.inv, pending.rows, pending.live, pending.ht,
                           pending.cap, pending.lu[0], pending.cross, pending.block]
         before = [a.copy() for a in watched_arrays]
-        patches = []
-        watched = [(linalg, "inverse_shrink"), (linalg, "inverse_grow"),
-                   (linalg.BorderedInverse, "shrink"), (linalg.BorderedInverse, "grow"),
-                   (linalg.BorderedInverse, "compact")]
-        for owner, name in watched:
-            original = getattr(owner, name)
-            monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=name, **kw:
-                                patches.append(_n) or _f(*a, **kw))
         arrivals = make(6, seed=51, start_id=500)
         leaving = [int(state.ids[r]) for r in state.s_rows[:2]]
-        # the first patch of a round is a shrink when S members leave, a
-        # grow when only arrivals join
         for upd in (UpdateBatch(add=arrivals, remove=leaving), UpdateBatch(add=arrivals)):
-            patches.clear()
             engine(state, upd, self.spec, hyper)
             assert state.cached_inverse.pending is pending
             assert all(np.array_equal(a, b) for a, b in zip(watched_arrays, before))
-            first = "shrink" if upd.remove else "grow"
-            assert patches[0] == first
 
 
 class TestBiasInterval:

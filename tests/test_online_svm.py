@@ -201,7 +201,7 @@ class TestKktRepair:
         bounds = model.bias_bounds(state, HYPER)
         assert np.isinf(bounds[1]).all() and np.isfinite(bounds[0]).all()
         with pytest.raises(EmptyS):
-            enter_bias_end(state, spec, 1.0, bounds)
+            enter_bias_end(state, 1.0, bounds)
         assert state.b == 0.0 and state.partition.tolist() == ["O", "B"]
 
     def test_release_ties_follow_sample_ids_not_rows(self):

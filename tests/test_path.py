@@ -150,6 +150,18 @@ class TestStepSelect:
 
 
 class TestMigrate:
+    """An event only retags its row; the next solve's inverse follows the tags."""
+
+    @staticmethod
+    def assert_inverse_follows_tags(work, before):
+        assert work.cached_inverse is before  # migrate writes no inverse
+        inv = model.ensure_cached_inverse(work, SPEC)
+        assert list(inv.ids) == list(work.ids[work.s_rows])
+        fresh = work.copy()
+        model.refresh_cached_inverse(fresh, SPEC)
+        assert np.max(np.abs(inv.apply(np.eye(inv.order + 1))
+                             - fresh.cached_inverse.inv)) <= 1e-10
+
     def test_box_event_moves_s_to_bound(self):
         _, state, _, _ = svm_path_fixture(seed=5)
         work = state.copy()
@@ -158,10 +170,10 @@ class TestMigrate:
                        removal_rows=np.zeros(0, dtype=int))
         ev = path.PathEvent(kind="box", sample_id=int(work.ids[s]), eta=0.1,
                             row=s, bound=HYPER.C)
-        migrate(work, SPEC, ps, ev)
+        migrate(work, ps, ev)
         assert work.partition[s] == "B"
         assert work.alpha[s] == HYPER.C
-        assert work.cached_inverse.order == work.s_rows.size
+        self.assert_inverse_follows_tags(work, state.cached_inverse)
 
     def test_release_event_moves_o_to_s(self):
         _, state, _, _ = svm_path_fixture(seed=6)
@@ -171,13 +183,10 @@ class TestMigrate:
                        removal_rows=np.zeros(0, dtype=int))
         ev = path.PathEvent(kind="release", sample_id=int(work.ids[o]), eta=0.0,
                             row=o)
-        migrate(work, SPEC, ps, ev)
+        migrate(work, ps, ev)
         assert work.partition[o] == "S"
-        assert work.cached_inverse.order == work.s_rows.size
-        # the permuted grow must agree with a from-scratch rebuild
-        inv_grown = work.cached_inverse.compact().inv
-        model.refresh_cached_inverse(work, SPEC)
-        assert np.max(np.abs(inv_grown - work.cached_inverse.inv)) <= 1e-8
+        # the joining row is placed among the members by row, through the permuted grow
+        self.assert_inverse_follows_tags(work, state.cached_inverse)
 
     def test_inconsistent_event_rejected(self):
         from ridgesvm.errors import InconsistentEvent
@@ -187,7 +196,7 @@ class TestMigrate:
         ps = PathState(drive_rows=np.zeros(0, dtype=int),
                        removal_rows=np.zeros(0, dtype=int))
         with pytest.raises(InconsistentEvent):
-            migrate(work, SPEC, ps,
+            migrate(work, ps,
                     path.PathEvent(kind="box", sample_id=0, eta=0.0, row=o, bound=0.0))
 
 
@@ -247,14 +256,14 @@ class TestPathUpdateSvm:
         real_migrate = path.migrate
         boundary_reports, events, cumulative = [], [], []
 
-        def recording(state_, spec_, ps_, event_):
+        def recording(state_, ps_, event_):
             transit = list(ps_.drive_rows) + list(ps_.removal_rows)
             boundary_reports.append(
                 model.validate(state_, spec=SPEC, C=HYPER.C, ignore_rows=transit)
             )
             events.append(event_)
             cumulative.append(ps_.cumulative_eta)
-            return real_migrate(state_, spec_, ps_, event_)
+            return real_migrate(state_, ps_, event_)
 
         monkeypatch.setattr(path, "migrate", recording)
         path_update_svm(
