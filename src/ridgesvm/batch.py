@@ -7,12 +7,13 @@ the full-retraining arm in benchmarks.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, model
-from .errors import NoConvergence, SingleClassInput
+from .errors import InvalidParameter, NoConvergence, SingleClassInput
 
 _BOX_EPS = 1e-12
 
@@ -28,8 +29,8 @@ class SolverConfig:
     max_passes: int = 10000
 
     def __post_init__(self):
-        if self.kkt_tolerance <= 0:
-            raise ValueError("kkt_tolerance must be > 0")
+        if not self.kkt_tolerance > 0:  # NaN fails too
+            raise InvalidParameter("kkt_tolerance must be > 0")
 
 
 def _pair_ascent(gram, targets, lo, hi, epsilon, tol, max_iter):
@@ -40,6 +41,7 @@ def _pair_ascent(gram, targets, lo, hi, epsilon, tol, max_iter):
     for the ridge Gram ``G = K + ridge I``.  The SVM is the epsilon = 0 case
     with ``beta = y alpha`` and targets ``y``; the SVR has ``beta = theta``.
     Returns (beta, resid, gap) with resid_i = sum_j G_ij beta_j - t_i.
+    A non-finite gap (an overflowing Gram) raises :class:`NoConvergence`.
     """
     beta = np.zeros(targets.shape[0])
     resid = -targets.astype(float)
@@ -58,6 +60,8 @@ def _pair_ascent(gram, targets, lo, hi, epsilon, tol, max_iter):
         gap = vals_up[i] + vals_dn[j]
         if gap <= tol:
             break
+        if not math.isfinite(gap):
+            raise NoConvergence(f"pair solver met the optimality gap {gap}", worst_gap=gap)
         quad = gram[i, i] + gram[j, j] - 2.0 * gram[i, j]
         delta = gap / quad if quad > _BOX_EPS else np.inf
         delta = min(delta, hi[i] - beta[i], beta[j] - lo[j])
@@ -94,7 +98,7 @@ def _train(state, spec, hyper, config: SolverConfig | None):
     beta, resid, gap = _pair_ascent(
         gram, state.targets, beta_lo, beta_hi, eps, config.kkt_tolerance, max_iter
     )
-    if gap > config.kkt_tolerance:
+    if not gap <= config.kkt_tolerance:
         raise NoConvergence(
             f"pair solver stopped with optimality gap {gap:.3e}", worst_gap=gap
         )
@@ -106,7 +110,6 @@ def _train(state, spec, hyper, config: SolverConfig | None):
     state.resid = signs * (resid + state.b)
     model.settle_bias(state, hyper)
     state.partition = model.classify_regions(state.mult, state.resid, C, eps)
-    model.refresh_cached_inverse(state, spec)
     return state
 
 

@@ -31,6 +31,7 @@ from .errors import (
     CorruptFile,
     DimensionMismatch,
     InvalidBatch,
+    InvalidParameter,
     LabelDomainError,
     NoConvergence,
     ParseError,
@@ -48,7 +49,7 @@ from .path import path_update
 
 INPUT_ERRORS = (ParseError, LabelDomainError, CorruptFile, SchemaVersionMismatch,
                 ConstantColumn, PoolExhausted, DimensionMismatch, UnknownId, InvalidBatch,
-                FileNotFoundError, IsADirectoryError)
+                InvalidParameter, FileNotFoundError, IsADirectoryError)
 TRAIN_ERRORS = (SingleClassInput, NoConvergence)
 UPDATE_ERRORS = (RepairDivergence, StalledPath)
 

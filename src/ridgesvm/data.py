@@ -7,6 +7,7 @@ the round trip exactly (shortest-repr serialization).
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass
@@ -81,7 +82,8 @@ def load_csv(spec: DatasetSpec) -> list[Sample]:
     """Read samples with stable sequential ids.
 
     Classification labels {0,1} map to {-1,+1}; labels already in {-1,+1}
-    are kept.  Any other label domain raises :class:`LabelDomainError`.
+    are kept.  Any other label domain raises :class:`LabelDomainError`, and
+    a cell that is not a finite number :class:`ParseError`.
     """
     rows = []
     with open(spec.path, "r", encoding="utf-8") as fh:
@@ -94,12 +96,15 @@ def load_csv(spec: DatasetSpec) -> list[Sample]:
         values = []
         for col, cell in enumerate(cells):
             try:
-                values.append(float(cell))
+                value = float(cell)
+                if not math.isfinite(value):
+                    raise ValueError("not finite")
             except ValueError as err:
                 raise ParseError(
-                    f"line {lineno}, column {col + 1}: cannot parse {cell!r}",
+                    f"line {lineno}, column {col + 1}: cannot parse {cell!r} as a finite number",
                     row=lineno, column=col + 1,
                 ) from err
+            values.append(value)
         rows.append(values)
     if not rows:
         raise ParseError("no data rows", row=None, column=None)
@@ -330,6 +335,9 @@ def load_model(path):
             raise ValueError("feature rows of different lengths")
         if len({s.id for s in samples}) != len(samples):
             raise ValueError("a sample id is repeated")
+        finite = [np.isfinite(s.features).all() and math.isfinite(s.target) for s in samples]
+        if not (all(finite) and np.isfinite(multipliers).all() and math.isfinite(bias)):
+            raise ValueError("a feature, target, multiplier or the bias is not finite")
         standardizer = _stats_from_doc(doc.get("standardizer"))
     except (KeyError, TypeError, ValueError) as err:
         raise CorruptFile(f"{path}: {err}") from err

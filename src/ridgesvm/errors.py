@@ -39,6 +39,10 @@ class UnknownId(RidgeSvmError):
     """A referenced sample id is not present in the model."""
 
 
+class InvalidParameter(RidgeSvmError, ValueError):
+    """A kernel, penalty or solver parameter outside its domain (NaN is outside every one)."""
+
+
 class InvalidBatch(RidgeSvmError, ValueError):
     """An update batch names an arrival id that is not fresh or a removal twice."""
 

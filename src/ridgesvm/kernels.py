@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import distance
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidParameter
 
 KERNEL_FAMILIES = ("linear", "polynomial", "rbf")
 
@@ -32,14 +32,18 @@ class KernelSpec:
     ridge: float = 0.0
 
     def __post_init__(self):
+        # each test is written to fail for NaN, which compares False
         if self.family not in KERNEL_FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family == "polynomial" and self.degree < 1:
-            raise ValueError("polynomial degree must be >= 1")
-        if self.family == "rbf" and self.sigma <= 0:
-            raise ValueError("rbf sigma must be > 0")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
+            raise InvalidParameter(f"unknown kernel family {self.family!r}")
+        if self.family == "polynomial":
+            if not (self.degree >= 1 and float(self.degree).is_integer()):
+                raise InvalidParameter("polynomial degree must be an integer >= 1")
+            if not abs(self.offset) < np.inf:
+                raise InvalidParameter("polynomial offset must be finite")
+        if self.family == "rbf" and not self.sigma > 0:
+            raise InvalidParameter("rbf sigma must be > 0")
+        if not 0 <= self.ridge < np.inf:
+            raise InvalidParameter("ridge must be finite and >= 0")
 
 
 def kernel_matrix(xa, xb, spec: KernelSpec, out=None) -> np.ndarray:

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels, linalg
-from .errors import EmptyS, InconsistentState, InvalidBatch, SingleClassInput, UnknownId
+from .errors import (EmptyS, InconsistentState, InvalidBatch, InvalidParameter, SingleClassInput,
+                     UnknownId)
 
 REGION_TOL = 1e-6
 HARD_TOL = 1e-3
@@ -44,16 +45,17 @@ class Sample:
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Penalty C (> 0) and tube half-width epsilon (>= 0, regression only)."""
+    """Penalty C (> 0) and tube half-width epsilon (finite, >= 0, regression only)."""
 
     C: float
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ValueError("C must be > 0")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        # each test is written to fail for NaN, which compares False
+        if not self.C > 0:
+            raise InvalidParameter("C must be > 0")
+        if not 0 <= self.epsilon < np.inf:
+            raise InvalidParameter("epsilon must be finite and >= 0")
 
 
 @dataclass
@@ -336,24 +338,23 @@ def region_tags(mult, C, on_edge=False) -> np.ndarray:
     return tags
 
 
-def classify_regions(mult, resid, C, epsilon=0.0, strict: bool = True) -> np.ndarray:
+def classify_regions(mult, resid, C, epsilon=0.0) -> np.ndarray:
     """Region tags from native multipliers and residuals ``s (f - t)``.
 
     The SVM is the ``epsilon = 0`` case (alpha in ``[0, C]``, residual the
     margin ``y f - 1``).  Exact boundary ties (multiplier at a bound,
-    residual on the tube edge within tolerance) resolve toward ``S``.  With
-    ``strict`` an interior multiplier whose residual misses the tube edge by
-    more than ``HARD_TOL`` raises :class:`InconsistentState`.
+    residual on the tube edge within tolerance) resolve toward ``S``.  An
+    interior multiplier whose residual misses the tube edge by more than
+    ``HARD_TOL`` raises :class:`InconsistentState`.
     """
     mult = np.asarray(mult, dtype=float)
     slack = np.abs(np.asarray(resid, dtype=float)) - epsilon
-    if strict:
-        bad = interior_mask(mult, C) & (np.abs(slack) > HARD_TOL)
-        if bad.any():
-            row = int(np.flatnonzero(bad)[0])
-            raise InconsistentState(
-                f"interior multiplier at row {row} has tube slack {slack[row]:.3e}"
-            )
+    bad = interior_mask(mult, C) & (np.abs(slack) > HARD_TOL)
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        raise InconsistentState(
+            f"interior multiplier at row {row} has tube slack {slack[row]:.3e}"
+        )
     return region_tags(mult, C, np.abs(slack) <= REGION_TOL)
 
 

@@ -105,7 +105,7 @@ def _release_candidates(state, hyper) -> list[int]:
     return [int(r) for r in rows[np.lexsort((state.ids[rows], -viols[rows]))]]
 
 
-def kkt_repair(state, spec, hyper, max_repair_passes=None):
+def kkt_repair(state, cache, hyper, max_repair_passes=None):
     """Restore the optimality regions after a one-shot update (in place).
 
     Each pass solves the equilibrium over the current ``S`` and walks
@@ -124,7 +124,9 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
     tags (:func:`ridgesvm.model.ensure_cached_inverse`).  Passes move
     only the residuals of ``S``, a step by ``step (edge - resid_S)`` (what the
     solve targets); every row catches up before each release check and each
-    empty-S step (:func:`_catch_up`), so no solve error outlives it.
+    empty-S step (:func:`_catch_up`), so no solve error outlives it.  ``cache``
+    is the column cache the update synced to the state's rows; its ``spec``
+    serves the solves.
     """
     if max_repair_passes is None:
         # Every pass that does not end the repair moves at least one row
@@ -140,7 +142,6 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
         max_repair_passes = 2 * state.n + 10
     lo, C, _ = state.box(hyper)
     signs = state.signs_of(state.targets)
-    cache = model.column_cache(state, spec)
     single_release = False
     base = state.resid.copy(), state.mult.copy(), state.b
     for _ in range(max_repair_passes):
@@ -166,7 +167,7 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
             # the step that takes the balance to zero and every member's cached
             # residual onto its tube edge
             target = signs[s_rows] * (state.resid[s_rows] - edge)
-            d_b, d_mult = equilibrium_solve(state, spec, balance, target)
+            d_b, d_mult = equilibrium_solve(state, cache.spec, balance, target)
             # a move at the solve's roundoff is no move: taken as real, it could snap
             # a member that the exact solve leaves where it is
             tiny = 1e-12 * max(1.0, abs(balance), float(np.max(np.abs(target))))
@@ -208,14 +209,15 @@ def kkt_repair(state, spec, hyper, max_repair_passes=None):
 
 
 def open_update(state, batch: model.UpdateBatch, spec, hyper):
-    """Opening of both update arms: check, copy, take leavers out of ``S``, price arrivals.
+    """Opening of both update arms: check the batch, copy the state, price the arrivals.
 
     Returns ``(work, remove_rows, resid_d)`` with the arrivals' residuals
     ``s (f - t)`` under the model before the batch, for the arm to stage
     (:func:`stage_arrivals`), or ``(result, None, None)`` when the batch is
     empty or keeps no stored row: a cold start, which batch-trains the
     arrivals or, without any, returns an empty state of the same task.  The
-    work copy takes over the input's column cache in every case.
+    work copy keeps the input's tags, leavers included, and takes over its
+    column cache in every case.
     """
     remove_rows = model._check_batch(state, batch)
     work = state.copy()
@@ -226,8 +228,6 @@ def open_update(state, batch: model.UpdateBatch, spec, hyper):
         svm = isinstance(state, model.SvmState)
         train = batch_solver.train_svm_batch if svm else batch_solver.train_svr_batch
         return (train(batch.add, spec, hyper) if batch.add else type(state)([])), None, None
-    s_leavers = remove_rows[work.partition[remove_rows] == REGION_S]
-    work.partition[s_leavers] = REGION_O
     t = np.array([s.target for s in batch.add], dtype=float)
     f = t if not t.size else kernels.decision_values(
         np.array([s.features for s in batch.add], dtype=float), work, spec)
@@ -291,4 +291,4 @@ def update_multi(state, batch: model.UpdateBatch, spec, hyper):
     work.mult[arrivals] = mult_d
 
     work.partition[arrivals] = model.region_tags(mult_d, C)
-    return kkt_repair(work, spec, hyper)
+    return kkt_repair(work, cache, hyper)

@@ -12,7 +12,7 @@ incremental trajectory.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,12 +52,7 @@ class PathState:
 
     drive_rows: np.ndarray
     removal_rows: np.ndarray
-    cumulative_eta: float = 0.0
-    events: list = field(default_factory=list)
     stalled_steps: int = 0
-
-    def advance(self, eta: float) -> None:
-        self.cumulative_eta += (1.0 - self.cumulative_eta) * eta
 
 
 def _drive_targets(state, path: PathState, hyper) -> np.ndarray:
@@ -183,7 +178,6 @@ def migrate(state, path: PathState, event: PathEvent) -> None:
         state.partition[row] = REGION_S
     else:
         raise InconsistentEvent(f"unknown event kind {event.kind!r}")
-    path.events.append(event)
 
 
 def _apply_step(state, phi, directions, path: PathState, eta: float) -> None:
@@ -215,6 +209,9 @@ def path_update(state, batch: model.UpdateBatch, spec, hyper):
     if removal_rows is None:
         return work
     arrivals = stage_arrivals(work, batch, resid_d)
+    # leavers stay rows until the path ends, driven to zero from outside S
+    s_leavers = removal_rows[work.partition[removal_rows] == REGION_S]
+    work.partition[s_leavers] = REGION_O
     # only arrivals that break their region at a zero multiplier move
     u_lo, u_hi = model.shift_bounds(work, hyper)
     breach = np.maximum(u_lo, -u_hi)[arrivals]
@@ -229,7 +226,6 @@ def path_update(state, batch: model.UpdateBatch, spec, hyper):
         eta, event = step_select(work, phi, directions, path, hyper)
         if eta > 0.0:
             _apply_step(work, phi, directions, path, eta)
-            path.advance(eta)
             path.stalled_steps = 0
         else:
             path.stalled_steps += 1

@@ -1,8 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
-from ridgesvm import batch, kernels, model
-from ridgesvm.errors import SingleClassInput
+from ridgesvm import batch, data, kernels, model
+from ridgesvm.errors import InvalidParameter, NoConvergence, SingleClassInput
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample
 
@@ -232,3 +234,26 @@ class TestTrainSvrBatch:
         s2 = batch.train_svr_batch(samples, spec, hyper)
         assert np.array_equal(s1.theta, s2.theta)
         assert s1.b == s2.b
+
+
+class TestNonFiniteInput:
+    def test_an_overflowing_gram_stops_at_the_first_non_finite_gap(self):
+        """A valid spec whose Gram overflows to inf: the gap turns NaN at once, and the
+        solver stops there instead of running its whole step budget."""
+        spec = KernelSpec(family="polynomial", degree=400, offset=10.0, ridge=0.5)
+        start = time.perf_counter()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NoConvergence):
+            batch.train_svm_batch(data.two_gaussians(40, seed=1), spec, Hyperparams(C=1.0))
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("params", [{"C": float("nan")}, {"C": 0.0},
+                                        {"C": 1.0, "epsilon": float("nan")},
+                                        {"C": 1.0, "epsilon": float("inf")},
+                                        {"C": 1.0, "epsilon": -0.1}])
+    def test_hyperparameters_outside_the_domain(self, params):
+        with pytest.raises(InvalidParameter):
+            Hyperparams(**params)
+
+    def test_nan_tolerance_is_rejected(self):
+        with pytest.raises(InvalidParameter):
+            batch.SolverConfig(kkt_tolerance=float("nan"))

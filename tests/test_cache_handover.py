@@ -173,6 +173,22 @@ def test_a_warm_solving_update_evaluates_less_than_the_support_columns(task):
     assert 0 < cache.entries - before < new.n * new.s_rows.size
 
 
+@pytest.mark.parametrize("task", sorted(TASKS))
+def test_a_solving_update_syncs_its_cache_once(task, monkeypatch):
+    """The repair works on the cache its update has just taken over and synced."""
+    s = Stream(task)
+    synced, sync = [], kernels.ColumnCache.sync
+    monkeypatch.setattr(kernels.ColumnCache, "sync",
+                        lambda cache, *args: synced.append(cache) or sync(cache, *args))
+    state = s.base  # a cold start of the cache first, then warm rounds
+    for rnd in range(3):
+        leaving = [int(i) for i in state.ids[state.s_rows[:2]]]  # a solve is needed
+        upd = UpdateBatch(add=s.make(6, [0, 1, rnd], 1000 + 100 * rnd), remove=leaving)
+        synced.clear()
+        state = update_multi(state, upd, SPEC, s.hyper)
+        assert synced == [state.column_cache]
+
+
 def test_one_moving_arrival_evaluates_one_new_column():
     s = Stream("svm")
     state = s.update(s.base, 0)

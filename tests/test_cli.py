@@ -38,6 +38,25 @@ class TestTrain:
                      "--out", str(tmp_path / "m.json")])
         assert code == 2
 
+    def test_non_finite_cell_is_input_error(self, tmp_path, capsys):
+        csv = tmp_path / "nan.csv"
+        rows = [list(s.features) + [s.target] for s in data.two_gaussians(30, seed=0)]
+        rows[6][1] = float("nan")
+        write_toy_csv(csv, rows)
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(csv), "--out", str(out)]) == 2
+        assert "line 7, column 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--C", "nan"], ["--C", "-1"], ["--ridge", "nan"],
+                                       ["--sigma", "nan"]])
+    def test_parameter_outside_its_domain_is_input_error(self, tmp_path, capsys, flags):
+        csv = tmp_path / "train.csv"
+        two_blob_csv(csv, n=30)
+        assert main(["train", "--data", str(csv), "--out", str(tmp_path / "m.json")]
+                    + flags) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+
     def test_single_class_is_training_error(self, tmp_path):
         csv = tmp_path / "one.csv"
         write_toy_csv(csv, [[0.0, 1.0, 1], [1.0, 0.0, 1], [0.5, 0.5, 1]])
@@ -149,6 +168,15 @@ class TestBenchCommand:
         printed = capsys.readouterr().out
         assert "parity round 1" in printed
         assert (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--C", "nan"], ["--C", "-1"],
+                                       ["--task", "regression", "--epsilon", "nan"]])
+    def test_parameter_outside_its_domain_is_input_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "rep"
+        assert main(["bench", "--synthetic-n", "60", "--rounds", "1", "--out", str(out)]
+                    + flags) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+        assert not out.exists()
 
     def test_regression_bench(self, tmp_path):
         out = tmp_path / "rep"

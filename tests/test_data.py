@@ -54,6 +54,16 @@ class TestLoadCsv:
         assert err.value.row == 2
         assert err.value.column == 2
 
+    @pytest.mark.parametrize("cell, column", [("nan", 2), ("inf", 1), ("-inf", 3), ("NaN", 3)])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell, column):
+        row = ["3", "4", "1"]
+        row[column - 1] = cell
+        f = tmp_path / "nan.csv"
+        f.write_text("1,2,1\n5,6,-1\n" + ",".join(row) + "\n")
+        with pytest.raises(ParseError, match="finite") as err:
+            load_csv(DatasetSpec(path=str(f), task="regression"))
+        assert (err.value.row, err.value.column) == (3, column)
+
     def test_label_domain_error(self, tmp_path):
         f = tmp_path / "lab.csv"
         f.write_text("1,2,3\n4,5,7\n")
@@ -231,7 +241,8 @@ class TestModelPersistence:
             load_model(str(p))
 
     @pytest.mark.parametrize("case", ["unknown-task", "unknown-tag", "ragged-features",
-                                      "repeated-id"])
+                                      "repeated-id", "nan-C", "nan-ridge", "fractional-degree",
+                                      "nan-feature", "inf-multiplier"])
     def test_malformed_document_is_corrupt(self, tmp_path, case):
         p = tmp_path / "model.json"
         save_model(self.state, str(p), self.spec, self.hyper)
@@ -242,6 +253,16 @@ class TestModelPersistence:
             doc["partition"][3] = "X"
         elif case == "ragged-features":
             doc["samples"][3]["features"] = [0.5]
+        elif case == "nan-C":
+            doc["hyper"]["C"] = float("nan")
+        elif case == "nan-ridge":
+            doc["kernel"]["ridge"] = float("nan")
+        elif case == "fractional-degree":
+            doc["kernel"].update(family="polynomial", degree=2.5)
+        elif case == "nan-feature":
+            doc["samples"][3]["features"][0] = float("nan")
+        elif case == "inf-multiplier":
+            doc["multipliers"][3] = float("inf")
         else:
             doc["samples"][3]["id"] = doc["samples"][0]["id"]
         p.write_text(json.dumps(doc))

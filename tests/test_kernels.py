@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial import distance
 
 from ridgesvm import kernels, linalg, model
-from ridgesvm.errors import DimensionMismatch
+from ridgesvm.errors import DimensionMismatch, InvalidParameter
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Sample
 
@@ -58,6 +58,23 @@ class TestSpecValidation:
     def test_negative_ridge(self):
         with pytest.raises(ValueError):
             KernelSpec(family="linear", ridge=-0.1)
+
+    @pytest.mark.parametrize("params", [
+        {"ridge": float("nan")},
+        {"ridge": float("inf")},
+        {"sigma": float("nan")},
+        {"family": "polynomial", "degree": 2.5},
+        {"family": "polynomial", "degree": float("nan")},
+        {"family": "polynomial", "offset": float("nan")},
+        {"family": "polynomial", "offset": float("-inf")},
+    ])
+    def test_nan_and_other_values_outside_the_domain(self, params):
+        with pytest.raises(InvalidParameter):
+            KernelSpec(**params)
+
+    def test_an_integral_float_degree_is_an_integer(self):
+        spec = KernelSpec(family="polynomial", degree=2.0)
+        assert kernels.kernel_eval([1.0], [2.0], spec) == 9.0
 
 
 def label_signed(gram, labels):

@@ -92,7 +92,7 @@ class TestMargins:
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def classify_regions_svm_reference(alpha, margins, C, strict: bool = True):
+def classify_regions_svm_reference(alpha, margins, C):
     """The SVM-only classifier that :func:`model.classify_regions` replaced."""
     alpha = np.asarray(alpha, dtype=float)
     margins = np.asarray(margins, dtype=float)
@@ -100,13 +100,12 @@ def classify_regions_svm_reference(alpha, margins, C, strict: bool = True):
     at_zero = alpha <= model.BOUND_TOL
     at_c = alpha >= C - model.BOUND_TOL
     interior = ~at_zero & ~at_c
-    if strict:
-        bad = interior & (np.abs(margins) > model.HARD_TOL)
-        if bad.any():
-            row = int(np.flatnonzero(bad)[0])
-            raise InconsistentState(
-                f"interior multiplier at row {row} has margin {margins[row]:.3e}"
-            )
+    bad = interior & (np.abs(margins) > model.HARD_TOL)
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        raise InconsistentState(
+            f"interior multiplier at row {row} has margin {margins[row]:.3e}"
+        )
     tags[interior] = "S"
     on_margin = np.abs(margins) <= model.REGION_TOL
     tags[at_zero & on_margin] = "S"
@@ -147,12 +146,9 @@ class TestClassifyRegionsMatchesSvmReference:
         assert _tags_or_raised(classify_regions_svm_reference, alpha, calm, C) != "raised"
         assert _tags_or_raised(classify_regions_svm_reference, alpha, margins, C) == "raised"
         for m in (margins, calm):
-            for strict in (True, False):
-                expected = _tags_or_raised(classify_regions_svm_reference, alpha, m, C,
-                                           strict=strict)
-                got = _tags_or_raised(model.classify_regions, alpha, m, C, epsilon=0.0,
-                                      strict=strict)
-                assert got == expected
+            expected = _tags_or_raised(classify_regions_svm_reference, alpha, m, C)
+            got = _tags_or_raised(model.classify_regions, alpha, m, C, epsilon=0.0)
+            assert got == expected
 
 
 class TestClassifyRegions:
@@ -371,9 +367,11 @@ class TestDeleteRows:
 
 
 def svm_with_inverse(spec):
-    """A trained SVM state with at least four S members and two O rows."""
+    """A trained SVM state with at least four S members and two O rows, and its
+    inverse over S (batch training leaves it to the first solve)."""
     state = batch.train_svm_batch(data.two_gaussians(40, seed=3), spec, Hyperparams(C=1.0))
     assert state.s_rows.size >= 4 and state.o_rows.size >= 2
+    model.ensure_cached_inverse(state, spec)
     return state
 
 
@@ -726,6 +724,7 @@ class TestEngineInverseAndFallback:
     def test_input_inverse_is_never_written(self, task):
         make, train, engine, hyper = ENGINE_TASKS[task]
         state = train(make(40, seed=1), self.spec, hyper)
+        model.ensure_cached_inverse(state, self.spec)
         # an input whose inverse carries pending changes from its own update
         state = engine(state, UpdateBatch(remove=[int(state.ids[state.s_rows[-1]])]),
                        self.spec, hyper)
@@ -740,6 +739,27 @@ class TestEngineInverseAndFallback:
             engine(state, upd, self.spec, hyper)
             assert state.cached_inverse.pending is pending
             assert all(np.array_equal(a, b) for a, b in zip(watched_arrays, before))
+
+    def test_a_batch_trained_state_builds_its_inverse_at_the_first_solve(self, task):
+        """Training leaves no inverse; the first update matches one from an eager inverse."""
+        make, train, engine, hyper = ENGINE_TASKS[task]
+        lazy = train(make(40, seed=1), self.spec, hyper)
+        assert lazy.cached_inverse is None
+        eager = lazy.copy()
+        model.refresh_cached_inverse(eager, self.spec)
+        upd = UpdateBatch(add=make(6, seed=51, start_id=500),
+                          remove=[int(lazy.ids[r]) for r in lazy.s_rows[:2]])
+        got, want = (engine(state, upd, self.spec, hyper) for state in (lazy, eager))
+        assert lazy.cached_inverse is None and got.cached_inverse is not None
+        assert np.array_equal(got.ids, want.ids)
+        assert np.array_equal(got.partition, want.partition)
+        queries = np.array([x.features for x in make(20, seed=52, start_id=700)])
+        gap = np.abs(kernels.decision_values(queries, got, self.spec)
+                     - kernels.decision_values(queries, want, self.spec))
+        assert gap.max() <= 1e-10
+        inv = model.ensure_cached_inverse(got, self.spec)
+        fresh = TestCachedInverseMembership.rebuilt(got, self.spec)
+        assert np.max(np.abs(inv.apply(np.eye(inv.order + 1)) - fresh.inv)) <= 1e-10
 
 
 class TestBiasInterval:

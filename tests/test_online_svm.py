@@ -130,7 +130,7 @@ class TestKktRepair:
         state = model.SvmState(samples, alpha=[0.4, 0.4], b=0.0)
         state.margins = model.compute_residuals(state, spec)
         state.partition = np.array(["S", "S"])
-        out = kkt_repair(state, spec, HYPER)
+        out = kkt_repair(state, model.column_cache(state, spec), HYPER)
         assert np.allclose(out.alpha, [0.4, 0.4], atol=1e-12)
         assert out.b == pytest.approx(0.0, abs=1e-12)
 
@@ -141,7 +141,7 @@ class TestKktRepair:
         s = perturbed.s_rows[0]
         perturbed.alpha[s] = HYPER.C + 0.2
         perturbed.margins = model.compute_residuals(perturbed, SPEC)
-        out = kkt_repair(perturbed, SPEC, HYPER)
+        out = kkt_repair(perturbed, model.column_cache(perturbed, SPEC), HYPER)
         assert clean(out)
         grid = np.linspace(-3, 3, 10)
         pts = np.column_stack([grid, grid[::-1]])
@@ -182,7 +182,8 @@ class TestKktRepair:
         state.margins = model.compute_residuals(state, spec)
         state.partition = np.array(["B", "B", "O"])
         assert [v.kind for v in model.validate(state, spec, hyper.C)] == ["balance"]
-        out = kkt_repair(state.copy(), spec, hyper)
+        work = state.copy()
+        out = kkt_repair(work, model.column_cache(work, spec), hyper)
         assert clean(out, spec, hyper)
         oracle = batch.train_svm_batch(samples, spec, hyper)
         pts = np.vstack([state.X, np.linspace(-3.0, 4.0, 15)[:, None].repeat(2, axis=1)])
@@ -224,7 +225,8 @@ class TestKktRepair:
         perturbed.alpha[perturbed.s_rows[0]] = HYPER.C + 0.2
         perturbed.margins = model.compute_residuals(perturbed, SPEC)
         with pytest.raises(RepairDivergence):
-            kkt_repair(perturbed, SPEC, HYPER, max_repair_passes=1)
+            kkt_repair(perturbed, model.column_cache(perturbed, SPEC), HYPER,
+                       max_repair_passes=1)
 
     def test_rows_outside_s_catch_up_once_per_release_check(self, monkeypatch):
         """Passes move the residuals of S alone.  All n catch up in one product

@@ -32,10 +32,11 @@ def svm_path_fixture(seed=0, n=30, n_add=4, n_rem=2):
 
 
 def prepared_path(state, arrivals, remove_ids, spec=SPEC, hyper=HYPER):
-    """Stage the batch as the update opening does and mark transit sets, like the loop."""
+    """Stage the batch, take the leavers out of S and mark transit sets, like the loop."""
     upd = UpdateBatch(add=arrivals, remove=remove_ids)
     work, remove_rows, resid_d = open_update(state, upd, spec, hyper)
     staged = stage_arrivals(work, upd, resid_d)
+    work.partition[remove_rows[work.partition[remove_rows] == model.REGION_S]] = model.REGION_O
     lo, _, eps = work.box(hyper)
     reach = np.abs(work.resid[staged]) if lo < 0 else -work.resid[staged]
     return work, PathState(drive_rows=staged[reach > eps + 1e-12], removal_rows=remove_rows)
@@ -254,7 +255,7 @@ class TestPathUpdateSvm:
     def test_event_boundaries_stay_on_the_kkt_manifold(self, monkeypatch):
         samples, state, arrivals, remove_ids = svm_path_fixture(seed=14, n=40, n_add=6)
         real_migrate = path.migrate
-        boundary_reports, events, cumulative = [], [], []
+        boundary_reports, events = [], []
 
         def recording(state_, ps_, event_):
             transit = list(ps_.drive_rows) + list(ps_.removal_rows)
@@ -262,7 +263,6 @@ class TestPathUpdateSvm:
                 model.validate(state_, spec=SPEC, C=HYPER.C, ignore_rows=transit)
             )
             events.append(event_)
-            cumulative.append(ps_.cumulative_eta)
             return real_migrate(state_, ps_, event_)
 
         monkeypatch.setattr(path, "migrate", recording)
@@ -272,8 +272,6 @@ class TestPathUpdateSvm:
         assert events, "expected at least one membership event"
         for rep in boundary_reports:
             assert rep == []
-        assert all(b >= a for a, b in zip(cumulative, cumulative[1:]))
-        assert all(0.0 <= c <= 1.0 for c in cumulative)
         assert len(events) <= 10 * (40 + 6 + 2)
 
 
