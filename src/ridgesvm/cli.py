@@ -40,6 +40,7 @@ from .errors import (
     SchemaVersionMismatch,
     SingleClassInput,
     StalledPath,
+    TooFewSamples,
     UnknownId,
 )
 from .kernels import KernelSpec
@@ -49,7 +50,7 @@ from .path import path_update
 
 INPUT_ERRORS = (ParseError, LabelDomainError, CorruptFile, SchemaVersionMismatch,
                 ConstantColumn, PoolExhausted, DimensionMismatch, UnknownId, InvalidBatch,
-                InvalidParameter, FileNotFoundError, IsADirectoryError)
+                InvalidParameter, TooFewSamples, FileNotFoundError, IsADirectoryError)
 TRAIN_ERRORS = (SingleClassInput, NoConvergence)
 UPDATE_ERRORS = (RepairDivergence, StalledPath)
 

@@ -22,6 +22,7 @@ from .errors import (
     ParseError,
     PoolExhausted,
     SchemaVersionMismatch,
+    TooFewSamples,
 )
 from .kernels import KernelSpec
 from .model import Hyperparams, Sample, UpdateBatch
@@ -137,7 +138,7 @@ def fit_standardizer(train_samples, task: str = "classification") -> Standardiza
     """Population mean/std per feature, fitted on the training portion only."""
     train_samples = list(train_samples)
     if len(train_samples) < 2:
-        raise ValueError("need at least two samples to standardize")
+        raise TooFewSamples("need at least two samples to standardize")
     X = np.array([s.features for s in train_samples], dtype=float)
     mean = X.mean(axis=0)
     std = X.std(axis=0)  # population convention

@@ -103,6 +103,10 @@ class ConstantColumn(RidgeSvmError):
     """A feature (or label) column has zero variance."""
 
 
+class TooFewSamples(RidgeSvmError, ValueError):
+    """A data set holds fewer samples than fitting it needs."""
+
+
 class PoolExhausted(RidgeSvmError):
     """The incremental pool cannot supply the requested rounds."""
 

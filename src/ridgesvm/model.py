@@ -580,6 +580,13 @@ def validate(state, spec=None, C=None, epsilon=None, tol=REGION_TOL, ignore_rows
     report: list[Violation] = []
     mult, resid = state.mult, state.resid
 
+    # NaN fails every comparison below silently, so non-finite values are named here
+    report += [Violation("non-finite", int(row), np.inf,
+                         f"multiplier {mult[row]:.6g} or residual {resid[row]:.6g} not finite")
+               for row in np.flatnonzero(~(np.isfinite(mult) & np.isfinite(resid)))]
+    if not np.isfinite(state.b):
+        report.append(Violation("non-finite", None, np.inf, f"bias {state.b} not finite"))
+
     # multiplier balance (orthogonal-hyperplane equality)
     balance = float(state.signs_of(state.targets) @ mult) if state.n else 0.0
     if abs(balance) > BALANCE_TOL:

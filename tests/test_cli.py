@@ -57,6 +57,15 @@ class TestTrain:
                     + flags) == 2
         assert capsys.readouterr().err.startswith("input error: ")
 
+    def test_one_row_is_input_error(self, tmp_path, capsys):
+        csv = tmp_path / "one.csv"
+        write_toy_csv(csv, [[0.0, 1.0, 1]])
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(csv), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_single_class_is_training_error(self, tmp_path):
         csv = tmp_path / "one.csv"
         write_toy_csv(csv, [[0.0, 1.0, 1], [1.0, 0.0, 1], [0.5, 0.5, 1]])

@@ -225,6 +225,40 @@ class TestValidate:
         assert report[0].magnitude == pytest.approx(1e-3, abs=1e-12)
 
 
+class TestValidateNonFinite:
+    # NaN fails every comparison, so no region or cache check sees these states
+    spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
+    hyper = Hyperparams(C=1.0)
+
+    def trained(self):
+        state = batch.train_svm_batch(data.two_gaussians(30, seed=0), self.spec, self.hyper)
+        assert validate_empty(state, self.spec, self.hyper)
+        return state
+
+    def test_nan_residuals_name_every_row(self):
+        state = self.trained()
+        state.resid = np.full(state.n, np.nan)
+        report = model.validate(state, spec=self.spec, C=self.hyper.C)
+        non_finite = [v for v in report if v.kind == "non-finite"]
+        assert [v.index for v in non_finite] == list(range(state.n))
+        assert all(v.magnitude == np.inf for v in non_finite)
+
+    def test_a_nan_multiplier_is_named(self):
+        state = self.trained()
+        mult = state.mult.copy()
+        mult[3] = np.nan
+        state.mult = mult
+        report = model.validate(state, spec=self.spec)
+        assert [(v.kind, v.index) for v in report if v.kind == "non-finite"] == [
+            ("non-finite", 3)]
+
+    def test_a_nan_bias_is_named(self):
+        state = self.trained()
+        state.b = np.nan
+        report = model.validate(state)
+        assert [(v.kind, v.index) for v in report] == [("non-finite", None)]
+
+
 def validate_empty(state, spec, hyper):
     report = model.validate(
         state, spec=spec, C=hyper.C, epsilon=hyper.epsilon
