@@ -127,6 +127,30 @@ class BorderedInverse:
         out -= ht.T @ cols
         return np.concatenate([out, cols])[pend.live]
 
+    def columns(self, positions) -> np.ndarray:
+        """The live inverse's columns at ``positions`` (the border row is 0).
+
+        What :meth:`apply` gives for unit vectors, without a product with
+        ``inv``: its columns are rows (it is symmetric), read directly, plus
+        the pending correction, O(order x p) per position for the p pending
+        columns.
+        """
+        pos = np.asarray(positions, dtype=int)
+        pend = self.pending
+        if pend is None:
+            return self.inv[pos].T
+        n, ht, k = self.inv.shape[0], pend.ht, pos.size
+        src = pend.live[pos]
+        on_base = src < n
+        out = np.zeros((n, k))
+        out[:, on_base] = self.inv[src[on_base]].T
+        rhs = np.zeros((pend.rows.size, k))
+        rhs[:, on_base] = -ht[:, src[on_base]]
+        rhs[src[~on_base] - n, np.flatnonzero(~on_base)] = 1.0
+        cols = lapack.dgetrs(*pend.lu, rhs)[0]
+        out -= ht.T @ cols
+        return np.concatenate([out, cols])[pend.live]
+
     def _changes(self) -> _Pending:
         """The pending changes, or none over the base rows."""
         if self.pending is not None:
@@ -287,6 +311,11 @@ def _checked_inverse(m: np.ndarray, exc: type) -> np.ndarray:
     if m.size == 0:
         return m.reshape(0, 0).copy()
     return lapack.dgetrs(*_checked_lu(m, exc), np.eye(m.shape[0]))[0]
+
+
+def checked_solve(m: np.ndarray, rhs: np.ndarray, exc: type = SingularCornerBlock) -> np.ndarray:
+    """Solve a small square system ``m x = rhs``, raising ``exc`` on tiny pivots."""
+    return lapack.dgetrs(*_checked_lu(m, exc), rhs)[0]
 
 
 def invert_spd(m) -> np.ndarray:

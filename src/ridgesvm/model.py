@@ -201,16 +201,20 @@ class _StateBase:
     def append_samples(self, samples, mult, tags, drop=()) -> None:
         """Drop the rows ``drop``, then append ``samples`` after the rest.
 
-        One gather per array: the appended rows take multipliers ``mult``
-        and tags ``tags``, residual 0 and no cache slot.  Every array is
-        replaced, none written, so a copy sharing them keeps its rows.  A
-        cached inverse that still holds the id of an arrival (one that left
-        before a solve brought the inverse up to date) is dropped.
+        One gather per array (a slice copy when nothing is dropped): the
+        appended rows take multipliers ``mult`` and tags ``tags``, residual 0
+        and no cache slot.  Every array is replaced, none written, so a copy
+        sharing them keeps its rows.  A cached inverse that still holds the id
+        of an arrival (one that left before a solve brought the inverse up to
+        date) is dropped.
         """
         samples = list(samples)
-        keep = np.ones(self.n, dtype=bool)
-        keep[np.asarray(drop, dtype=int)] = False
-        rows, k = np.flatnonzero(keep), len(samples)
+        drop, k = np.asarray(drop, dtype=int), len(samples)
+        rows = None  # every row, copied by slice
+        if drop.size:
+            keep = np.ones(self.n, dtype=bool)
+            keep[drop] = False
+            rows = np.flatnonzero(keep)
         x_new = np.array([s.features for s in samples], dtype=float)
         new_ids = np.array([s.id for s in samples], dtype=int)
         inv = self.cached_inverse
@@ -251,12 +255,17 @@ def _read_only(a) -> np.ndarray:
 
 
 def _gathered(a, rows, tail) -> np.ndarray:
-    """``a[rows]`` followed by the rows of ``tail``, written once into a new array."""
+    """``a[rows]`` (all of ``a`` for ``rows=None``) followed by the rows of ``tail``,
+    written once into a new array."""
     tail = np.asarray(tail, dtype=a.dtype)
-    out = np.empty((rows.size + len(tail),) + a.shape[1:], dtype=a.dtype)
-    # take, not a mask: a boolean mask over the 2-D X is applied row by row
-    np.take(a, rows, axis=0, out=out[:rows.size], mode="clip")
-    out[rows.size:] = tail
+    head = a.shape[0] if rows is None else rows.size
+    out = np.empty((head + len(tail),) + a.shape[1:], dtype=a.dtype)
+    if rows is None:
+        out[:head] = a
+    else:
+        # take, not a mask: a boolean mask over the 2-D X is applied row by row
+        np.take(a, rows, axis=0, out=out[:head], mode="clip")
+    out[head:] = tail
     return out
 
 

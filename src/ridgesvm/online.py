@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import batch as batch_solver
-from . import kernels, model
-from .errors import EmptyS, NonpositiveRho, RepairDivergence
+from . import kernels, linalg, model
+from .errors import EmptyS, NonpositiveRho, RepairDivergence, SingularCornerBlock
 from .model import REGION_B, REGION_O, REGION_S
 
 _MIGRATE_TOL = 1e-10
@@ -105,54 +105,130 @@ def _release_candidates(state, hyper) -> list[int]:
     return [int(r) for r in rows[np.lexsort((state.ids[rows], -viols[rows]))]]
 
 
+def _pinned_direction(x, z, pinned, scale) -> np.ndarray:
+    """A walk's direction once the members at ``pinned`` (positions in ``S``) are
+    held: ``scale (x - Z Z_PP^-1 x_P)`` for its solve ``x`` and ``Z``, the
+    inverse's columns at them (border row first).  Raises
+    :class:`SingularCornerBlock` when ``Z_PP`` has a tiny pivot."""
+    return scale * (x - z @ linalg.checked_solve(z[1 + pinned], x[1 + pinned]))
+
+
+def _walk(state, cache, signs, s_rows, segments, balance, target, budget) -> tuple[int, float]:
+    """Walk one solve over ``S`` toward its target, pinning members that block (in place).
+
+    Each event takes the longest step along the direction that each live
+    member's segment allows and snaps the members that block onto the end
+    they hit.  Those are then pinned in the same solve: with ``x`` the
+    solve's ``[db; dbeta_S]``, ``P`` the pinned positions, ``Z`` the
+    inverse's columns at them and ``c`` the product of ``1 - step`` over the
+    steps taken, ``c (x - Z Z_PP^-1 x_P)`` is the solve over the members
+    left for the target left, so an event costs O(|S| (p + |P|)) instead of
+    a shrink and a fresh solve.  A zero-length step, an emptied ``S``, a
+    tiny pivot in ``Z_PP`` or the end of ``budget`` events leaves the rest
+    to a fresh solve.  Returns the events taken and the last step length
+    (1 once the target is reached).
+    """
+    edge, seg_lo, seg_hi = segments
+    inv = model.ensure_cached_inverse(state, cache.spec)
+    x = -inv.apply(np.concatenate(([balance], target)))
+    live = np.ones(s_rows.size, dtype=bool)
+    pinned = np.zeros(0, dtype=int)  # positions in S, in pinning order
+    z = np.zeros((s_rows.size + 1, 0))
+    direction, scale, events = x, 1.0, 0
+    while True:
+        events += 1
+        rows = s_rows[live]
+        d_b, d_mult = direction[0], signs[rows] * direction[1:][live]
+        # a move at the solve's roundoff is no move: taken as real, it could snap
+        # a member that the exact solve leaves where it is
+        tiny = 1e-12 * max(1.0, scale * max(abs(balance), float(np.max(np.abs(target[live])))))
+        d_mult[np.abs(d_mult) <= tiny] = 0.0
+
+        # longest feasible step toward the solve target
+        mult_s, hi, lo = state.mult[rows], seg_hi[live], seg_lo[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(d_mult > tiny, (hi - mult_s) / d_mult,
+                            np.where(d_mult < -tiny, (lo - mult_s) / d_mult, np.inf))
+        step = max(min(1.0, float(np.min(room, initial=np.inf))), 0.0)
+        if step > 0.0:
+            state.resid[rows] += step * (edge[live] - state.resid[rows])
+            state.mult[rows] += step * d_mult
+            state.b += step * d_b
+        if step == 1.0:
+            return events, step
+
+        hit = room <= step + 1e-12
+        _snap(state, cache, signs, rows, rows[hit], np.where(d_mult[hit] > 0, hi[hit], lo[hit]))
+        blocked = np.flatnonzero(live)[hit]
+        live[blocked] = False
+        if step <= 1e-12 or not live.any() or events == budget:
+            return events, step
+        z = np.hstack([z, inv.columns(1 + blocked)])  # +1: the border row leads
+        pinned = np.concatenate([pinned, blocked])
+        scale *= 1.0 - step
+        try:
+            direction = _pinned_direction(x, z, pinned, scale)
+        except SingularCornerBlock:
+            return events, step
+
+
 def kkt_repair(state, cache, hyper, max_repair_passes=None):
     """Restore the optimality regions after a one-shot update (in place).
 
-    Each pass solves the equilibrium over the current ``S`` and walks
+    Each pass solves the equilibrium over the current ``S`` once and walks
     toward that solution only as far as each member's segment (see
     :func:`ridgesvm.model.tube_segments`) allows; members that block are
-    snapped onto the segment end they hit and retagged.  Once the solution is reached,
-    violators among B/O are released back into ``S`` -- in bulk while
-    progress is healthy, one at a time (which is safe at a subproblem
-    optimum) as soon as a zero-length step signals that a bulk release
-    overshot; an unbalanced state without ``S`` first takes the exact
-    empty-S step (:func:`enter_bias_end`).  No pass increases the dual
+    snapped onto the segment end they hit, retagged and pinned in the same
+    solve, and the walk goes on over the members left (:func:`_walk`).  Once
+    the solution is reached, violators among B/O are released back into
+    ``S`` -- in bulk while progress is healthy, one at a time (which is safe
+    at a subproblem optimum) as soon as a zero-length step signals that a
+    bulk release overshot; an unbalanced state without ``S`` first takes the
+    exact empty-S step (:func:`enter_bias_end`).  No pass increases the dual
     objective, but a zero-length release and snap leaves it where it was, so
-    the loop can cycle; :class:`RepairDivergence` guards the pass budget.
-    Both exits settle the bias (:func:`ridgesvm.model.settle_bias`).  Passes
-    only retag rows; each solve brings the cached inverse up to date from the
-    tags (:func:`ridgesvm.model.ensure_cached_inverse`).  Passes move
-    only the residuals of ``S``, a step by ``step (edge - resid_S)`` (what the
-    solve targets); every row catches up before each release check and each
-    empty-S step (:func:`_catch_up`), so no solve error outlives it.  ``cache``
-    is the column cache the update synced to the state's rows; its ``spec``
-    serves the solves.
+    the loop can cycle; :class:`RepairDivergence` guards the budget, which
+    each pass and each pinned event draws on.  Both exits settle the bias
+    (:func:`ridgesvm.model.settle_bias`).  Passes only retag rows; each solve,
+    and the exit, bring the cached inverse up to date from the tags
+    (:func:`ridgesvm.model.ensure_cached_inverse`).  Passes move only the
+    residuals of ``S``, a step by ``step (edge - resid_S)`` (what the solve
+    targets); every row catches up before each release check and each empty-S
+    step (:func:`_catch_up`), so no solve error outlives it.  A walk that
+    pinned does not target the residual moves of its own snaps: when they
+    leave a caught-up member off its edge, a fresh solve refines before the
+    release check.  ``cache`` is the column cache the update synced to the
+    state's rows; its ``spec`` serves the solves.
     """
     if max_repair_passes is None:
-        # Every pass that does not end the repair moves at least one row
-        # across the edge of S: a blocked step snaps a member out, a full
-        # step releases a violator in.  Single-release mode admits one
-        # violator per pass, so a repair that has to move every stored row
-        # (arrivals included) into S and, after an overshoot, back out needs
-        # about two passes per row.  This is a scale, not a proof -- the
-        # repair is an active-set method without a polynomial worst case --
-        # so a loop that moves each row more than about twice is taken as
-        # not settling.  (A cubic-kernel SVM round in the tests settles in
-        # 72 passes at 71 rows, after 73 snaps over 56 rows.)
+        # Every pass or pinned event that does not end the repair or refine a
+        # walk moves at least one row across the edge of S: a blocked step
+        # snaps a member out, a full step releases a violator in.
+        # Single-release mode admits one violator per pass, so a repair that
+        # has to move every stored row (arrivals included) into S and, after
+        # an overshoot, back out needs about two of them per row.  This is a
+        # scale, not a proof -- the repair is an active-set method without a
+        # polynomial worst case -- so a loop that moves each row more than
+        # about twice is taken as not settling.  (A cubic-kernel SVM round in the tests
+        # settles in 73 passes and pinned events at 71 rows, one of them a
+        # refinement, after 73 snaps over 56 rows.)
         max_repair_passes = 2 * state.n + 10
     lo, C, _ = state.box(hyper)
     signs = state.signs_of(state.targets)
     single_release = False
     base = state.resid.copy(), state.mult.copy(), state.b
-    for _ in range(max_repair_passes):
+    passes = 0
+    while passes < max_repair_passes:
+        passes += 1
         s_rows = state.s_rows
         balance = float(signs @ state.mult)
         if s_rows.size == 0 and abs(balance) > model.BALANCE_TOL:
             base = _catch_up(state, cache, signs, base)
             enter_bias_end(state, balance, model.bias_bounds(state, hyper))
             continue
+        pinned = False
         if s_rows.size:
-            edge, seg_lo, seg_hi = model.tube_segments(state, hyper, s_rows)
+            segments = model.tube_segments(state, hyper, s_rows)
+            edge, seg_lo, seg_hi = segments
             mult_s = state.mult[s_rows]
 
             # the one-shot solve applies unclamped deltas: members it pushed out
@@ -167,36 +243,27 @@ def kkt_repair(state, cache, hyper, max_repair_passes=None):
             # the step that takes the balance to zero and every member's cached
             # residual onto its tube edge
             target = signs[s_rows] * (state.resid[s_rows] - edge)
-            d_b, d_mult = equilibrium_solve(state, cache.spec, balance, target)
-            # a move at the solve's roundoff is no move: taken as real, it could snap
-            # a member that the exact solve leaves where it is
-            tiny = 1e-12 * max(1.0, abs(balance), float(np.max(np.abs(target))))
-            d_mult[np.abs(d_mult) <= tiny] = 0.0
-
-            # longest feasible step toward the solve target
-            with np.errstate(divide="ignore", invalid="ignore"):
-                room = np.where(
-                    d_mult > tiny, (seg_hi - mult_s) / d_mult,
-                    np.where(d_mult < -tiny, (seg_lo - mult_s) / d_mult, np.inf),
-                )
-            step = max(min(1.0, float(np.min(room, initial=np.inf))), 0.0)
-
-            if step > 0.0:
-                state.resid[s_rows] += step * (edge - state.resid[s_rows])
-                state.mult[s_rows] += step * d_mult
-                state.b += step * d_b
-
+            events, step = _walk(state, cache, signs, s_rows, segments, balance, target,
+                                 max_repair_passes - passes + 1)
+            passes += events - 1
             if step < 1.0:
                 single_release |= step <= 1e-12
-                blocked = np.flatnonzero(room <= step + 1e-12)
-                bounds = np.where(d_mult[blocked] > 0, seg_hi[blocked], seg_lo[blocked])
-                _snap(state, cache, signs, s_rows, s_rows[blocked], bounds)
                 continue
+            pinned = events > 1
 
         base = _catch_up(state, cache, signs, base)
+        if pinned:
+            # a walk that pinned left the snaps' own residual moves out of its
+            # target: if they show, a fresh solve refines before any release
+            s_rows = state.s_rows
+            edge = model.tube_segments(state, hyper, s_rows)[0]
+            if np.max(np.abs(state.resid[s_rows] - edge)) > _MIGRATE_TOL:
+                continue
         releases = _release_candidates(state, hyper)
         if not releases:
             np.clip(state.mult, lo, C, out=state.mult)
+            if pinned:  # the inverse follows the members the walk pinned out
+                model.ensure_cached_inverse(state, cache.spec)
             model.settle_bias(state, hyper)
             return state
         # a balanced state without S admits its worst violator alone

@@ -521,3 +521,39 @@ class TestExtendedFactors:
         with pytest.raises(SingularCornerBlock):
             lazy.shrink(range(1, 8))
         assert calls == {"_extended_lu": 2, "_checked_lu": 2}
+
+
+class TestColumns:
+    """``columns(P)`` reads the live inverse's columns without a product with ``inv``."""
+
+    @staticmethod
+    def assert_columns(inv, positions):
+        expected = inv.apply(np.eye(inv.order + 1))[:, positions]
+        assert np.max(np.abs(inv.columns(positions) - expected)) <= 1e-12
+
+    def test_nothing_pending(self):
+        _, _, full = random_bordered(np.random.default_rng(60), 9)
+        assert full.pending is None
+        self.assert_columns(full, [0, 3, 9])
+
+    def test_pending_drops(self):
+        _, _, full = random_bordered(np.random.default_rng(61), 12)
+        lazy = full.shrink([2, 5]).shrink([3])
+        assert lazy.pending is not None and (lazy.pending.rows >= 0).all()
+        self.assert_columns(lazy, [0, 1, 4, 8, 9])
+
+    def test_pending_joins(self):
+        _, m = TestFactoredInverse.membership(62, range(0, 20, 2))
+        m.join([5, 13])
+        m.drop([8])
+        assert (m.inv.pending.rows < 0).sum() == 2
+        # the joins, base rows on either side of them and the border
+        self.assert_columns(m.inv, [0, 1 + m.live.index(5), 1 + m.live.index(13), 3, 10])
+
+    def test_after_a_pending_join_left(self):
+        _, m = TestFactoredInverse.membership(63, range(8))
+        m.join([20, 21])
+        m.drop([3])
+        m.drop([20])  # takes a column out of the middle: the capacitance LU is refactored
+        assert list(m.inv.pending.rows) == [-1, 4]
+        self.assert_columns(m.inv, [0, 2, 4, 1 + m.live.index(21)])

@@ -9,6 +9,7 @@ from ridgesvm.model import Hyperparams, Sample, UpdateBatch
 from ridgesvm.online import (_release_candidates, enter_bias_end, equilibrium_solve, kkt_repair,
                              wec_predict)
 from ridgesvm.online_svm import update_multi_svm, wec_predict_svm
+from test_differential import corpus
 
 SPEC = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
 HYPER = Hyperparams(C=1.0)
@@ -150,7 +151,8 @@ class TestKktRepair:
         assert np.max(np.abs(ref - got)) <= 1e-6
 
     def test_budget_scales_with_the_instance(self):
-        """A shrinking cubic-kernel stream whose third round needs 72 passes at 71 rows."""
+        """A shrinking cubic-kernel stream whose third round needs 73 passes and pinned
+        events at 71 rows."""
         spec = KernelSpec(family="polynomial", degree=3, offset=1.0, ridge=0.5)
         hyper = Hyperparams(C=20.0)
         state = batch.train_svm_batch(data.two_gaussians(80, seed=3, center=1.0), spec, hyper)
@@ -241,6 +243,40 @@ class TestKktRepair:
         assert counts["apply"] == counts["_release_candidates"] + counts["enter_bias_end"]
         assert np.max(np.abs(out.margins - model.compute_residuals(out, SPEC))) <= 1e-9
         assert clean(out, hyper=hyper)
+
+    def test_a_walk_that_pinned_is_refined_before_the_release_check(self, monkeypatch):
+        """Round 1 of the differential suite's cubic-kernel SVM trial at seed 0 and
+        C = 1: a walk that pinned leaves a caught-up member more than 1e-10 off its
+        margin, and a fresh solve puts S back on it before the release check."""
+        spec = KernelSpec(family="polynomial", degree=3, offset=1.0, ridge=0.05)
+        hyper = Hyperparams(C=1.0)
+        start, batches, _ = corpus("svm", seed=0)
+        state = update_multi_svm(batch.train_svm_batch(start, spec, hyper), batches[0], spec, hyper)
+        log = []
+        walk, catch_up, release = online._walk, online._catch_up, online._release_candidates
+
+        def logged_walk(*args):
+            events, step = walk(*args)
+            log.append(("walk", events > 1 and step == 1.0))
+            return events, step
+
+        def logged_catch_up(work, *args):
+            out = catch_up(work, *args)
+            log.append(("catch_up", np.max(np.abs(work.margins[work.s_rows]), initial=0.0)))
+            return out
+
+        monkeypatch.setattr(online, "_walk", logged_walk)
+        monkeypatch.setattr(online, "_catch_up", logged_catch_up)
+        monkeypatch.setattr(online, "_release_candidates",
+                            lambda *args: log.append(("release", None)) or release(*args))
+        out = update_multi_svm(state, batches[1], spec, hyper)
+        refined = 0
+        for (first, pinned), (second, miss), (third, _) in zip(log, log[1:], log[2:]):
+            if first == "walk" and pinned and second == "catch_up":
+                assert third == ("walk" if miss > 1e-10 else "release")
+                refined += miss > 1e-10
+        assert refined >= 1
+        assert clean(out, spec, hyper)
 
 
 class TestUpdateMultiSvm:

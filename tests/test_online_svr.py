@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ridgesvm import batch, data, kernels, model, online_svr
-from ridgesvm.errors import NonpositiveRho
+from ridgesvm import batch, data, kernels, linalg, model, online, online_svr
+from ridgesvm.errors import NonpositiveRho, RepairDivergence
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample, UpdateBatch
 from ridgesvm.online import equilibrium_solve, wec_predict
@@ -67,6 +67,15 @@ def arrival_solve(state, spec, arrivals, deltas):
     x_d = np.array([s.features for s in arrivals], dtype=float)
     pull = kernels.kernel_matrix(state.X[state.s_rows], x_d, spec) @ signed
     return equilibrium_solve(state, spec, float(signed.sum()), pull)
+
+
+def pinning_round():
+    """``(state, batch, hyper)`` of a round whose first repair pass blocks three times."""
+    hyper = Hyperparams(C=1.0, epsilon=0.1)
+    state = batch.train_svr_batch(data.noisy_sine(40, seed=1, noise=0.25), SPEC, hyper)
+    leaving = np.random.default_rng(0).choice(state.ids, size=8, replace=False)
+    return state, UpdateBatch(add=data.noisy_sine(8, seed=100, noise=0.25, start_id=1000),
+                              remove=[int(i) for i in leaving]), hyper
 
 
 class TestEquilibriumSolveSvr:
@@ -157,6 +166,73 @@ class TestUpdateMultiSvr:
         assert counts["apply"] == counts["_release_candidates"] + counts["enter_bias_end"]
         assert np.max(np.abs(out.outputs - model.compute_residuals(out, SPEC))) <= 1e-9
         assert clean(out, hyper=hyper)
+
+    def test_blocked_members_are_pinned_in_the_pass_solve(self, monkeypatch):
+        """A round whose first repair pass blocks three times: the blocked
+        members are pinned in that pass's one solve, so the update solves once
+        per release check and refinement plus its opening solve, and each
+        direction after pinning is the fresh solve over the reduced S."""
+        state, upd, hyper = pinning_round()
+        solves, snapped, walks, pins = [0], [], [], []
+        apply, snap, walk, pinned_direction = (linalg.BorderedInverse.apply, online._snap,
+                                               online._walk, online._pinned_direction)
+
+        def counted_apply(inv, rhs):
+            solves[0] += 1
+            return apply(inv, rhs)
+
+        def kept_snap(work, *args):
+            snap(work, *args)
+            snapped.append(work.copy())
+
+        def counted_walk(*args):
+            before = len(snapped)
+            out = walk(*args)
+            walks.append(len(snapped) - before)
+            return out
+
+        def kept_direction(x, z, pinned, scale):
+            out = pinned_direction(x, z, pinned, scale)
+            pins.append((out, pinned, snapped[-1]))
+            return out
+
+        monkeypatch.setattr(linalg.BorderedInverse, "apply", counted_apply)
+        monkeypatch.setattr(online, "_snap", kept_snap)
+        monkeypatch.setattr(online, "_walk", counted_walk)
+        monkeypatch.setattr(online, "_pinned_direction", kept_direction)
+        out, counts = counted_repair(monkeypatch, state, upd, SPEC, hyper)
+        assert max(walks) >= 3 and len(pins) >= 2
+        refinements = counts["apply"] - counts["_release_candidates"] - counts["enter_bias_end"]
+        assert solves[0] <= counts["_release_candidates"] + refinements + 1
+        assert clean(out, hyper=hyper)
+
+        for direction, pinned, work in pins:
+            live = np.delete(np.arange(direction.size - 1), pinned)
+            model.refresh_cached_inverse(work, SPEC)
+            s = work.s_rows
+            assert s.size == live.size
+            edge = model.tube_segments(work, hyper, s)[0]
+            rhs = np.concatenate(([work.mult.sum()], work.resid[s] - edge))
+            fresh = -work.cached_inverse.apply(rhs)
+            assert np.max(np.abs(direction[np.r_[0, 1 + live]] - fresh)) <= 1e-10
+            assert np.max(np.abs(direction[1 + pinned])) <= 1e-10
+
+    def test_each_pinned_event_draws_on_the_budget(self, monkeypatch):
+        """The round above needs one unit of the repair budget per pass and per
+        pinned event: as many as it would take passes with a solve after every block."""
+        state, upd, hyper = pinning_round()
+        events = []
+        walk, repair = online._walk, online.kkt_repair
+        monkeypatch.setattr(online, "_walk", lambda *a: (lambda r: events.append(r[0]) or r)(walk(*a)))
+        online.update_multi(state, upd, SPEC, hyper)
+        needed = sum(events)
+        assert needed > len(events)
+        monkeypatch.setattr(online, "kkt_repair",
+                            lambda *a: repair(*a, max_repair_passes=needed - 1))
+        with pytest.raises(RepairDivergence):
+            online.update_multi(state, upd, SPEC, hyper)
+        monkeypatch.setattr(online, "kkt_repair", lambda *a: repair(*a, max_repair_passes=needed))
+        assert clean(online.update_multi(state, upd, SPEC, hyper), hyper=hyper)
 
     def test_cold_start(self):
         arrivals = data.noisy_sine(20, seed=7)
