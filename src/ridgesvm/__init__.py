@@ -2,10 +2,11 @@
 
 Train a ridge SVM or ridge SVR once, then apply batches of arriving and
 leaving samples without retraining: new multipliers are predicted in one
-shot from the model's weight-error curve, a single bordered solve keeps
-the unbounded support vectors in equilibrium, and a bounded repair loop
-restores the optimality regions exactly.  A step-size path follower and a
-from-scratch batch solver are included as comparison arms.
+shot from the model's weight-error curve, and a bounded repair loop, whose
+first pass is the single bordered solve that keeps the unbounded support
+vectors in equilibrium, restores the optimality regions exactly.  A
+step-size path follower and a from-scratch batch solver are included as
+comparison arms.
 """
 from . import bench, data, kernels, linalg, model
 from .batch import SolverConfig, train_svm_batch, train_svr_batch

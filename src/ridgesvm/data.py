@@ -18,6 +18,7 @@ from . import model
 from .errors import (
     ConstantColumn,
     CorruptFile,
+    InvalidParameter,
     LabelDomainError,
     ParseError,
     PoolExhausted,
@@ -64,9 +65,12 @@ class SplitPlan:
     seed: int = 0
 
     def __post_init__(self):
-        total = self.train_fraction + self.incremental_fraction + self.test_fraction
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"fractions sum to {total}, expected 1")
+        # each test is written to fail for NaN, which compares False
+        fractions = (self.train_fraction, self.incremental_fraction, self.test_fraction)
+        if not all(0 <= f <= 1 for f in fractions):
+            raise InvalidParameter(f"fractions {fractions} must each lie in [0, 1]")
+        if abs(sum(fractions) - 1.0) > 1e-9:
+            raise InvalidParameter(f"fractions sum to {sum(fractions)}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,12 @@ class RoundSchedule:
     add_per_round: int
     remove_per_round: int
     seed: int = 0
+
+    def __post_init__(self):
+        for name, least in (("rounds", 1), ("add_per_round", 0), ("remove_per_round", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= least):
+                raise InvalidParameter(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def load_csv(spec: DatasetSpec) -> list[Sample]:

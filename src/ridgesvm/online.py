@@ -2,10 +2,11 @@
 
 Arriving samples get their multipliers predicted in one shot from the
 weight-error-curve ramp (no step sizes, no per-sample path events); leaving
-samples drop their multipliers to zero outright.  A single bordered solve
-then shifts the unbounded support vectors and the bias so the equilibrium
-conditions keep holding, and a bounded membership-repair loop restores the
-optimality regions exactly.
+samples drop their multipliers to zero outright.  A bounded membership-repair
+loop then restores equilibrium and the optimality regions exactly: its first
+pass is the single bordered solve that shifts the unbounded support vectors
+and the bias against the batch, walked only as far as each member's segment
+allows, and each later pass solves once more from where that walk stopped.
 
 Both tasks run through this one engine in their native coordinates (see
 :class:`ridgesvm.model.SvmState` and :class:`ridgesvm.model.SvrState`):
@@ -175,8 +176,10 @@ def _walk(state, cache, signs, s_rows, segments, balance, target, budget) -> tup
 def kkt_repair(state, cache, hyper, max_repair_passes=None):
     """Restore the optimality regions after a one-shot update (in place).
 
-    Each pass solves the equilibrium over the current ``S`` once and walks
-    toward that solution only as far as each member's segment (see
+    Each pass solves the equilibrium over the current ``S`` once -- the
+    first answers the update's moved multipliers: their signed sum is its
+    balance and their pull on ``S`` its target -- and walks toward that
+    solution only as far as each member's segment (see
     :func:`ridgesvm.model.tube_segments`) allows; members that block are
     snapped onto the segment end they hit, retagged and pinned in the same
     solve, and the walk goes on over the members left (:func:`_walk`).  Once
@@ -208,9 +211,9 @@ def kkt_repair(state, cache, hyper, max_repair_passes=None):
         # an overshoot, back out needs about two of them per row.  This is a
         # scale, not a proof -- the repair is an active-set method without a
         # polynomial worst case -- so a loop that moves each row more than
-        # about twice is taken as not settling.  (A cubic-kernel SVM round in the tests
-        # settles in 73 passes and pinned events at 71 rows, one of them a
-        # refinement, after 73 snaps over 56 rows.)
+        # about twice is taken as not settling.  (Round 0 of the cubic-kernel SVM
+        # corpus of tests/test_differential.py at seed 2, ridge 0.05 and C = 10
+        # settles in 74 passes and pinned events at 52 rows, after 53 snaps.)
         max_repair_passes = 2 * state.n + 10
     lo, C, _ = state.box(hyper)
     signs = state.signs_of(state.targets)
@@ -228,21 +231,9 @@ def kkt_repair(state, cache, hyper, max_repair_passes=None):
         pinned = False
         if s_rows.size:
             segments = model.tube_segments(state, hyper, s_rows)
-            edge, seg_lo, seg_hi = segments
-            mult_s = state.mult[s_rows]
-
-            # the one-shot solve applies unclamped deltas: members it pushed out
-            # of their segment are reset onto the violated end before anything else
-            below = mult_s < seg_lo - _MIGRATE_TOL
-            outside = below | (mult_s > seg_hi + _MIGRATE_TOL)
-            if outside.any():
-                _snap(state, cache, signs, s_rows, s_rows[outside],
-                      np.where(below, seg_lo, seg_hi)[outside])
-                continue
-
             # the step that takes the balance to zero and every member's cached
             # residual onto its tube edge
-            target = signs[s_rows] * (state.resid[s_rows] - edge)
+            target = signs[s_rows] * (state.resid[s_rows] - segments[0])
             events, step = _walk(state, cache, signs, s_rows, segments, balance, target,
                                  max_repair_passes - passes + 1)
             passes += events - 1
@@ -314,9 +305,10 @@ def update_multi(state, batch: model.UpdateBatch, spec, hyper):
     """Apply one add/remove batch atomically; returns a new state.
 
     Pipeline: predict the arrivals' multipliers from the weight-error curve,
-    drop the leavers and stage the arrivals in one splice, absorb both through
-    one kernel pull and a single bordered solve, tag the arrivals, and run
-    membership repair.  The input state is not modified.
+    drop the leavers and stage the arrivals in one splice, add the pull of
+    both to every residual, tag the arrivals, and run membership repair,
+    whose first pass is the one bordered solve that answers the batch over
+    ``S`` (arrivals tagged ``S`` included).  The input state is not modified.
     """
     work, remove_rows, resid_d = open_update(state, batch, spec, hyper)
     if remove_rows is None:
@@ -339,23 +331,14 @@ def update_multi(state, batch: model.UpdateBatch, spec, hyper):
         return work
 
     # pull of the moved multipliers on every row; G's diagonal gives each
-    # arrival its own ridge self-term
+    # arrival its own ridge self-term.  The repair's first walk solves for the
+    # response of S to this pull and to the imbalance the moves leave.
     cache = model.column_cache(work, spec)
     signs = work.signs_of(work.targets)
-    signed_d = signs[arrivals] * mult_d
-    pull = cache.apply(arrivals, signed_d)
+    pull = cache.apply(arrivals, signs[arrivals] * mult_d)
     if signed_r.size:
         pull += kernels.kernel_matrix(work.X, x_r, spec) @ signed_r
-    # an empty S leaves the imbalance to the repair's empty-S step
-    s_rows = work.s_rows
-    if s_rows.size:
-        db, dmult_s = equilibrium_solve(work, spec, float(signed_d.sum() + signed_r.sum()),
-                                        pull[s_rows])
-        pull = pull + cache.apply(s_rows, signs[s_rows] * dmult_s) + db
-        work.mult[s_rows] += dmult_s
-        work.b += db
     work.resid += signs * pull
     work.mult[arrivals] = mult_d
-
     work.partition[arrivals] = model.region_tags(mult_d, C)
     return kkt_repair(work, cache, hyper)

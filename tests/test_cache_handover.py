@@ -113,16 +113,16 @@ class TestHandOver:
         s = Stream(task)
         state = s.update(s.base, 0)
         before = arrays(state)
-        solve = online.equilibrium_solve
+        walk = online._walk
         calls = []
 
         def fails_once(*args):
             calls.append(None)
             if len(calls) == 1:
                 raise RuntimeError("solve failed")
-            return solve(*args)
+            return walk(*args)
 
-        monkeypatch.setattr(online, "equilibrium_solve", fails_once)
+        monkeypatch.setattr(online, "_walk", fails_once)
         with pytest.raises(RuntimeError, match="solve failed"):
             s.update(state, 1)
         assert_unchanged(state, before)

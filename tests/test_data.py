@@ -20,6 +20,7 @@ from ridgesvm.data import (
 from ridgesvm.errors import (
     ConstantColumn,
     CorruptFile,
+    InvalidParameter,
     LabelDomainError,
     ParseError,
     PoolExhausted,
@@ -144,8 +145,20 @@ class TestSplit:
         with pytest.raises(ValueError):
             SplitPlan(train_fraction=0.9, incremental_fraction=0.2, test_fraction=0.1)
 
+    @pytest.mark.parametrize("fractions", [(float("nan"), 0.1, 0.1), (1.2, -0.1, -0.1),
+                                           (0.5, float("inf"), 0.1)])
+    def test_fraction_outside_the_unit_interval(self, fractions):
+        with pytest.raises(InvalidParameter):
+            SplitPlan(*fractions)
+
 
 class TestScheduleRounds:
+    @pytest.mark.parametrize("counts", [(-2, 6, 2), (0, 6, 2), (5, -1, 2), (5, 6, -1),
+                                        (5, 6.0, 2), (float("nan"), 6, 2)])
+    def test_count_outside_its_domain(self, counts):
+        with pytest.raises(InvalidParameter):
+            RoundSchedule(*counts)
+
     def test_adds_disjoint(self):
         pool = data.two_gaussians(30, seed=2, start_id=100)
         batches = schedule_rounds(pool, list(range(50)),

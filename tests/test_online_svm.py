@@ -151,8 +151,8 @@ class TestKktRepair:
         assert np.max(np.abs(ref - got)) <= 1e-6
 
     def test_budget_scales_with_the_instance(self):
-        """A shrinking cubic-kernel stream whose third round needs 73 passes and pinned
-        events at 71 rows."""
+        """A shrinking cubic-kernel stream whose rounds need 7, 15 and 13 passes and
+        pinned events at 77, 74 and 71 rows, each within the budget its size sets."""
         spec = KernelSpec(family="polynomial", degree=3, offset=1.0, ridge=0.5)
         hyper = Hyperparams(C=20.0)
         state = batch.train_svm_batch(data.two_gaussians(80, seed=3, center=1.0), spec, hyper)
@@ -221,14 +221,23 @@ class TestKktRepair:
         assert released(np.arange(6)) == [10, 14, 15, 11, 12]
         assert released(np.array([5, 3, 1, 0, 4, 2])) == [10, 14, 15, 11, 12]
 
-    def test_exhausted_budget_raises(self):
-        samples = data.two_gaussians(30, seed=4)
-        perturbed = batch.train_svm_batch(samples, SPEC, HYPER)
-        perturbed.alpha[perturbed.s_rows[0]] = HYPER.C + 0.2
-        perturbed.margins = model.compute_residuals(perturbed, SPEC)
+    def test_exhausted_budget_raises(self, monkeypatch):
+        """An update round capped below the budget it needs: one unit less than its
+        walks' events and empty-S steps, each of which draws on that budget."""
+        hyper = Hyperparams(C=0.1)
+        state = batch.train_svm_batch(data.two_gaussians(40, seed=0), SPEC, hyper)
+        upd = UpdateBatch(add=data.two_gaussians(8, seed=100, start_id=900),
+                          remove=[int(i) for i in state.ids[:6]])
+        used = []
+        walk, bias_end, repair = online._walk, online.enter_bias_end, online.kkt_repair
+        monkeypatch.setattr(online, "_walk", lambda *a: (lambda r: used.append(r[0]) or r)(walk(*a)))
+        monkeypatch.setattr(online, "enter_bias_end", lambda *a: used.append(1) or bias_end(*a))
+        online.update_multi(state, upd, SPEC, hyper)
+        assert sum(used) > 1
+        monkeypatch.setattr(online, "kkt_repair",
+                            lambda *a: repair(*a, max_repair_passes=sum(used) - 1))
         with pytest.raises(RepairDivergence):
-            kkt_repair(perturbed, model.column_cache(perturbed, SPEC), HYPER,
-                       max_repair_passes=1)
+            online.update_multi(state, upd, SPEC, hyper)
 
     def test_rows_outside_s_catch_up_once_per_release_check(self, monkeypatch):
         """Passes move the residuals of S alone.  All n catch up in one product
@@ -245,13 +254,15 @@ class TestKktRepair:
         assert clean(out, hyper=hyper)
 
     def test_a_walk_that_pinned_is_refined_before_the_release_check(self, monkeypatch):
-        """Round 1 of the differential suite's cubic-kernel SVM trial at seed 0 and
+        """Round 6 of the differential suite's cubic-kernel SVM trial at seed 0 and
         C = 1: a walk that pinned leaves a caught-up member more than 1e-10 off its
         margin, and a fresh solve puts S back on it before the release check."""
         spec = KernelSpec(family="polynomial", degree=3, offset=1.0, ridge=0.05)
         hyper = Hyperparams(C=1.0)
         start, batches, _ = corpus("svm", seed=0)
-        state = update_multi_svm(batch.train_svm_batch(start, spec, hyper), batches[0], spec, hyper)
+        state = batch.train_svm_batch(start, spec, hyper)
+        for upd in batches[:6]:
+            state = update_multi_svm(state, upd, spec, hyper)
         log = []
         walk, catch_up, release = online._walk, online._catch_up, online._release_candidates
 
@@ -269,7 +280,7 @@ class TestKktRepair:
         monkeypatch.setattr(online, "_catch_up", logged_catch_up)
         monkeypatch.setattr(online, "_release_candidates",
                             lambda *args: log.append(("release", None)) or release(*args))
-        out = update_multi_svm(state, batches[1], spec, hyper)
+        out = update_multi_svm(state, batches[6], spec, hyper)
         refined = 0
         for (first, pinned), (second, miss), (third, _) in zip(log, log[1:], log[2:]):
             if first == "walk" and pinned and second == "catch_up":
