@@ -140,8 +140,8 @@ def _walk(state, cache, signs, s_rows, segments, balance, target, budget) -> tup
         events += 1
         rows = s_rows[live]
         d_b, d_mult = direction[0], signs[rows] * direction[1:][live]
-        # a move at the solve's roundoff is no move: taken as real, it could snap
-        # a member that the exact solve leaves where it is
+        # a move at the solve's roundoff is no move: a member that the exact solve
+        # leaves where it is keeps its multiplier bit for bit and has unlimited room
         tiny = 1e-12 * max(1.0, scale * max(abs(balance), float(np.max(np.abs(target[live])))))
         d_mult[np.abs(d_mult) <= tiny] = 0.0
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from ridgesvm import linalg
+from ridgesvm import kernels, linalg
 from ridgesvm.errors import (
     NotPositiveDefinite,
     SingularBorder,
@@ -86,11 +86,47 @@ class TestBorderedInverse:
             assert out.inv[0, 0] == pytest.approx(out.z)
 
     def test_singular_border(self):
-        # border orthogonal to itself under Q^-1 is impossible for SPD Q,
-        # so use an indefinite block where v^T Q^-1 v = 0
+        # an indefinite block where v^T Q^-1 v = 0; it stops at the definiteness check
         q = np.diag([1.0, -1.0])
         with pytest.raises(SingularBorder):
             linalg.bordered_inverse(q, [1.0, 1.0])
+
+    def test_rejects_a_nonsingular_indefinite_block(self):
+        # LU would invert it (v^T Q^-1 v = -1/2), but Q must be positive definite
+        with pytest.raises(SingularBorder):
+            linalg.bordered_inverse(np.diag([2.0, -1.0]), [1.0, 1.0])
+
+    def test_rejects_a_tiny_pivot(self):
+        with pytest.raises(SingularBorder):
+            linalg.bordered_inverse(np.diag([1.0, 1e-13]), [1.0, 1.0])
+
+    def test_zero_border_of_a_positive_definite_block(self):
+        # Q passes the definiteness check; border^T Q^-1 border = 0 raises
+        with pytest.raises(SingularBorder, match="border"):
+            linalg.bordered_inverse(2.0 * np.eye(2), [0.0, 0.0])
+
+    def test_inverse_is_exactly_symmetric(self):
+        q = random_spd(np.random.default_rng(5), 9)
+        inv = linalg.bordered_inverse(q, np.ones(9)).inv
+        assert np.array_equal(inv, inv.T)
+
+    def test_ridge_gram_residual_no_worse_than_lu(self):
+        """An rbf ridge Gram of the order the path follower rebuilds: the Cholesky
+        inverse's residual is within twice that of LU against the identity."""
+        n = 530
+        x = np.random.default_rng(11).standard_normal((n, 2))
+        q = kernels.q_matrix_svr(x, kernels.KernelSpec(family="rbf", sigma=1.0, ridge=0.05))
+        full = np.ones((n + 1, n + 1))
+        full[0, 0] = 0.0
+        full[1:, 1:] = q
+        q_inv = sla.lu_solve(sla.lu_factor(q), np.eye(n))
+        u = q_inv @ np.ones(n)
+        z = -1.0 / u.sum()
+        w = np.concatenate(([-1.0], u))
+        lu_inv = z * np.outer(w, w)
+        lu_inv[1:, 1:] += 0.5 * (q_inv + q_inv.T)
+        residual = lambda inv: np.linalg.norm(full @ inv - np.eye(n + 1), np.inf)
+        assert residual(linalg.bordered_inverse(q, np.ones(n)).inv) <= 2.0 * residual(lu_inv)
 
 
 class TestInverseGrow:

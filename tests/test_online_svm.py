@@ -254,15 +254,15 @@ class TestKktRepair:
         assert clean(out, hyper=hyper)
 
     def test_a_walk_that_pinned_is_refined_before_the_release_check(self, monkeypatch):
-        """Round 6 of the differential suite's cubic-kernel SVM trial at seed 0 and
-        C = 1: a walk that pinned leaves a caught-up member more than 1e-10 off its
-        margin, and a fresh solve puts S back on it before the release check."""
+        """Every round of the differential suite's cubic-kernel SVM trial at seed 0
+        and C = 1: each walk that pinned is followed by a catch-up and then by a
+        fresh solve if a caught-up member lies more than 1e-10 off its margin, by
+        the release check if none does.  Some walk of the trial needs the fresh
+        solve, whichever round its roundoff puts it in."""
         spec = KernelSpec(family="polynomial", degree=3, offset=1.0, ridge=0.05)
         hyper = Hyperparams(C=1.0)
         start, batches, _ = corpus("svm", seed=0)
         state = batch.train_svm_batch(start, spec, hyper)
-        for upd in batches[:6]:
-            state = update_multi_svm(state, upd, spec, hyper)
         log = []
         walk, catch_up, release = online._walk, online._catch_up, online._release_candidates
 
@@ -280,14 +280,47 @@ class TestKktRepair:
         monkeypatch.setattr(online, "_catch_up", logged_catch_up)
         monkeypatch.setattr(online, "_release_candidates",
                             lambda *args: log.append(("release", None)) or release(*args))
-        out = update_multi_svm(state, batches[6], spec, hyper)
         refined = 0
-        for (first, pinned), (second, miss), (third, _) in zip(log, log[1:], log[2:]):
-            if first == "walk" and pinned and second == "catch_up":
-                assert third == ("walk" if miss > 1e-10 else "release")
-                refined += miss > 1e-10
+        for upd in batches:
+            log.clear()
+            state = update_multi_svm(state, upd, spec, hyper)
+            for i, (kind, pinned) in enumerate(log):
+                if kind == "walk" and pinned:
+                    (second, miss), (third, _) = log[i + 1], log[i + 2]
+                    assert second == "catch_up"
+                    assert third == ("walk" if miss > 1e-10 else "release")
+                    refined += miss > 1e-10
+            assert clean(state, spec, hyper)
         assert refined >= 1
-        assert clean(out, spec, hyper)
+
+    def test_a_move_at_roundoff_leaves_the_member_where_it_is(self):
+        """A walk whose exact solve leaves one member in place: the computed move
+        of that member is roundoff, which taken as real would shift its
+        multiplier.  The walk keeps the multiplier bit for bit, and the member in S."""
+        hyper = Hyperparams(C=10.0)
+        state = batch.train_svm_batch(data.two_gaussians(40, seed=0), SPEC, hyper)
+        s, signs = state.s_rows, state.signs_of(state.targets)
+        segments = model.tube_segments(state, hyper, s)
+        mult = state.mult[s]
+        j = int(np.argmin(mult))  # the finest spacing of floats, so a roundoff move shows
+        # half of each member's room, so the walk takes the full step
+        room = np.minimum(mult - segments[1], segments[2] - mult)
+        moves = 0.5 * room * np.random.default_rng(0).uniform(-1.0, 1.0, s.size)
+        sol = np.concatenate(([0.1], signs[s] * moves))
+        sol[1 + j] = 0.0
+        bordered = np.ones((s.size + 1, s.size + 1))
+        bordered[0, 0] = 0.0
+        bordered[1:, 1:] = model._gram_block(state, SPEC, s)
+        rhs = -(bordered @ sol)  # the balance and target whose solve is sol
+        x = -model.ensure_cached_inverse(state, SPEC).apply(rhs)
+        assert mult[j] + signs[s[j]] * x[1 + j] != mult[j]  # the roundoff would show
+        before = state.mult[s[j]]
+        events, step = online._walk(state, model.column_cache(state, SPEC), signs, s, segments,
+                                    rhs[0], rhs[1:], 2 * state.n)
+        assert (events, step) == (1, 1.0)
+        assert state.mult[s[j]] == before
+        assert state.partition[s[j]] == model.REGION_S
+        assert np.max(np.abs(signs[s] * (state.mult[s] - mult) - sol[1:])) <= 1e-12
 
 
 class TestUpdateMultiSvm:
