@@ -30,15 +30,22 @@ from .errors import (
     ConstantColumn,
     CorruptFile,
     DimensionMismatch,
+    EmptyS,
+    InconsistentEvent,
+    InconsistentState,
     InvalidBatch,
     InvalidParameter,
     LabelDomainError,
     NoConvergence,
+    NonpositiveRho,
     ParseError,
     PoolExhausted,
     RepairDivergence,
     SchemaVersionMismatch,
     SingleClassInput,
+    SingularBorder,
+    SingularCornerBlock,
+    SingularSchurBlock,
     StalledPath,
     TooFewSamples,
     UnknownId,
@@ -48,11 +55,15 @@ from .model import Hyperparams, UpdateBatch
 from .online import update_multi
 from .path import path_update
 
+# NonpositiveRho: the one-shot engine needs ridge > 0, which a model trained
+# with --ridge 0 lacks, so it is the model file's fault
 INPUT_ERRORS = (ParseError, LabelDomainError, CorruptFile, SchemaVersionMismatch,
                 ConstantColumn, PoolExhausted, DimensionMismatch, UnknownId, InvalidBatch,
-                InvalidParameter, TooFewSamples, FileNotFoundError, IsADirectoryError)
+                InvalidParameter, TooFewSamples, NonpositiveRho, FileNotFoundError,
+                IsADirectoryError)
 TRAIN_ERRORS = (SingleClassInput, NoConvergence)
-UPDATE_ERRORS = (RepairDivergence, StalledPath)
+UPDATE_ERRORS = (RepairDivergence, StalledPath, EmptyS, SingularBorder, SingularSchurBlock,
+                 SingularCornerBlock, InconsistentState, InconsistentEvent)
 
 KERNEL_CHOICES = ("linear", "poly2", "poly3", "rbf")
 

@@ -203,6 +203,11 @@ class ColumnCache:
         """``G[:, rows] @ coef`` for the ridge Gram ``G`` of the current row set.
 
         Only the columns of rows with a nonzero coefficient are evaluated.
+        When those are at most a quarter of the buffer's columns (an update's
+        arrivals, a path segment's moved rows) they alone are multiplied,
+        gathered as rows of the transposed buffer; otherwise (a catch-up over
+        every member of ``S``) the product runs over the whole buffer, which
+        costs less than gathering a third or more of it.
         """
         rows = np.asarray(rows, dtype=np.intp).ravel()
         coef = np.asarray(coef, dtype=float).ravel()
@@ -213,6 +218,9 @@ class ColumnCache:
         self._fill(slots)
         weights = np.bincount(self._column[slots], weights=coef[moved],
                               minlength=self._owner.size)
+        used = np.flatnonzero(weights)
+        if 4 * used.size <= weights.size:
+            return (weights[used] @ self._buf.T[used])[self.rows]
         return (self._buf[:, :self._owner.size] @ weights)[self.rows]
 
     def apply_at(self, at, rows, coef) -> np.ndarray:

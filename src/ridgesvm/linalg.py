@@ -8,9 +8,9 @@ The online solvers keep the inverse of
 current while rows/columns of ``Q`` arrive and leave.  The inverse is built
 once from a Schur complement and afterwards patched with Woodbury-style
 block updates instead of being refactorised.  Between rewrites the
-membership changes are carried in Schur-complement form (see
-:class:`BorderedInverse`).  The module-level routines are pure functions
-over dense row-major arrays.
+membership changes are carried in Schur-complement form and only ever
+appended (see :class:`BorderedInverse`).  The module-level routines are
+pure functions over dense row-major arrays.
 """
 from __future__ import annotations
 
@@ -35,6 +35,9 @@ _NO_ROWS = np.zeros(0, dtype=int)
 _NO_BLOCK = np.zeros((0, 0))
 _NO_ROWS.flags.writeable = _NO_BLOCK.flags.writeable = False
 
+# ``_Pending.rows`` entry of a join, and of the column that pins a join that left
+_JOIN, _PIN = -1, -2
+
 
 def _pending_limit(order: int) -> float:
     """Most pending columns a :class:`BorderedInverse` of ``order`` carries.
@@ -44,14 +47,46 @@ def _pending_limit(order: int) -> float:
     memory: at order 520 a rank-9 rewrite takes 5.7 ms against 0.08 ms for
     one product with ``inv`` (one core of a Xeon host, one BLAS thread).  A
     pending column adds only O(order) to each solve plus its share of the
-    p x p capacitance factors, and a change of k costs O(p^2 k) of capacitance
-    work (the factors are extended), so carrying up to order/4 of them keeps
-    a solve within about 1.6 products with ``inv``, while a rewrite happens
-    once per order/4 changes instead of at every grow.  The floor keeps
-    small inverses from rewriting on almost every change, where a rewrite's
-    fixed costs outweigh its O(order^2) work.
+    p x p capacitance factors, and a change of k only appends: O(order k)
+    for its rows of ``(inv V)^T``, O(p k) for its capacitance entries and one
+    copy of the p x p factors as they are extended.  A pending join that
+    leaves is pinned by one more column, so it counts twice.  Carrying up to
+    order/4 columns keeps a solve within about 1.6 products with ``inv``,
+    while a rewrite happens once per order/4 changes instead of at every
+    grow.  The floor keeps small inverses from rewriting on almost every
+    change, where a rewrite's fixed costs outweigh its O(order^2) work.
     """
     return max(16, order / 4)
+
+
+class _Store:
+    """Amortised storage that the versions of one growing array share.
+
+    A version of size ``s`` reads the leading ``s`` rows of ``data`` (the
+    leading ``s x s`` block of a ``square`` store).  An extension writes only
+    outside that block, and only in place for the version written last
+    (``filled == s``); any other version's extension copies its block into a
+    new store (:func:`_room`).  So no entry a version reads is ever written
+    after it is built.
+    """
+
+    def __init__(self, capacity: int, width: int | None):
+        self.square = width is None
+        self.data = np.zeros((capacity, capacity if self.square else width))
+        self.filled = 0
+
+
+def _room(store: _Store, size: int, k: int) -> _Store:
+    """The store into which version ``size`` of ``store`` writes its ``k`` next rows (and
+    columns, if square): ``store`` itself when that version was written last and there is
+    room, else a copy of its block with room for as much again."""
+    end = size + k
+    if store.filled != size or end > store.data.shape[0]:
+        old, store = store, _Store(2 * end, None if store.square else store.data.shape[1])
+        head = np.s_[:size, :size] if store.square else np.s_[:size]
+        store.data[head] = old.data[head]
+    store.filled = end
+    return store
 
 
 @dataclass(frozen=True)
@@ -59,27 +94,50 @@ class _Pending:
     """Membership changes since the last rewrite of a :class:`BorderedInverse`.
 
     Each change is one column of the augmented matrix ``[[M, V], [V^T, D]]``
-    over the base matrix ``M = inv^-1``.  ``rows`` holds the base row of each
-    column -- a drop, whose column is the unit vector at that row and whose
-    entries in ``D`` are zero -- or -1 for a join, whose column (in
-    ``cross``) is its cross block against the base rows and whose entries in
-    ``D`` (in ``block``) are its block among the pending joins.  Solved over
-    ``[base rows, columns]``, the augmented system pins each dropped row at
-    zero and gives the live rows the solution of the live system; ``live``
-    indexes them there, border first, in order.  ``ht`` holds the rows of
-    ``(inv V)^T``; ``cap = D - V^T inv V`` is the capacitance matrix and
-    ``lu`` its checked LAPACK factors ``(lu, piv)``, extended when columns
-    are appended (:func:`_extended_lu`) and refactored only when a pending
-    join leaves, taking a column out of the middle.
+    over the base matrix ``M = inv^-1``, appended in order; none is ever
+    taken out.  ``rows`` holds the base row of each column -- a drop, whose
+    column is the unit vector at that row and whose entries in ``D`` are
+    zero -- or ``_JOIN`` for a join, whose column (in ``cross``) is its cross
+    block against the base rows and whose entries in ``D`` (in ``block``)
+    are its block among the pending joins, or ``_PIN`` for the pin of a
+    pending join that left, whose column is zero but for a unit entry of
+    ``D`` at that join.  Solved over ``[base rows, columns]``, the augmented
+    system pins each dropped row and each join that left at zero and gives
+    the live rows the solution of the live system; ``live`` indexes them
+    there, border first, in order.  ``ht`` holds the rows of ``(inv V)^T``
+    (a pin's is zero); ``cap = D - V^T inv V`` is the capacitance matrix and
+    ``lu`` its checked LAPACK factors ``(lu, piv)``, extended as columns are
+    appended (:func:`_extended_lu`): a pin's pivot is ``-(cap^-1)_jj`` for
+    the join ``j`` it pins.  ``ht``, ``cap``, ``cross`` (stored transposed)
+    and ``block`` are views of the append-only ``stores``, in that order.
     """
 
     rows: np.ndarray
     live: np.ndarray
-    ht: np.ndarray
-    cap: np.ndarray
     lu: tuple | None
-    cross: np.ndarray
-    block: np.ndarray
+    stores: tuple
+
+    @property
+    def joins(self) -> int:
+        """How many columns are joins, those that left included."""
+        return int(np.count_nonzero(self.rows == _JOIN))
+
+    @property
+    def ht(self) -> np.ndarray:
+        return self.stores[0].data[:self.rows.size]
+
+    @property
+    def cap(self) -> np.ndarray:
+        return self.stores[1].data[:self.rows.size, :self.rows.size]
+
+    @property
+    def cross(self) -> np.ndarray:
+        return self.stores[2].data[:self.joins].T
+
+    @property
+    def block(self) -> np.ndarray:
+        j = self.joins
+        return self.stores[3].data[:j, :j]
 
 
 @dataclass(frozen=True)
@@ -155,15 +213,16 @@ class BorderedInverse:
         if self.pending is not None:
             return self.pending
         n = self.inv.shape[0]
-        return _Pending(_NO_ROWS, np.arange(n), np.zeros((0, n)), _NO_BLOCK, None,
-                        np.zeros((n, 0)), _NO_BLOCK)
+        return _Pending(_NO_ROWS, np.arange(n), None,
+                        (_Store(0, n), _Store(0, None), _Store(0, n), _Store(0, None)))
 
     def shrink(self, positions) -> BorderedInverse:
         """Drop the live inner rows at ``positions`` (the border row is 0).
 
-        A base row becomes a pending drop; a pending join leaves the pending
-        set.  Raises :class:`SingularCornerBlock` when the capacitance block
-        turns singular, as :func:`inverse_shrink` does on a singular corner.
+        A base row becomes a pending drop; a pending join is pinned by one
+        more column.  Raises :class:`SingularCornerBlock` when the
+        capacitance block turns singular, as :func:`inverse_shrink` does on a
+        singular corner.
         """
         pos = np.unique(np.asarray(positions, dtype=int))
         if not pos.size:
@@ -172,22 +231,19 @@ class BorderedInverse:
             raise IndexError(f"positions out of range for order {self.order}")
         pend, n = self._changes(), self.inv.shape[0]
         leaving = pend.live[pos]
-        live = np.delete(pend.live, pos)
-        gone = np.sort(leaving[leaving >= n] - n)
-        if gone.size:
-            joins = pend.rows < 0
-            kept = np.delete(np.arange(pend.rows.size), gone)
-            kept_joins = np.delete(np.arange(pend.cross.shape[1]),
-                                   np.cumsum(joins)[gone] - 1)
-            live = live - np.searchsorted(gone, live - n)
-            pend = _Pending(pend.rows[kept], live, pend.ht[kept], pend.cap[np.ix_(kept, kept)],
-                            None, pend.cross[:, kept_joins],
-                            pend.block[np.ix_(kept_joins, kept_joins)])
-        drops = leaving[leaving < n]
-        # a drop's column of inv V is a row of inv, which is symmetric
-        h = self.inv[drops]
-        return self._extend(pend, live, drops, -pend.ht[:, drops], -h[:, drops], h, None,
-                            None if self.ids is None else np.delete(self.ids, pos - 1),
+        drops, gone = leaving[leaving < n], leaving[leaving >= n] - n
+        d, k = drops.size, pos.size
+        # a drop's column of inv V is a row of inv, which is symmetric; a pin's is zero
+        h = np.zeros((k, n))
+        h[:d] = self.inv[drops]
+        cap_cross = np.zeros((pend.rows.size, k))
+        cap_cross[:, :d] = -pend.ht[:, drops]
+        cap_cross[gone, np.arange(d, k)] = 1.0
+        cap_new = np.zeros((k, k))
+        cap_new[:d, :d] = -h[:d, drops]
+        return self._extend(pend, np.delete(pend.live, pos),
+                            np.concatenate([drops, np.full(k - d, _PIN)]), cap_cross, cap_new,
+                            h, None, None if self.ids is None else np.delete(self.ids, pos - 1),
                             SingularCornerBlock)
 
     def grow(self, cross, new, ids=None, order=None) -> BorderedInverse:
@@ -204,16 +260,16 @@ class BorderedInverse:
         k = new.shape[0]
         pend, n = self._changes(), self.inv.shape[0]
         on_base = pend.live < n
-        base_cross = np.zeros((n, k))
-        base_cross[pend.live[on_base]] = cross[on_base]
+        cross_t = np.zeros((k, n))  # the joins' cross block against the base rows, transposed
+        cross_t[:, pend.live[on_base]] = cross[on_base].T
         block = np.zeros((pend.rows.size, k))  # D between the pending columns and the joins
         block[pend.live[~on_base] - n] = cross[~on_base]
-        h = base_cross.T @ self.inv
+        h = cross_t @ self.inv
         live = np.concatenate([pend.live, n + pend.rows.size + np.arange(k)])
         if order is not None:
             live = live[np.concatenate(([0], 1 + np.asarray(order)))]
-        return self._extend(pend, live, np.full(k, -1), block - pend.ht @ base_cross,
-                            new - h @ base_cross, h, (base_cross, block[pend.rows < 0], new),
+        return self._extend(pend, live, np.full(k, _JOIN), block - pend.ht @ cross_t.T,
+                            new - h @ cross_t.T, h, (cross_t, block[pend.rows == _JOIN], new),
                             ids, SingularSchurBlock)
 
     def _extend(self, pend, live, rows, cap_cross, cap_new, h, join, ids, exc):
@@ -221,35 +277,40 @@ class BorderedInverse:
 
         ``cap_cross`` and ``cap_new`` are the new columns' capacitance
         entries, ``h`` their rows of ``(inv V)^T`` and ``join`` the joins'
-        ``(cross, D against the pending joins, D among themselves)``.
+        ``(cross^T, D against the pending joins, D among themselves)``.
         """
         p, k = pend.rows.size, rows.size
-        cap = np.empty((p + k, p + k))
-        cap[:p, :p], cap[:p, p:], cap[p:, :p] = pend.cap, cap_cross, cap_cross.T
-        cap[p:, p:] = 0.5 * (cap_new + cap_new.T)
-        cross, block = pend.cross, pend.block
+        cap_new = 0.5 * (cap_new + cap_new.T)
+        lu = pend.lu
+        if k:  # checked before any store is written
+            lu = (_checked_lu(cap_new, exc) if lu is None
+                  else _extended_lu(lu, cap_cross, cap_new, exc))
+        ht, cap, cross, block = pend.stores
+        ht = _room(ht, p, k)
+        ht.data[p:p + k] = h
+        cap = _room(cap, p, k)
+        cap.data[:p, p:p + k], cap.data[p:p + k, :p] = cap_cross, cap_cross.T
+        cap.data[p:p + k, p:p + k] = cap_new
         if join is not None:
             join_cross, join_block, join_new = join
-            j = block.shape[0]
-            cross = np.hstack([cross, join_cross])
-            block = np.empty((j + k, j + k))
-            block[:j, :j], block[:j, j:], block[j:, :j] = pend.block, join_block, join_block.T
-            block[j:, j:] = join_new
-        rows = np.concatenate([pend.rows, rows])
-        lu = None
-        if rows.size:  # factored afresh at the first change or after a pending join left
-            lu = (_checked_lu(cap, exc) if pend.lu is None
-                  else _extended_lu(pend.lu, cap_cross, cap[p:, p:], exc))
-        pend = _Pending(rows, live, np.vstack([pend.ht, h]), cap, lu, cross, block)
+            j = pend.joins
+            cross = _room(cross, j, k)
+            cross.data[j:j + k] = join_cross
+            block = _room(block, j, k)
+            block.data[:j, j:j + k], block.data[j:j + k, :j] = join_block, join_block.T
+            block.data[j:j + k, j:j + k] = join_new
+        pend = _Pending(np.concatenate([pend.rows, rows]), live, lu, (ht, cap, cross, block))
         out = BorderedInverse(order=live.size - 1, inv=self.inv, ids=ids, pending=pend)
-        if not rows.size or rows.size > _pending_limit(out.order):
+        if not pend.rows.size or pend.rows.size > _pending_limit(out.order):
             return out.compact()
         return out
 
     def compact(self) -> BorderedInverse:
         """The same live inverse as one plain array, with nothing pending.
 
-        Rewrites through :func:`_grow_shrink`, drops first and then joins.
+        Rewrites through :func:`_grow_shrink`, drops first and then the live
+        joins (pinned ones are skipped), handing it the joins' rows of
+        ``ht`` so that it does not recompute their product with ``inv``.
         When every base row has left, the base minus its drops is the
         singular ``[[0]]``, so the joins' bordered block is inverted afresh.
         """
@@ -258,18 +319,23 @@ class BorderedInverse:
             return self
         n = self.inv.shape[0]
         dropped = np.sort(pend.rows[pend.rows >= 0])
+        joins = np.sort(pend.live[pend.live >= n]) - n  # the live joins' pending columns
+        at = np.cumsum(pend.rows == _JOIN)[joins] - 1  # and their place in cross and block
+        cross, block = pend.cross, pend.block
+        if at.size < block.shape[0]:
+            cross, block = cross[:, at], block.take(at, axis=0).take(at, axis=1)
         # rows of the rewrite before it is permuted into live order
-        src = np.concatenate([np.delete(np.arange(n), dropped), n + np.flatnonzero(pend.rows < 0)])
+        src = np.concatenate([np.delete(np.arange(n), dropped), n + joins])
         where = np.empty(n + pend.rows.size, dtype=int)
         where[src] = np.arange(src.size)
         perm = where[pend.live]
         perm = None if np.array_equal(perm, np.arange(perm.size)) else perm
         if dropped.size == n - 1:
-            inv = bordered_inverse(pend.block, pend.cross[0]).inv
+            inv = bordered_inverse(block, cross[0]).inv
             if perm is not None:
                 inv = inv.take(perm, axis=0).take(perm, axis=1)
-        elif pend.rows.size or perm is not None:
-            inv = _grow_shrink(self.inv, dropped, pend.cross, pend.block, perm)
+        elif dropped.size or joins.size or perm is not None:
+            inv = _grow_shrink(self.inv, dropped, cross, block, perm, pend.ht[joins])
         else:
             inv = self.inv
         return BorderedInverse(order=inv.shape[0] - 1, inv=inv, ids=self.ids)
@@ -386,7 +452,7 @@ def _symmetrize(m: np.ndarray) -> None:
         m[i:, i:i + strip] = mean.T
 
 
-def _grow_shrink(prev, removed, cross, new, order=None) -> np.ndarray:
+def _grow_shrink(prev, removed, cross, new, order=None, ht=None) -> np.ndarray:
     """Shrink the symmetric inverse ``prev`` and grow it, in one rewrite.
 
     ``removed`` are sorted, distinct indices into ``prev``; rows of
@@ -400,7 +466,9 @@ def _grow_shrink(prev, removed, cross, new, order=None) -> np.ndarray:
 
     so one gather of ``prev[K, K]`` and one rank-(|removed| + k) product
     build the result.  Its rows are the kept ones, then the new ones, or
-    that list permuted by ``order``.  The result is symmetrised.
+    that list permuted by ``order``.  The result is symmetrised.  ``ht``,
+    when given, is ``(prev @ cross)^T`` over the whole of ``cross``; the
+    product is then corrected for the removed rows instead of recomputed.
     """
     n, k, d = prev.shape[0], new.shape[0], removed.size
     keep = np.delete(np.arange(n), removed)
@@ -408,9 +476,12 @@ def _grow_shrink(prev, removed, cross, new, order=None) -> np.ndarray:
     rows = prev.take(removed, axis=0)  # the removed columns too: prev is symmetric
     corner = _checked_inverse(rows[:, removed], SingularCornerBlock)
     h = rows[:, keep].T
-    cross = cross.copy()
-    cross[removed] = 0.0
-    prod = prev @ cross
+    if ht is None:
+        cross = cross.copy()
+        cross[removed] = 0.0
+        prod = prev @ cross
+    else:
+        prod = ht.T - rows.T @ cross[removed]
     body = prod[keep] - h @ (corner @ prod[removed])  # P C without forming P
     schur_inv = _checked_inverse(new - cross[keep].T @ body, SingularSchurBlock)
     u = np.zeros((m + k, d + k))

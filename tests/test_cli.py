@@ -131,6 +131,20 @@ class TestUpdateEval:
         assert err.startswith("input error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_update_of_a_ridge_free_model_is_input_error(self, tmp_path, capsys):
+        """Training takes ridge 0; the one-shot engine's prediction needs ridge > 0."""
+        csv, add_csv = tmp_path / "train.csv", tmp_path / "add.csv"
+        two_blob_csv(csv, n=40)
+        two_blob_csv(add_csv, n=6, seed=9)
+        model_path, out = tmp_path / "model.json", tmp_path / "updated.json"
+        assert main(["train", "--data", str(csv), "--ridge", "0", "--out", str(model_path)]) == 0
+        capsys.readouterr()
+        assert main(["update", "--model", str(model_path), "--add", str(add_csv),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_eval_on_training_data(self, tmp_path, capsys):
         csv = tmp_path / "train.csv"
         write_toy_csv(csv, [[1.0, 0.1, 1], [0.9, -0.1, 1],

@@ -326,6 +326,54 @@ class TestColumnCache:
         assert cache.entries == x.shape[0]
 
 
+def full_buffer_product(cache, rows, coef):
+    """``ColumnCache.apply`` as one product over every column of the buffer."""
+    slots = cache.rows[np.asarray(rows)]
+    weights = np.bincount(cache._column[slots], weights=coef, minlength=cache._owner.size)
+    return (cache._buf[:, :cache._owner.size] @ weights)[cache.rows]
+
+
+@pytest.mark.parametrize("spec", CACHE_SPECS, ids=lambda s: s.family)
+class TestNarrowColumnProduct:
+    """A product over a few of the buffer's columns gathers them alone; it
+    matches the product over the whole buffer."""
+
+    @staticmethod
+    def assert_narrow(cache, x, rows, coef, spec):
+        rows = np.asarray(rows)
+        got = cache.apply(rows, coef)
+        # the columns multiplied are at most a quarter of the buffer's
+        assert 4 * np.unique(cache._column[cache.rows[rows]]).size <= cache._owner.size
+        assert np.max(np.abs(got - full_buffer_product(cache, rows, coef))) <= 1e-12
+        assert np.max(np.abs(got - dense_product(x, None, rows, coef, spec, False))) <= 1e-12
+
+    def test_few_columns_of_a_full_buffer(self, spec):
+        x, _ = cache_rows()
+        cache = kernels.ColumnCache(x, spec)
+        cache.apply(np.arange(40), np.ones(40))  # 40 columns, rows 3 and 7 among them
+        rng = np.random.default_rng(4)
+        # identical features, a row given twice, and a column not yet in the buffer
+        for rows in ([3, 7], [7, 3, 12, 3], [3, 55], np.arange(10)):
+            self.assert_narrow(cache, x, rows, rng.standard_normal(len(rows)), spec)
+
+    def test_after_a_sync_that_moved_slots(self, spec):
+        x, _ = cache_rows()
+        cache = kernels.ColumnCache(x, spec)
+        cache.apply(np.arange(0, 60, 2), np.ones(30))
+        slots = cache.rows.copy()
+        # the first ten rows leave, their slots freed; five arrive, one with row 20's features
+        keep_rows = np.arange(10, 60)
+        arriving = np.random.default_rng(5).standard_normal((5, 3))
+        arriving[2] = x[20]
+        x_new = np.vstack([x[keep_rows][::-1], arriving])  # the kept rows also reorder
+        slots_new = np.concatenate([slots[keep_rows][::-1], np.full(5, -1)])
+        cache.sync(x_new, slots_new, np.ones(x_new.shape[0], dtype=bool))
+        assert set(slots_new[50:]) <= set(slots[:10])  # the arrivals take the freed slots
+        rng = np.random.default_rng(6)
+        for rows in ([0, 52], [39, 52, 53], [4]):  # row 39 holds x[20], row 52 its twin
+            self.assert_narrow(cache, x_new, rows, rng.standard_normal(len(rows)), spec)
+
+
 def reference_kernel(a, b, spec):
     """The kernel formula written with temporaries, as a plain reference."""
     if spec.family == "linear":

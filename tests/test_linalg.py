@@ -434,8 +434,9 @@ class TestFactoredInverse:
         m.join([20, 21])
         m.drop([3])
         m.drop([20])
-        # join 21 stays pending, sample 3 is dropped at base row 4 (the border is 0)
-        assert list(m.inv.pending.rows) == [-1, 4]
+        # joins 20 and 21, sample 3 dropped at base row 4 (the border is 0), then
+        # the pin that holds join 20 at zero
+        assert list(m.inv.pending.rows) == [-1, -1, 4, -2]
         m.check()
 
     def test_dropped_base_row_whose_sample_rejoins(self):
@@ -509,7 +510,7 @@ class TestFactoredInverse:
 
 
 class TestExtendedFactors:
-    """Appended columns extend the capacitance factors; a pending join that leaves refactors."""
+    """Appended columns extend the capacitance factors; a pending join that leaves is pinned."""
 
     @staticmethod
     def spied(monkeypatch):
@@ -529,7 +530,7 @@ class TestExtendedFactors:
             pend = m.inv.pending
             joins = [] if pend is None else m.inv.ids[pend.live[1:] >= m.inv.inv.shape[0]]
             kind = rng.integers(3)
-            if kind == 0 and len(joins):  # a pending join leaves: the refactor branch
+            if kind == 0 and len(joins):  # a pending join leaves: it is pinned
                 m.drop([int(rng.choice(joins))])
                 left += 1
             elif kind == 1:
@@ -557,6 +558,96 @@ class TestExtendedFactors:
         with pytest.raises(SingularCornerBlock):
             lazy.shrink(range(1, 8))
         assert calls == {"_extended_lu": 2, "_checked_lu": 2}
+
+
+def branch(m):
+    """A second holder of ``m``'s inverse, with its own membership from here on."""
+    out = copy.copy(m)
+    out.live, out.left = list(m.live), set(m.left)
+    return out
+
+
+class TestAppendOnly:
+    """Every membership change appends pending columns: a pending join that
+    leaves is pinned, the pending arrays grow in shared stores that only
+    their last writer extends in place, and a rewrite reuses ``ht``."""
+
+    def test_departing_joins_factor_only_the_change(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        q, border, _ = random_bordered(rng, 60)
+        m = Membership(q, border, range(0, 60, 2))  # 30 base rows: up to 16 pending columns
+        m.join([1, 3, 5])
+        m.join([7])
+        m.drop([10])
+        sizes, checked = [], linalg._checked_lu
+        monkeypatch.setattr(linalg, "_checked_lu",
+                            lambda mat, exc: sizes.append(mat.shape[0]) or checked(mat, exc))
+        # joins leave alone, in pairs, beside a base row, and after rejoining
+        for kind, samples in (("drop", [3]), ("drop", [1, 7]), ("drop", [12, 5]),
+                              ("join", [3]), ("drop", [3])):
+            sizes.clear()
+            getattr(m, kind)(samples)
+            assert sizes and max(sizes) <= len(samples), (kind, samples, sizes)
+            pend = m.inv.pending
+            assert np.max(np.abs(sla.lu_solve(pend.lu, pend.cap) - np.eye(pend.rows.size))) <= 1e-10
+            m.check()
+        # five joins, each pinned once it left, and the drops of base rows 6 and 7 (samples
+        # 10 and 12), in the order of the changes; a change appends its drops first
+        assert list(m.inv.pending.rows) == [-1] * 4 + [6, -2, -2, -2, 7, -2, -1, -2]
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_two_holders_extend_one_parent(self, first):
+        rng = np.random.default_rng(71)
+        q, border, _ = random_bordered(rng, 80)
+        parent = Membership(q, border, range(0, 80, 2))  # 40 base rows: up to 16 pending columns
+        parent.drop([4])
+        parent.join([21, 23])
+        pend = parent.inv.pending
+        watched = [parent.inv.inv, pend.rows, pend.live, pend.ht, pend.cap, *pend.lu, pend.cross,
+                   pend.block]
+        before = [a.tobytes() for a in watched]
+        holders = [branch(parent), branch(parent)]
+        changes = [
+            [("join", [25]), ("drop", [8, 10]), ("join", [27, 29]), ("drop", [23]),
+             ("join", [31]), ("drop", [25, 12])],
+            [("drop", [21]), ("join", [33, 35]), ("drop", [6]), ("join", [37]),
+             ("drop", [33, 14]), ("join", [39])],
+        ]
+        if first:
+            holders.reverse()
+        stores = [None, None]
+        for step in range(6):
+            for h, (holder, plan) in enumerate(zip(holders, changes)):
+                kind, samples = plan[step]
+                getattr(holder, kind)(samples)
+                if step == 0:  # the parent's stores have room: the first holder writes in place
+                    in_place = holder.inv.pending.stores[0] is pend.stores[0]
+                    assert in_place == (h == 0)
+                holder.check()
+                stores[h] = stores[h] or holder.inv.pending.stores[0]
+                assert [a.tobytes() for a in watched] == before
+        # both holders have grown past the capacity of the stores they first wrote
+        assert all(holder.inv.pending.stores[0] is not s for holder, s in zip(holders, stores))
+        parent.check()
+
+    def test_rewrite_reuses_the_joins_ht(self, monkeypatch):
+        rng = np.random.default_rng(72)
+        q, border, _ = random_bordered(rng, 40)
+        m = Membership(q, border, range(0, 40, 2))
+        m.join([1, 5, 9])
+        m.drop([4, 10])  # base rows dropped after the joins: their cross rows are nonzero
+        m.drop([5])  # a pinned join, which the rewrite skips
+        m.join([11])
+        m.drop([12])
+        handed, rewrite = [], linalg._grow_shrink
+        monkeypatch.setattr(linalg, "_grow_shrink",
+                            lambda *a: handed.append(a[5]) or rewrite(*a))
+        reused = m.inv.compact().inv
+        monkeypatch.setattr(linalg, "_grow_shrink", lambda *a: rewrite(*a[:5]))
+        recomputed = m.inv.compact().inv
+        assert handed[0].shape == (3, 21)  # the rows of joins 1, 9 and 11 over the base rows
+        assert np.max(np.abs(reused - recomputed)) <= 1e-12
+        m.check()
 
 
 class TestColumns:
@@ -590,6 +681,6 @@ class TestColumns:
         _, m = TestFactoredInverse.membership(63, range(8))
         m.join([20, 21])
         m.drop([3])
-        m.drop([20])  # takes a column out of the middle: the capacitance LU is refactored
-        assert list(m.inv.pending.rows) == [-1, 4]
+        m.drop([20])  # pinned by one more column
+        assert list(m.inv.pending.rows) == [-1, -1, 4, -2]
         self.assert_columns(m.inv, [0, 2, 4, 1 + m.live.index(21)])
