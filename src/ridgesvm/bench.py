@@ -17,7 +17,7 @@ import numpy as np
 from . import batch as batch_solver
 from . import kernels
 from .data import schedule_rounds
-from .errors import RidgeSvmError
+from .errors import InvalidParameter, RidgeSvmError
 from .online import update_multi
 from .path import path_update
 
@@ -55,7 +55,13 @@ def _metric(preds, targets, task):
 
 def run_bench(task, train_samples, pool, test_samples, spec, hyper, schedule,
               arms=ARMS) -> BenchReport:
-    """Replay the schedule once per arm from a shared base model."""
+    """Replay the schedule once per arm from a shared base model.
+
+    Raises :class:`InvalidParameter` for an arm outside :data:`ARMS`, before
+    any training.
+    """
+    if not arms or not set(arms) <= set(ARMS):
+        raise InvalidParameter(f"arms must be a nonempty subset of {ARMS}, got {tuple(arms)}")
     train_samples = list(train_samples)
     train = (batch_solver.train_svm_batch if task == "classification"
              else batch_solver.train_svr_batch)
@@ -90,10 +96,8 @@ def run_bench(task, train_samples, pool, test_samples, spec, hyper, schedule,
                     state = update_multi(state, upd, spec, hyper)
                 elif arm == "baseline":
                     state = path_update(state, upd, spec, hyper)
-                elif arm == "retrain":
-                    state = train(current, spec, hyper)
                 else:
-                    raise ValueError(f"unknown arm {arm!r}")
+                    state = train(current, spec, hyper)
                 wall = time.perf_counter() - start
                 cumulative += wall
                 p = kernels.decision_values(x_test, state, spec)

@@ -228,6 +228,8 @@ def schedule_rounds(pool, model_ids, schedule: RoundSchedule) -> list[UpdateBatc
 
 def two_gaussians(n, seed=0, center=1.0, spread=1.0, start_id=0) -> list[Sample]:
     """Binary classification blobs around (+c,+c) and (-c,-c)."""
+    if not n >= 0:
+        raise InvalidParameter(f"sample count must be >= 0, got {n!r}")
     rng = np.random.default_rng(seed)
     half = n // 2
     xp = rng.normal(loc=(center, center), scale=spread, size=(half, 2))
@@ -243,6 +245,8 @@ def two_gaussians(n, seed=0, center=1.0, spread=1.0, start_id=0) -> list[Sample]
 
 def noisy_sine(n, seed=0, noise=0.25, start_id=0) -> list[Sample]:
     """One-dimensional regression: sin(x) on [0, 2*pi] plus Gaussian noise."""
+    if not n >= 0:
+        raise InvalidParameter(f"sample count must be >= 0, got {n!r}")
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 2.0 * np.pi, n)
     y = np.sin(x) + noise * rng.standard_normal(n)

@@ -48,9 +48,10 @@ def _pending_limit(order: int) -> float:
     one product with ``inv`` (one core of a Xeon host, one BLAS thread).  A
     pending column adds only O(order) to each solve plus its share of the
     p x p capacitance factors, and a change of k only appends: O(order k)
-    for its rows of ``(inv V)^T``, O(p k) for its capacitance entries and one
-    copy of the p x p factors as they are extended.  A pending join that
-    leaves is pinned by one more column, so it counts twice.  Carrying up to
+    for its rows of ``(inv V)^T``, O(p k) for its capacitance entries (only
+    those among the joins are kept) and one copy of the p x p factors as
+    they are extended.  A pending join that leaves is pinned by one more
+    column, so it counts twice.  Carrying up to
     order/4 columns keeps a solve within about 1.6 products with ``inv``,
     while a rewrite happens once per order/4 changes instead of at every
     grow.  The floor keeps small inverses from rewriting on almost every
@@ -97,19 +98,20 @@ class _Pending:
     over the base matrix ``M = inv^-1``, appended in order; none is ever
     taken out.  ``rows`` holds the base row of each column -- a drop, whose
     column is the unit vector at that row and whose entries in ``D`` are
-    zero -- or ``_JOIN`` for a join, whose column (in ``cross``) is its cross
-    block against the base rows and whose entries in ``D`` (in ``block``)
-    are its block among the pending joins, or ``_PIN`` for the pin of a
-    pending join that left, whose column is zero but for a unit entry of
-    ``D`` at that join.  Solved over ``[base rows, columns]``, the augmented
-    system pins each dropped row and each join that left at zero and gives
-    the live rows the solution of the live system; ``live`` indexes them
-    there, border first, in order.  ``ht`` holds the rows of ``(inv V)^T``
-    (a pin's is zero); ``cap = D - V^T inv V`` is the capacitance matrix and
-    ``lu`` its checked LAPACK factors ``(lu, piv)``, extended as columns are
-    appended (:func:`_extended_lu`): a pin's pivot is ``-(cap^-1)_jj`` for
-    the join ``j`` it pins.  ``ht``, ``cap``, ``cross`` (stored transposed)
-    and ``block`` are views of the append-only ``stores``, in that order.
+    zero -- or ``_JOIN`` for a join, whose column is its cross block against
+    the base rows and whose entries in ``D`` are its block among the pending
+    joins, or ``_PIN`` for the pin of a pending join that left, whose column
+    is zero but for a unit entry of ``D`` at that join.  Solved over ``[base
+    rows, columns]``, the augmented system pins each dropped row and each
+    join that left at zero and gives the live rows the solution of the live
+    system; ``live`` indexes them there, border first, in order.  ``ht``
+    holds the rows of ``(inv V)^T`` (a pin's is zero) and ``lu`` the checked
+    LAPACK factors ``(lu, piv)`` of the capacitance matrix ``S = D - V^T inv
+    V``, extended as columns are appended (:func:`_extended_lu`): a pin's
+    pivot is ``-(S^-1)_jj`` for the join ``j`` it pins.  ``cap`` holds the
+    entries of ``S`` among the joins, those that left included: the Schur
+    block of the joins against the whole base, which a rewrite grows by.
+    ``ht`` and ``cap`` are views of the append-only ``stores``, in that order.
     """
 
     rows: np.ndarray
@@ -128,16 +130,8 @@ class _Pending:
 
     @property
     def cap(self) -> np.ndarray:
-        return self.stores[1].data[:self.rows.size, :self.rows.size]
-
-    @property
-    def cross(self) -> np.ndarray:
-        return self.stores[2].data[:self.joins].T
-
-    @property
-    def block(self) -> np.ndarray:
         j = self.joins
-        return self.stores[3].data[:j, :j]
+        return self.stores[1].data[:j, :j]
 
 
 @dataclass(frozen=True)
@@ -213,8 +207,7 @@ class BorderedInverse:
         if self.pending is not None:
             return self.pending
         n = self.inv.shape[0]
-        return _Pending(_NO_ROWS, np.arange(n), None,
-                        (_Store(0, n), _Store(0, None), _Store(0, n), _Store(0, None)))
+        return _Pending(_NO_ROWS, np.arange(n), None, (_Store(0, n), _Store(0, None)))
 
     def shrink(self, positions) -> BorderedInverse:
         """Drop the live inner rows at ``positions`` (the border row is 0).
@@ -243,7 +236,7 @@ class BorderedInverse:
         cap_new[:d, :d] = -h[:d, drops]
         return self._extend(pend, np.delete(pend.live, pos),
                             np.concatenate([drops, np.full(k - d, _PIN)]), cap_cross, cap_new,
-                            h, None, None if self.ids is None else np.delete(self.ids, pos - 1),
+                            h, None if self.ids is None else np.delete(self.ids, pos - 1),
                             SingularCornerBlock)
 
     def grow(self, cross, new, ids=None, order=None) -> BorderedInverse:
@@ -269,15 +262,14 @@ class BorderedInverse:
         if order is not None:
             live = live[np.concatenate(([0], 1 + np.asarray(order)))]
         return self._extend(pend, live, np.full(k, _JOIN), block - pend.ht @ cross_t.T,
-                            new - h @ cross_t.T, h, (cross_t, block[pend.rows == _JOIN], new),
-                            ids, SingularSchurBlock)
+                            new - h @ cross_t.T, h, ids, SingularSchurBlock)
 
-    def _extend(self, pend, live, rows, cap_cross, cap_new, h, join, ids, exc):
+    def _extend(self, pend, live, rows, cap_cross, cap_new, h, ids, exc):
         """Append pending columns, extend the capacitance factors, rewrite past the limit.
 
         ``cap_cross`` and ``cap_new`` are the new columns' capacitance
-        entries, ``h`` their rows of ``(inv V)^T`` and ``join`` the joins'
-        ``(cross^T, D against the pending joins, D among themselves)``.
+        entries and ``h`` their rows of ``(inv V)^T``; the entries of joins
+        among the joins are kept in ``cap``.
         """
         p, k = pend.rows.size, rows.size
         cap_new = 0.5 * (cap_new + cap_new.T)
@@ -285,21 +277,15 @@ class BorderedInverse:
         if k:  # checked before any store is written
             lu = (_checked_lu(cap_new, exc) if lu is None
                   else _extended_lu(lu, cap_cross, cap_new, exc))
-        ht, cap, cross, block = pend.stores
+        ht, cap = pend.stores
         ht = _room(ht, p, k)
         ht.data[p:p + k] = h
-        cap = _room(cap, p, k)
-        cap.data[:p, p:p + k], cap.data[p:p + k, :p] = cap_cross, cap_cross.T
-        cap.data[p:p + k, p:p + k] = cap_new
-        if join is not None:
-            join_cross, join_block, join_new = join
-            j = pend.joins
-            cross = _room(cross, j, k)
-            cross.data[j:j + k] = join_cross
-            block = _room(block, j, k)
-            block.data[:j, j:j + k], block.data[j:j + k, :j] = join_block, join_block.T
-            block.data[j:j + k, j:j + k] = join_new
-        pend = _Pending(np.concatenate([pend.rows, rows]), live, lu, (ht, cap, cross, block))
+        if k and rows[0] == _JOIN:
+            j, among = pend.joins, cap_cross[pend.rows == _JOIN]
+            cap = _room(cap, j, k)
+            cap.data[:j, j:j + k], cap.data[j:j + k, :j] = among, among.T
+            cap.data[j:j + k, j:j + k] = cap_new
+        pend = _Pending(np.concatenate([pend.rows, rows]), live, lu, (ht, cap))
         out = BorderedInverse(order=live.size - 1, inv=self.inv, ids=ids, pending=pend)
         if not pend.rows.size or pend.rows.size > _pending_limit(out.order):
             return out.compact()
@@ -309,33 +295,35 @@ class BorderedInverse:
         """The same live inverse as one plain array, with nothing pending.
 
         Rewrites through :func:`_grow_shrink`, drops first and then the live
-        joins (pinned ones are skipped), handing it the joins' rows of
-        ``ht`` so that it does not recompute their product with ``inv``.
-        When every base row has left, the base minus its drops is the
-        singular ``[[0]]``, so the joins' bordered block is inverted afresh.
+        joins (pinned ones are skipped), handing it the joins' rows of ``ht``
+        as their product with ``inv`` and their entries of ``cap`` as their
+        Schur block against the whole base.  When every base row has left,
+        the base minus its drops is the singular ``[[0]]``, so the live
+        inverse is read off :meth:`apply` on the identity; the pending limit
+        lets that happen only for a base of at most about 16 inner rows.
         """
         pend = self.pending
         if pend is None:
             return self
         n = self.inv.shape[0]
         dropped = np.sort(pend.rows[pend.rows >= 0])
+        if dropped.size == n - 1:
+            inv = self.apply(np.eye(self.order + 1))
+            _symmetrize(inv)
+            return BorderedInverse(order=self.order, inv=inv, ids=self.ids)
         joins = np.sort(pend.live[pend.live >= n]) - n  # the live joins' pending columns
-        at = np.cumsum(pend.rows == _JOIN)[joins] - 1  # and their place in cross and block
-        cross, block = pend.cross, pend.block
-        if at.size < block.shape[0]:
-            cross, block = cross[:, at], block.take(at, axis=0).take(at, axis=1)
+        at = np.cumsum(pend.rows == _JOIN)[joins] - 1  # and their place in cap
+        cap = pend.cap
+        if at.size < cap.shape[0]:
+            cap = cap.take(at, axis=0).take(at, axis=1)
         # rows of the rewrite before it is permuted into live order
         src = np.concatenate([np.delete(np.arange(n), dropped), n + joins])
         where = np.empty(n + pend.rows.size, dtype=int)
         where[src] = np.arange(src.size)
         perm = where[pend.live]
         perm = None if np.array_equal(perm, np.arange(perm.size)) else perm
-        if dropped.size == n - 1:
-            inv = bordered_inverse(block, cross[0]).inv
-            if perm is not None:
-                inv = inv.take(perm, axis=0).take(perm, axis=1)
-        elif dropped.size or joins.size or perm is not None:
-            inv = _grow_shrink(self.inv, dropped, cross, block, perm, pend.ht[joins])
+        if dropped.size or joins.size or perm is not None:
+            inv = _grow_shrink(self.inv, dropped, pend.ht[joins].T, cap, perm)
         else:
             inv = self.inv
         return BorderedInverse(order=inv.shape[0] - 1, inv=inv, ids=self.ids)
@@ -452,38 +440,34 @@ def _symmetrize(m: np.ndarray) -> None:
         m[i:, i:i + strip] = mean.T
 
 
-def _grow_shrink(prev, removed, cross, new, order=None, ht=None) -> np.ndarray:
+def _grow_shrink(prev, removed, prod, cap, order=None) -> np.ndarray:
     """Shrink the symmetric inverse ``prev`` and grow it, in one rewrite.
 
-    ``removed`` are sorted, distinct indices into ``prev``; rows of
-    ``cross`` (n x k) at them are ignored.  With ``K`` the kept indices,
-    ``h = prev[K, removed]``, ``corner = prev[removed, removed]^{-1}`` and
-    ``P = prev[K, K] - h corner h^T`` the shrunk inverse, growing by the
-    cross block ``C = cross[K]`` and the new block ``N`` gives
+    ``removed`` are sorted, distinct indices ``R`` into ``prev``.  The k rows
+    that grow it couple to the rows of ``prev`` by a cross block ``C`` (n x
+    k) and to each other by ``N``; the caller hands over ``prod = prev C``
+    and ``cap = N - C^T prev C``.  With ``K`` the kept indices, ``h = prev[K,
+    R]``, ``corner = prev[R, R]^{-1}`` and ``P = prev[K, K] - h corner h^T``
+    the shrunk inverse, growing it by ``C[K]`` and ``N`` gives
 
-        [[P, 0], [0, 0]] + U T U^T,   U = [[h, -P C], [0, I]],
-                                      T = diag(-corner, (N - C^T P C)^{-1}),
+        [[P, 0], [0, 0]] + U T U^T,   U = [[h, -P C[K]], [0, I]],
+                                      T = diag(-corner, (N - C[K]^T P C[K])^{-1}),
 
-    so one gather of ``prev[K, K]`` and one rank-(|removed| + k) product
-    build the result.  Its rows are the kept ones, then the new ones, or
-    that list permuted by ``order``.  The result is symmetrised.  ``ht``,
-    when given, is ``(prev @ cross)^T`` over the whole of ``cross``; the
-    product is then corrected for the removed rows instead of recomputed.
+    where, with ``lift = corner prod[R]``, ``P C[K] = prod[K] - h lift`` and
+    ``N - C[K]^T P C[K] = cap + prod[R]^T lift``: the rows ``C[R]`` cancel
+    from both.  So one gather of ``prev[K, K]`` and one rank-(|R| + k)
+    product build the result.  Its rows are the kept ones, then the new
+    ones, or that list permuted by ``order``.  The result is symmetrised.
     """
-    n, k, d = prev.shape[0], new.shape[0], removed.size
+    n, k, d = prev.shape[0], cap.shape[0], removed.size
     keep = np.delete(np.arange(n), removed)
     m = keep.size
     rows = prev.take(removed, axis=0)  # the removed columns too: prev is symmetric
     corner = _checked_inverse(rows[:, removed], SingularCornerBlock)
     h = rows[:, keep].T
-    if ht is None:
-        cross = cross.copy()
-        cross[removed] = 0.0
-        prod = prev @ cross
-    else:
-        prod = ht.T - rows.T @ cross[removed]
-    body = prod[keep] - h @ (corner @ prod[removed])  # P C without forming P
-    schur_inv = _checked_inverse(new - cross[keep].T @ body, SingularSchurBlock)
+    lift = corner @ prod[removed]
+    body = prod[keep] - h @ lift  # P C[K] without forming P
+    schur_inv = _checked_inverse(cap + prod[removed].T @ lift, SingularSchurBlock)
     u = np.zeros((m + k, d + k))
     u[:m, :d] = h
     u[:m, d:] = -body
@@ -524,7 +508,8 @@ def inverse_grow(q_inv_prev, q_cross, q_new) -> np.ndarray:
         raise ValueError(f"cross block must be {(n, k)}, got {cross.shape}")
     if k == 0:
         return prev.copy()
-    return _grow_shrink(prev, _NO_ROWS, cross, new)
+    prod = prev @ cross
+    return _grow_shrink(prev, _NO_ROWS, prod, new - cross.T @ prod)
 
 
 def inverse_shrink(q_inv_prev, removed_ids) -> np.ndarray:
@@ -559,11 +544,13 @@ def inverse_grow_shrink(q_inv_prev, q_cross, q_new, removed_ids) -> np.ndarray:
     a single rewrite of the array (see :func:`_grow_shrink`).
     """
     prev = _as_square(q_inv_prev)
-    cross = np.asarray(q_cross, dtype=float)
+    cross = np.array(q_cross, dtype=float)  # a copy: its removed rows are zeroed
     new = _as_square(q_new)
     removed = np.unique(np.asarray(removed_ids, dtype=int))
     if cross.shape != (prev.shape[0], new.shape[0]):
         raise ValueError(f"cross block must be {(prev.shape[0], new.shape[0])}, got {cross.shape}")
     if not removed.size and not new.size:
         return prev.copy()
-    return _grow_shrink(prev, removed, cross, new)
+    cross[removed] = 0.0
+    prod = prev @ cross
+    return _grow_shrink(prev, removed, prod, new - cross.T @ prod)

@@ -195,7 +195,9 @@ class TestBenchCommand:
     @pytest.mark.parametrize("flags", [["--C", "nan"], ["--C", "-1"],
                                        ["--task", "regression", "--epsilon", "nan"],
                                        ["--rounds", "-2"], ["--add-per-round", "-1"],
-                                       ["--remove-per-round", "-1"]])
+                                       ["--remove-per-round", "-1"],
+                                       ["--arms", "proposed,foo"], ["--arms", ""],
+                                       ["--synthetic-n", "-5"]])
     def test_parameter_outside_its_domain_is_input_error(self, tmp_path, capsys, flags):
         out = tmp_path / "rep"
         assert main(["bench", "--synthetic-n", "60", "--rounds", "1", "--out", str(out)]

@@ -765,7 +765,7 @@ class TestEngineInverseAndFallback:
         pending = state.cached_inverse.pending
         assert pending is not None
         watched_arrays = [state.cached_inverse.inv, pending.rows, pending.live, pending.ht,
-                          pending.cap, pending.lu[0], pending.cross, pending.block]
+                          pending.cap, *pending.lu]
         before = [a.copy() for a in watched_arrays]
         arrivals = make(6, seed=51, start_id=500)
         leaving = [int(state.ids[r]) for r in state.s_rows[:2]]
