@@ -8,6 +8,7 @@ online engines, and act as the full-retraining arm in benchmarks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,8 @@ _BOX_EPS = 1e-12
 class SolverConfig:
     """Convergence tolerance and an iteration budget for the pair solver.
 
-    ``max_passes`` is measured in multiples of the variable count.
+    ``max_passes``, an integer >= 1, is measured in multiples of the
+    variable count.
     """
 
     kkt_tolerance: float = 1e-6
@@ -31,6 +33,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.kkt_tolerance > 0:  # NaN fails too
             raise InvalidParameter("kkt_tolerance must be > 0")
+        if not (isinstance(self.max_passes, numbers.Integral) and self.max_passes >= 1):
+            raise InvalidParameter("max_passes must be an integer >= 1")
 
 
 def _pair_ascent(gram, targets, lo, hi, epsilon, tol, max_iter):
@@ -48,53 +52,78 @@ def _pair_ascent(gram, targets, lo, hi, epsilon, tol, max_iter):
     Returns (beta, resid, gap) with resid_i = sum_j G_ij beta_j - t_i and gap
     that largest violation.  A non-finite gap (an overflowing Gram) raises
     :class:`NoConvergence`.
+
+    A step moves only beta_i and beta_j, so the loop keeps what selection
+    reads of beta and changes it at those two rows only: each row's up and
+    down offsets (minus the tube term for the sign of beta, or -inf where
+    beta sits at that end of its box) and the counts of rows that can move
+    each way.  The gains of raising and of lowering are then
+    ``up_off - resid`` and ``resid + dn_off``, one pass each into a reused
+    buffer.  Negation is exact and rounding symmetric, so these equal the
+    masked ``-(resid + tube)`` and ``resid - tube`` of a per-step rebuild bit
+    for bit (up to the sign of a zero, which compares equal), and every other
+    operation and tie-break is the rebuild's: for a finite residual the
+    iterates are the same.  (An infinite residual at a row that cannot move
+    that way gives a NaN gain, not -inf, so the gap turns NaN and the solver
+    raises.)  A step costs nine n-wide passes (the two gains, their maxima,
+    the candidate scan and the residual update) and a few over the
+    candidates.
     """
-    beta = np.zeros(targets.shape[0])
+    n = targets.shape[0]
+    beta = np.zeros(n)
     resid = -targets.astype(float)
     gap = np.inf
     up_limit = hi - _BOX_EPS
     down_limit = lo + _BOX_EPS
     diag = gram.diagonal().copy()
+    # at beta = 0 the tube term is +epsilon both ways
+    can_up, can_dn = beta < up_limit, beta > down_limit
+    up_off = np.where(can_up, -epsilon, -np.inf)
+    dn_off = np.where(can_dn, -epsilon, -np.inf)
+    n_up, n_dn = int(can_up.sum()), int(can_dn.sum())
+    # the loop reads single entries: Python floats are cheaper than numpy scalars
+    hi, lo, up_limit, down_limit = hi.tolist(), lo.tolist(), up_limit.tolist(), down_limit.tolist()
+    up, dn, step = np.empty(n), np.empty(n), np.empty(n)
     for _ in range(max_iter):
-        vals_up, vals_dn = _pair_values(beta, resid, epsilon)
-        can_up = beta < up_limit
-        can_dn = beta > down_limit
-        if not can_up.any() or not can_dn.any():
+        if not n_up or not n_dn:
             gap = 0.0
             break
-        i = int(np.argmax(np.where(can_up, vals_up, -np.inf)))
-        dn = np.where(can_dn, vals_dn, -np.inf)
-        gap = vals_up[i] + dn.max()
+        np.subtract(up_off, resid, out=up)
+        i = int(np.argmax(up))
+        up_i = up.item(i)
+        np.add(resid, dn_off, out=dn)
+        gap = up_i + dn.max()
         if gap <= tol:
             break
         if not math.isfinite(gap):
             raise NoConvergence(f"pair solver met the optimality gap {gap}", worst_gap=gap)
         # score only the pairs of positive gain: a full-length score costs more per step
-        cand = np.flatnonzero(dn > -vals_up[i])
-        gain = vals_up[i] + dn.take(cand)
-        curv = diag[i] + diag.take(cand) - 2.0 * gram[i].take(cand)
+        cand = np.flatnonzero(dn > -up_i)
+        gain = up_i + dn.take(cand)
+        row_i = gram[i]
+        curv = diag[i] + diag.take(cand) - 2.0 * row_i.take(cand)
         k = int(np.argmax(gain * gain / np.maximum(curv, _BOX_EPS)))
-        j, quad = int(cand[k]), curv[k]
-        delta = gain[k] / quad if quad > _BOX_EPS else np.inf
-        delta = min(delta, hi[i] - beta[i], beta[j] - lo[j])
+        j, quad = int(cand[k]), curv.item(k)
+        b_i, b_j = beta.item(i), beta.item(j)
+        delta = gain.item(k) / quad if quad > _BOX_EPS else math.inf
+        delta = min(delta, hi[i] - b_i, b_j - lo[j])
         # the |beta| term changes slope at zero: stop there and re-select
-        if beta[i] < 0:
-            delta = min(delta, -beta[i])
-        if beta[j] > 0:
-            delta = min(delta, beta[j])
-        beta[i] += delta
-        beta[j] -= delta
-        resid += delta * (gram[i] - gram[j])  # rows: contiguous, and G is symmetric
+        if b_i < 0:
+            delta = min(delta, -b_i)
+        if b_j > 0:
+            delta = min(delta, b_j)
+        np.subtract(row_i, gram[j], out=step)  # rows: contiguous, and G is symmetric
+        step *= delta
+        resid += step
+        for r, b in ((i, b_i + delta), (j, b_j - delta)):
+            beta[r] = b
+            was_up, was_dn = up_off.item(r) > -math.inf, dn_off.item(r) > -math.inf
+            can_up, can_dn = b < up_limit[r], b > down_limit[r]
+            up_off[r] = (-epsilon if b >= 0 else epsilon) if can_up else -math.inf
+            dn_off[r] = (-epsilon if b <= 0 else epsilon) if can_dn else -math.inf
+            n_up += can_up - was_up
+            n_dn += can_dn - was_dn
     return beta, resid, gap
-
-
-def _pair_values(beta, resid, epsilon):
-    """Gains of raising and of lowering each beta, tube term included."""
-    if not epsilon:  # no kink at zero: spares two n-vector passes per step
-        return -resid, resid
-    up_sub = np.where(beta >= 0, epsilon, -epsilon)
-    dn_sub = np.where(beta <= 0, epsilon, -epsilon)
-    return -(resid + up_sub), resid - dn_sub
 
 
 def _train(state, spec, hyper, config: SolverConfig | None):

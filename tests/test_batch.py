@@ -275,3 +275,94 @@ class TestNonFiniteInput:
     def test_nan_tolerance_is_rejected(self):
         with pytest.raises(InvalidParameter):
             batch.SolverConfig(kkt_tolerance=float("nan"))
+
+    @pytest.mark.parametrize("passes", [1.5, float("nan"), 0, -1])
+    def test_max_passes_outside_the_domain_is_rejected(self, passes):
+        with pytest.raises(InvalidParameter):
+            batch.SolverConfig(max_passes=passes)
+
+
+def reference_pair_values(beta, resid, epsilon):
+    """Gains of raising and of lowering each beta, tube term included."""
+    if not epsilon:
+        return -resid, resid
+    up_sub = np.where(beta >= 0, epsilon, -epsilon)
+    dn_sub = np.where(beta <= 0, epsilon, -epsilon)
+    return -(resid + up_sub), resid - dn_sub
+
+
+def reference_pair_ascent(gram, targets, lo, hi, epsilon, tol, max_iter):
+    """Signed pair ascent that rebuilds its masks and tube terms every step,
+    kept as the reference for ``batch._pair_ascent``.
+
+    Returns (beta, resid, gap, clips): ``clips`` counts the steps whose length
+    the box cut short and those that stopped at the kink of ``|beta|``.
+    """
+    box_eps = 1e-12
+    beta = np.zeros(targets.shape[0])
+    resid = -targets.astype(float)
+    gap = np.inf
+    up_limit = hi - box_eps
+    down_limit = lo + box_eps
+    diag = gram.diagonal().copy()
+    clips = {"box": 0, "kink": 0}
+    for _ in range(max_iter):
+        vals_up, vals_dn = reference_pair_values(beta, resid, epsilon)
+        can_up = beta < up_limit
+        can_dn = beta > down_limit
+        if not can_up.any() or not can_dn.any():
+            gap = 0.0
+            break
+        i = int(np.argmax(np.where(can_up, vals_up, -np.inf)))
+        dn = np.where(can_dn, vals_dn, -np.inf)
+        gap = vals_up[i] + dn.max()
+        if gap <= tol:
+            break
+        if not np.isfinite(gap):
+            raise NoConvergence(f"pair solver met the optimality gap {gap}", worst_gap=gap)
+        cand = np.flatnonzero(dn > -vals_up[i])
+        gain = vals_up[i] + dn.take(cand)
+        curv = diag[i] + diag.take(cand) - 2.0 * gram[i].take(cand)
+        k = int(np.argmax(gain * gain / np.maximum(curv, box_eps)))
+        j, quad = int(cand[k]), curv[k]
+        step = gain[k] / quad if quad > box_eps else np.inf
+        delta = min(step, hi[i] - beta[i], beta[j] - lo[j])
+        clips["box"] += delta < step
+        step = delta
+        if beta[i] < 0:
+            delta = min(delta, -beta[i])
+        if beta[j] > 0:
+            delta = min(delta, beta[j])
+        clips["kink"] += delta < step
+        beta[i] += delta
+        beta[j] -= delta
+        resid += delta * (gram[i] - gram[j])
+    return beta, resid, gap, clips
+
+
+class TestPairAscentMatchesReference:
+    """The solver keeps its selection bookkeeping between steps; the reference
+    rebuilds it from beta every step.  Neither benchmark stream's solve stops
+    at the kink of ``|beta|``, so these instances are chosen to."""
+
+    @pytest.mark.parametrize("seed, spec, C, epsilon, max_iter, clipped", [
+        (1, KernelSpec(family="rbf", sigma=0.5, ridge=0.05), 1.0, 0.0, None, "kink"),
+        (5, KernelSpec(family="polynomial", degree=2, ridge=0.5), 1.0, 0.05, None, "kink"),
+        (2, KernelSpec(family="rbf", sigma=1.0, ridge=0.5), 0.05, 0.1, None, "box"),
+        # cut off by the step budget after two of its nine kink stops
+        (5, KernelSpec(family="polynomial", degree=2, ridge=0.5), 1.0, 0.05, 300, "kink"),
+    ])
+    def test_svr_iterates_are_bit_identical(self, seed, spec, C, epsilon, max_iter, clipped):
+        samples = noisy_sine(60, seed, noise=0.3)
+        x = np.array([s.features for s in samples])
+        t = np.array([s.target for s in samples])
+        gram = kernels.q_matrix_svr(x, spec)
+        lo, hi = np.full(t.shape, -C), np.full(t.shape, C)
+        budget = max_iter or 10000 * t.shape[0]
+        beta, resid, gap, clips = reference_pair_ascent(gram, t, lo, hi, epsilon, 1e-6, budget)
+        assert clips[clipped] > 0
+        assert (gap <= 1e-6) == (max_iter is None)
+        got_beta, got_resid, got_gap = batch._pair_ascent(gram, t, lo, hi, epsilon, 1e-6, budget)
+        assert np.array_equal(got_beta, beta)
+        assert np.array_equal(got_resid, resid)
+        assert got_gap == gap
