@@ -223,13 +223,22 @@ class ColumnCache:
             return (weights[used] @ self._buf.T[used])[self.rows]
         return (self._buf[:, :self._owner.size] @ weights)[self.rows]
 
+    def block(self, at, rows) -> np.ndarray:
+        """``G[at, rows]`` for the ridge Gram ``G`` of the current row set.
+
+        The columns of ``rows`` are evaluated as :meth:`apply` evaluates
+        them, over every slot, and kept; so the ridge sits only where a row
+        of ``at`` is a row of ``rows``.
+        """
+        slots = self.rows[np.asarray(rows, dtype=np.intp).ravel()]
+        self._fill(slots)
+        return self._buf[np.ix_(self.rows[at], self._column[slots])]
+
     def apply_at(self, at, rows, coef) -> np.ndarray:
         """``G[at, rows] @ coef``: :meth:`apply` read at the rows ``at`` alone."""
         coef = np.asarray(coef, dtype=float).ravel()
         moved = coef != 0.0
-        slots = self.rows[np.asarray(rows, dtype=np.intp).ravel()[moved]]
-        self._fill(slots)
-        return self._buf[np.ix_(self.rows[at], self._column[slots])] @ coef[moved]
+        return self.block(at, np.asarray(rows, dtype=np.intp).ravel()[moved]) @ coef[moved]
 
 
 def decision_profile(xq, x_model, coefficients, bias, spec: KernelSpec) -> np.ndarray:

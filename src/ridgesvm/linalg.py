@@ -499,17 +499,7 @@ def inverse_grow(q_inv_prev, q_cross, q_new) -> np.ndarray:
         [[Q^{-1} + H V^{-1} H^T,  H V^{-1}],
          [V^{-1} H^T,             V^{-1}  ]].
     """
-    prev = _as_square(q_inv_prev)
-    cross = np.asarray(q_cross, dtype=float)
-    new = _as_square(q_new)
-    n = prev.shape[0]
-    k = new.shape[0]
-    if cross.shape != (n, k):
-        raise ValueError(f"cross block must be {(n, k)}, got {cross.shape}")
-    if k == 0:
-        return prev.copy()
-    prod = prev @ cross
-    return _grow_shrink(prev, _NO_ROWS, prod, new - cross.T @ prod)
+    return inverse_grow_shrink(q_inv_prev, q_cross, q_new, _NO_ROWS)
 
 
 def inverse_shrink(q_inv_prev, removed_ids) -> np.ndarray:
@@ -525,14 +515,8 @@ def inverse_shrink(q_inv_prev, removed_ids) -> np.ndarray:
     relative order, so index maps held by callers stay valid.  The result
     is a fresh array; ``q_inv_prev`` is only read.
     """
-    prev = _as_square(q_inv_prev)
-    n = prev.shape[0]
-    removed = np.unique(np.asarray(removed_ids, dtype=int))
-    if removed.size == 0:
-        return prev.copy()
-    if removed.min() < 0 or removed.max() >= n:
-        raise IndexError(f"removed ids out of range for order {n}")
-    return _grow_shrink(prev, removed, np.zeros((n, 0)), _NO_BLOCK)
+    n = _as_square(q_inv_prev).shape[0]
+    return inverse_grow_shrink(q_inv_prev, np.zeros((n, 0)), _NO_BLOCK, removed_ids)
 
 
 def inverse_grow_shrink(q_inv_prev, q_cross, q_new, removed_ids) -> np.ndarray:
@@ -541,14 +525,19 @@ def inverse_grow_shrink(q_inv_prev, q_cross, q_new, removed_ids) -> np.ndarray:
     ``removed_ids`` index the *old* block; rows of ``q_cross`` belonging to
     removed indices are dropped before growing.  Equivalent (within
     roundoff) to applying the two updates in either order, but computed in
-    a single rewrite of the array (see :func:`_grow_shrink`).
+    a single rewrite of the array (see :func:`_grow_shrink`).  The one
+    validated core of :func:`inverse_grow` and :func:`inverse_shrink`:
+    raises :class:`IndexError` for a removed id outside ``[0, n)``.
     """
     prev = _as_square(q_inv_prev)
+    n = prev.shape[0]
     cross = np.array(q_cross, dtype=float)  # a copy: its removed rows are zeroed
     new = _as_square(q_new)
     removed = np.unique(np.asarray(removed_ids, dtype=int))
-    if cross.shape != (prev.shape[0], new.shape[0]):
-        raise ValueError(f"cross block must be {(prev.shape[0], new.shape[0])}, got {cross.shape}")
+    if cross.shape != (n, new.shape[0]):
+        raise ValueError(f"cross block must be {(n, new.shape[0])}, got {cross.shape}")
+    if removed.size and (removed[0] < 0 or removed[-1] >= n):
+        raise IndexError(f"removed ids out of range for order {n}")
     if not removed.size and not new.size:
         return prev.copy()
     cross[removed] = 0.0

@@ -45,15 +45,16 @@ class Sample:
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Penalty C (> 0) and tube half-width epsilon (finite, >= 0, regression only)."""
+    """Penalty C (> BOUND_TOL) and tube half-width epsilon (finite, >= 0, regression only)."""
 
     C: float
     epsilon: float = 0.0
 
     def __post_init__(self):
         # each test is written to fail for NaN, which compares False
-        if not self.C > 0:
-            raise InvalidParameter("C must be > 0")
+        # at C <= BOUND_TOL every multiplier, zero included, reads as at its bound
+        if not self.C > BOUND_TOL:
+            raise InvalidParameter(f"C must be > {BOUND_TOL:g}")
         if not 0 <= self.epsilon < np.inf:
             raise InvalidParameter("epsilon must be finite and >= 0")
 
@@ -440,27 +441,14 @@ def settle_bias(state, hyper) -> None:
     state.partition[off] = region_tags(state.mult[off], C)
 
 
-def _gram_block(state, spec, rows_a, rows_b=None) -> np.ndarray:
-    """Block of the ridge Gram ``K + ridge I`` between row sets of ``state``.
-
-    Without ``rows_b`` it is the symmetric block over ``rows_a``, evaluated
-    from a single feature array so that the kernel product stays symmetric,
-    with the ridge on its diagonal.  ``rows_b`` must be disjoint from
-    ``rows_a``, so that block carries no ridge: two rows with identical
-    features stay unridged.
-    """
-    if rows_b is None:
-        return kernels.q_matrix_svr(state.X[rows_a], spec)
-    return kernels.kernel_matrix(state.X[rows_a], state.X[rows_b], spec)
-
-
 def refresh_cached_inverse(state, spec) -> None:
-    """Recompute the inverse of ``[[0, 1^T], [1, G_SS]]`` over the current ``S``."""
+    """Recompute the inverse of ``[[0, 1^T], [1, G_SS]]`` over the current ``S``,
+    evaluating ``G_SS`` from the features of ``S``: their columns may not be cached."""
     s = state.s_rows
     if s.size == 0:
         state.cached_inverse = None
         return
-    inverse = linalg.bordered_inverse(_gram_block(state, spec, s), np.ones(s.size))
+    inverse = linalg.bordered_inverse(kernels.q_matrix_svr(state.X[s], spec), np.ones(s.size))
     state.cached_inverse = replace(inverse, ids=state.ids[s])
 
 
@@ -496,15 +484,16 @@ def column_cache(state, spec) -> kernels.ColumnCache:
     return cache
 
 
-def ensure_cached_inverse(state, spec) -> linalg.BorderedInverse:
+def ensure_cached_inverse(state, cache) -> linalg.BorderedInverse:
     """The cached inverse over the current ``S``, brought up to date from the tags.
 
     The region tags are the one record of ``S``; the inverse follows them
     only here, when a solve reads it.  Its members no longer tagged ``S``
     leave in one :meth:`~ridgesvm.linalg.BorderedInverse.shrink`, and the
     rows tagged ``S`` since join in one ``grow``, placed in ascending row
-    order like ``state.s_rows``.  It is rebuilt only when there is none or
-    none of its members is left.
+    order like ``state.s_rows``, with their blocks read from ``cache``, the
+    column cache synced to the state's rows (:func:`column_cache`).  It is
+    rebuilt only when there is none or none of its members is left.
     """
     s = state.s_rows
     if s.size == 0:
@@ -516,16 +505,16 @@ def ensure_cached_inverse(state, spec) -> linalg.BorderedInverse:
     # where in S each member of the inverse is; members keep their relative row order
     at, kept = _lookup(ids, held)
     if not kept.any():
-        refresh_cached_inverse(state, spec)
+        refresh_cached_inverse(state, cache.spec)
         return state.cached_inverse
     inv = inv.shrink(1 + np.flatnonzero(~kept))  # +1: the border row leads
     old, joins = s[at[kept]], np.delete(s, at[kept])
     if joins.size:
-        corner = _gram_block(state, spec, joins)
-        cross = np.vstack([np.ones((1, joins.size)), _gram_block(state, spec, old, joins)])
         grown = np.concatenate([old, joins])
+        block = cache.block(grown, joins)
+        cross = np.vstack([np.ones((1, joins.size)), block[:old.size]])
         order = np.argsort(grown) if np.any(grown[1:] < grown[:-1]) else None
-        inv = inv.grow(cross, corner, ids=ids, order=order)
+        inv = inv.grow(cross, block[old.size:], ids=ids, order=order)
     state.cached_inverse = inv
     return inv
 

@@ -41,16 +41,18 @@ def wec_predict(resid, rho, lo, C, epsilon) -> np.ndarray:
     return np.where(np.abs(resid) > epsilon, np.clip(raw, lo, C), 0.0)
 
 
-def equilibrium_solve(state, spec, top, pull):
+def equilibrium_solve(state, cache, top, pull):
     """Bias and multiplier response that keeps the unbounded set in equilibrium.
 
     Solves ``[[0, 1^T], [1, G_SS]] [db; dbeta_S] = -[top; pull]`` over the
     current ``S`` through the cached inverse: ``top`` is the signed sum of
     the multipliers that move outside ``S`` and ``pull`` (in ``S`` row
-    order) their ridge-Gram pull on the members.  Returns
+    order) their ridge-Gram pull on the members.  ``cache`` is the column
+    cache synced to the state's rows; the inverse's joins read their grow
+    blocks from it (:func:`ridgesvm.model.ensure_cached_inverse`).  Returns
     ``(delta_b, delta_mult_S)``, the shift in native coordinates.
     """
-    inv = model.ensure_cached_inverse(state, spec)
+    inv = model.ensure_cached_inverse(state, cache)
     sol = -inv.apply(np.concatenate(([top], pull)))
     return float(sol[0]), state.signs_of(state.targets[state.s_rows]) * sol[1:]
 
@@ -130,7 +132,7 @@ def _walk(state, cache, signs, s_rows, segments, balance, target, budget) -> tup
     (1 once the target is reached).
     """
     edge, seg_lo, seg_hi = segments
-    inv = model.ensure_cached_inverse(state, cache.spec)
+    inv = model.ensure_cached_inverse(state, cache)
     x = -inv.apply(np.concatenate(([balance], target)))
     live = np.ones(s_rows.size, dtype=bool)
     pinned = np.zeros(0, dtype=int)  # positions in S, in pinning order
@@ -200,7 +202,8 @@ def kkt_repair(state, cache, hyper, max_repair_passes=None):
     pinned does not target the residual moves of its own snaps: when they
     leave a caught-up member off its edge, a fresh solve refines before the
     release check.  ``cache`` is the column cache the update synced to the
-    state's rows; its ``spec`` serves the solves.
+    state's rows: it serves the residual products and the grow blocks of
+    the cached inverse.
     """
     if max_repair_passes is None:
         # Every pass or pinned event that does not end the repair or refine a
@@ -254,7 +257,7 @@ def kkt_repair(state, cache, hyper, max_repair_passes=None):
         if not releases:
             np.clip(state.mult, lo, C, out=state.mult)
             if pinned:  # the inverse follows the members the walk pinned out
-                model.ensure_cached_inverse(state, cache.spec)
+                model.ensure_cached_inverse(state, cache)
             model.settle_bias(state, hyper)
             return state
         # a balanced state without S admits its worst violator alone

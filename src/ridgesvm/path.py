@@ -67,8 +67,7 @@ def _drive_targets(state, path: PathState, hyper) -> np.ndarray:
     return np.where(rising, C, lo)
 
 
-def _direction(state, spec, path: PathState, hyper,
-               columns: kernels.ColumnCache) -> Directions:
+def _direction(state, path: PathState, hyper, columns: kernels.ColumnCache) -> Directions:
     """Per-unit-step directions for one path segment.
 
     Arrivals move by (target - current), removals by (-current); the
@@ -84,10 +83,10 @@ def _direction(state, spec, path: PathState, hyper,
     if not state.s_rows.size and top:
         row = enter_bias_end(state, top, _edges(state, path, hyper))
         path.drive_rows = path.drive_rows[path.drive_rows != row]
-        return _direction(state, spec, path, hyper, columns)
+        return _direction(state, path, hyper, columns)
     moved = np.concatenate([path.drive_rows, path.removal_rows])
     pull = columns.apply(moved, signs[moved] * np.concatenate([d_add, d_rem]))[state.s_rows]
-    db, dalpha_s = equilibrium_solve(state, spec, top, pull) if pull.size else (0.0, pull)
+    db, dalpha_s = equilibrium_solve(state, columns, top, pull) if pull.size else (0.0, pull)
     return Directions(db=db, dalpha_s=dalpha_s, d_add=d_add, d_rem=d_rem)
 
 
@@ -221,7 +220,7 @@ def path_update(state, batch: model.UpdateBatch, spec, hyper):
     stall_budget = work.n + arrivals.size + removal_rows.size + 10
 
     for _ in range(max_events):
-        directions = _direction(work, spec, path, hyper, columns)
+        directions = _direction(work, path, hyper, columns)
         phi = sensitivity_phi(work, path, directions, columns)
         eta, event = step_select(work, phi, directions, path, hyper)
         if eta > 0.0:

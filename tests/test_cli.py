@@ -49,7 +49,7 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--C", "nan"], ["--C", "-1"], ["--ridge", "nan"],
-                                       ["--sigma", "nan"]])
+                                       ["--sigma", "nan"], ["--C", "1e-10"]])
     def test_parameter_outside_its_domain_is_input_error(self, tmp_path, capsys, flags):
         csv = tmp_path / "train.csv"
         two_blob_csv(csv, n=30)

@@ -254,8 +254,8 @@ class TestModelPersistence:
             load_model(str(p))
 
     @pytest.mark.parametrize("case", ["unknown-task", "unknown-tag", "ragged-features",
-                                      "repeated-id", "nan-C", "nan-ridge", "fractional-degree",
-                                      "nan-feature", "inf-multiplier"])
+                                      "repeated-id", "nan-C", "tiny-C", "nan-ridge",
+                                      "fractional-degree", "nan-feature", "inf-multiplier"])
     def test_malformed_document_is_corrupt(self, tmp_path, case):
         p = tmp_path / "model.json"
         save_model(self.state, str(p), self.spec, self.hyper)
@@ -268,6 +268,8 @@ class TestModelPersistence:
             doc["samples"][3]["features"] = [0.5]
         elif case == "nan-C":
             doc["hyper"]["C"] = float("nan")
+        elif case == "tiny-C":
+            doc["hyper"]["C"] = 1e-10  # at or below model.BOUND_TOL
         elif case == "nan-ridge":
             doc["kernel"]["ridge"] = float("nan")
         elif case == "fractional-degree":

@@ -137,32 +137,38 @@ class TestQMatrixSvr:
         assert np.allclose(np.diag(q), 1.3)
 
 
-def feature_state(x):
-    """SVR state over the rows of ``x`` (features only matter)."""
-    return model.SvrState([Sample(100 + i, np.atleast_1d(f), 0.0) for i, f in enumerate(x)])
+class TestColumnBlock:
+    """``ColumnCache.block``: the ridge where a row meets itself, none across rows."""
 
-
-class TestGramBlock:
-    """``model._gram_block``: ridge on the diagonal of one row set, none across two."""
-
-    def test_ridge_on_matching_ids_only(self):
+    def test_ridge_on_matching_rows_only(self):
         x = np.array([[1.0], [2.0], [3.0]])
         spec = KernelSpec(family="linear", ridge=0.5)
-        state = feature_state(x)
+        cache = kernels.ColumnCache(x, spec)
         plain = kernels.kernel_matrix(x, x, spec)
-        own = model._gram_block(state, spec, np.array([0, 2]))
+        own = cache.block(np.array([0, 2]), np.array([0, 2]))
         assert np.allclose(own, plain[np.ix_([0, 2], [0, 2])] + 0.5 * np.eye(2))
-        cross = model._gram_block(state, spec, np.array([0, 2]), np.array([1]))
+        cross = cache.block(np.array([0, 2]), np.array([1]))
         assert np.allclose(cross, plain[np.ix_([0, 2], [1])])
 
-    def test_duplicate_features_distinct_ids_unridged(self):
+    def test_duplicate_features_distinct_rows_unridged(self):
         x = np.array([[1.0], [1.0]])
         spec = KernelSpec(family="linear", ridge=0.5)
-        state = feature_state(x)
-        assert np.allclose(model._gram_block(state, spec, np.array([0, 1])),
+        cache = kernels.ColumnCache(x, spec)
+        assert np.allclose(cache.block(np.array([0, 1]), np.array([0, 1])),
                            [[1.5, 1.0], [1.0, 1.5]])
-        assert np.allclose(model._gram_block(state, spec, np.array([0]), np.array([1])),
-                           [[1.0]])
+        assert np.allclose(cache.block(np.array([0]), np.array([1])), [[1.0]])
+
+    def test_fills_only_missing_columns(self):
+        x = np.random.default_rng(7).standard_normal((6, 2))
+        spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
+        cache = kernels.ColumnCache(x, spec)
+        cache.apply([1], np.ones(1))
+        block = cache.block(np.array([4, 1, 3]), np.array([1, 3]))
+        assert cache.entries == 2 * x.shape[0]  # row 1's column was kept, row 3's is new
+        dense = kernels.q_matrix_svr(x, spec)
+        assert np.max(np.abs(block - dense[np.ix_([4, 1, 3], [1, 3])])) <= 1e-12
+        assert np.allclose(cache.apply_at([4, 1, 3], [1, 3], [2.0, -1.0]),
+                           block @ [2.0, -1.0], rtol=0, atol=1e-15)
 
 
 RESTRICTED_SPECS = (

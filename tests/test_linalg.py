@@ -236,6 +236,30 @@ class TestGrowShrink:
         shrunk_after = linalg.inverse_shrink(grown, removed)
         assert np.allclose(combined, shrunk_after, atol=1e-10)
 
+    @pytest.mark.parametrize("removed", [[-1], [7], [2, 8]])
+    def test_removed_id_out_of_range(self, removed):
+        """An id outside ``[0, n)`` is refused as by :func:`inverse_shrink`, not
+        read as numpy's index from the end or left to numpy's bounds check."""
+        rng = np.random.default_rng(24)
+        full = random_spd(rng, 8)  # 7 old + 1 new
+        prev_inv = linalg.invert_spd(full[:7, :7])
+        for update in (lambda: linalg.inverse_grow_shrink(prev_inv, full[:7, 7:], full[7:, 7:],
+                                                           removed),
+                       lambda: linalg.inverse_shrink(prev_inv, removed)):
+            with pytest.raises(IndexError, match="out of range for order 7"):
+                update()
+
+    def test_grow_and_shrink_are_its_cases(self):
+        rng = np.random.default_rng(25)
+        full = random_spd(rng, 9)  # 6 old + 3 new
+        prev_inv = linalg.invert_spd(full[:6, :6])
+        assert np.array_equal(
+            linalg.inverse_grow(prev_inv, full[:6, 6:], full[6:, 6:]),
+            linalg.inverse_grow_shrink(prev_inv, full[:6, 6:], full[6:, 6:], []))
+        assert np.array_equal(
+            linalg.inverse_shrink(prev_inv, [4, 1]),
+            linalg.inverse_grow_shrink(prev_inv, np.zeros((6, 0)), np.zeros((0, 0)), [1, 4]))
+
 
 class TestProperties:
     def test_grow_shrink_round_trip(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ridgesvm import batch, data, kernels, linalg, model, online
-from ridgesvm.errors import InconsistentState, UnknownId
+from ridgesvm.errors import InconsistentState, InvalidParameter, UnknownId
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample, UpdateBatch
 from ridgesvm.online_svm import update_multi_svm
@@ -405,7 +405,7 @@ def svm_with_inverse(spec):
     inverse over S (batch training leaves it to the first solve)."""
     state = batch.train_svm_batch(data.two_gaussians(40, seed=3), spec, Hyperparams(C=1.0))
     assert state.s_rows.size >= 4 and state.o_rows.size >= 2
-    model.ensure_cached_inverse(state, spec)
+    model.ensure_cached_inverse(state, model.column_cache(state, spec))
     return state
 
 
@@ -422,7 +422,7 @@ class TestCachedInverseMembership:
 
     def ensured(self, state):
         """``ensure_cached_inverse``, checked against the tags and a rebuild."""
-        inv = model.ensure_cached_inverse(state, self.spec)
+        inv = model.ensure_cached_inverse(state, model.column_cache(state, self.spec))
         assert inv is state.cached_inverse
         assert list(inv.ids) == list(state.ids[state.s_rows])
         fresh = self.rebuilt(state, self.spec)
@@ -450,7 +450,7 @@ class TestCachedInverseMembership:
             "a leave, a join, a rejoin": ([(s[2], "O"), (o[0], "S"), (s[0], "S")], True),
         }
         for name, (changes, patched) in flips.items():
-            before = model.ensure_cached_inverse(state, self.spec)
+            before = model.ensure_cached_inverse(state, model.column_cache(state, self.spec))
             for row, tag in changes:
                 state.partition[row] = tag
             inv = self.ensured(state)
@@ -515,7 +515,7 @@ class TestDeferredInversePatches:
 
     def leave(self, state, rows):
         state.partition[rows] = "O"
-        model.ensure_cached_inverse(state, self.spec)
+        model.ensure_cached_inverse(state, model.column_cache(state, self.spec))
 
     def test_shrink_records_drops_and_solves_over_s(self):
         state = self.state()
@@ -539,7 +539,7 @@ class TestDeferredInversePatches:
         leaver, stays_out = int(s[1]), int(s[2])
         self.leave(state, [leaver, stays_out])
         state.partition[[leaver, int(o[0])]] = "S"
-        cache = model.ensure_cached_inverse(state, self.spec)
+        cache = model.ensure_cached_inverse(state, model.column_cache(state, self.spec))
         assert list(cache.ids) == list(state.ids[state.s_rows])
         fresh = TestCachedInverseMembership.rebuilt(state, self.spec)
         assert np.max(np.abs(cache.apply(np.eye(cache.order + 1)) - fresh.inv)) <= 1e-10
@@ -758,7 +758,7 @@ class TestEngineInverseAndFallback:
     def test_input_inverse_is_never_written(self, task):
         make, train, engine, hyper = ENGINE_TASKS[task]
         state = train(make(40, seed=1), self.spec, hyper)
-        model.ensure_cached_inverse(state, self.spec)
+        model.ensure_cached_inverse(state, model.column_cache(state, self.spec))
         # an input whose inverse carries pending changes from its own update
         state = engine(state, UpdateBatch(remove=[int(state.ids[state.s_rows[-1]])]),
                        self.spec, hyper)
@@ -791,9 +791,35 @@ class TestEngineInverseAndFallback:
         gap = np.abs(kernels.decision_values(queries, got, self.spec)
                      - kernels.decision_values(queries, want, self.spec))
         assert gap.max() <= 1e-10
-        inv = model.ensure_cached_inverse(got, self.spec)
+        inv = model.ensure_cached_inverse(got, model.column_cache(got, self.spec))
         fresh = TestCachedInverseMembership.rebuilt(got, self.spec)
         assert np.max(np.abs(inv.apply(np.eye(inv.order + 1)) - fresh.inv)) <= 1e-10
+
+
+@pytest.mark.parametrize("task", ["svm", "svr"])
+class TestPenaltyFloor:
+    """At ``C <= BOUND_TOL`` the region rule reads every multiplier as at its
+    bound, zero included, so such a C is refused; just above it both tasks
+    train and update cleanly."""
+
+    spec = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
+
+    @pytest.mark.parametrize("C", [1e-13, 1e-10, model.BOUND_TOL])
+    def test_refused_at_or_below_the_bound_tolerance(self, task, C):
+        with pytest.raises(InvalidParameter):
+            Hyperparams(C=C, epsilon=ENGINE_TASKS[task][3].epsilon)
+
+    @pytest.mark.parametrize("C", [2e-9, 3e-9])
+    def test_just_above_trains_and_updates_cleanly(self, task, C):
+        make, train, engine, base = ENGINE_TASKS[task]
+        hyper = Hyperparams(C=C, epsilon=base.epsilon)
+        state = train(make(40, seed=1), self.spec, hyper)
+        for round_no in range(2):
+            assert model.validate(state, self.spec, C, hyper.epsilon) == []
+            upd = UpdateBatch(add=make(6, seed=51 + round_no, start_id=500 + 10 * round_no),
+                              remove=[int(i) for i in state.ids[:2]])
+            state = engine(state, upd, self.spec, hyper)
+        assert model.validate(state, self.spec, C, hyper.epsilon) == []
 
 
 class TestBiasInterval:

@@ -82,13 +82,13 @@ def arrival_solve(state, spec, arrivals, deltas):
     signed = np.array([s.target for s in arrivals]) * np.asarray(deltas, dtype=float)
     x_d = np.array([s.features for s in arrivals], dtype=float)
     pull = kernels.kernel_matrix(state.X[state.s_rows], x_d, spec) @ signed
-    return equilibrium_solve(state, spec, float(signed.sum()), pull)
+    return equilibrium_solve(state, model.column_cache(state, spec), float(signed.sum()), pull)
 
 
 class TestEquilibriumSolve:
     def test_null_update(self):
         state, spec = one_member_s_state()
-        db, dalpha = equilibrium_solve(state, spec, 0.0, np.zeros(1))
+        db, dalpha = equilibrium_solve(state, model.column_cache(state, spec), 0.0, np.zeros(1))
         assert db == 0.0
         assert np.allclose(dalpha, 0.0)
 
@@ -121,7 +121,7 @@ class TestEquilibriumSolve:
         state, spec = one_member_s_state()
         state.partition = np.array(["B"])
         with pytest.raises(EmptyS):
-            equilibrium_solve(state, spec, 0.0, np.zeros(0))
+            equilibrium_solve(state, model.column_cache(state, spec), 0.0, np.zeros(0))
 
 
 class TestKktRepair:
@@ -310,13 +310,14 @@ class TestKktRepair:
         sol[1 + j] = 0.0
         bordered = np.ones((s.size + 1, s.size + 1))
         bordered[0, 0] = 0.0
-        bordered[1:, 1:] = model._gram_block(state, SPEC, s)
+        bordered[1:, 1:] = kernels.q_matrix_svr(state.X[s], SPEC)
         rhs = -(bordered @ sol)  # the balance and target whose solve is sol
-        x = -model.ensure_cached_inverse(state, SPEC).apply(rhs)
+        cache = model.column_cache(state, SPEC)
+        x = -model.ensure_cached_inverse(state, cache).apply(rhs)
         assert mult[j] + signs[s[j]] * x[1 + j] != mult[j]  # the roundoff would show
         before = state.mult[s[j]]
-        events, step = online._walk(state, model.column_cache(state, SPEC), signs, s, segments,
-                                    rhs[0], rhs[1:], 2 * state.n)
+        events, step = online._walk(state, cache, signs, s, segments, rhs[0], rhs[1:],
+                                    2 * state.n)
         assert (events, step) == (1, 1.0)
         assert state.mult[s[j]] == before
         assert state.partition[s[j]] == model.REGION_S

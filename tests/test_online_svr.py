@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ridgesvm import batch, data, kernels, linalg, model, online, online_svr
-from ridgesvm.errors import NonpositiveRho, RepairDivergence
+from ridgesvm.errors import NonpositiveRho, RepairDivergence, SingularCornerBlock
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample, UpdateBatch
 from ridgesvm.online import equilibrium_solve, wec_predict
@@ -66,7 +66,7 @@ def arrival_solve(state, spec, arrivals, deltas):
     signed = np.asarray(deltas, dtype=float)
     x_d = np.array([s.features for s in arrivals], dtype=float)
     pull = kernels.kernel_matrix(state.X[state.s_rows], x_d, spec) @ signed
-    return equilibrium_solve(state, spec, float(signed.sum()), pull)
+    return equilibrium_solve(state, model.column_cache(state, spec), float(signed.sum()), pull)
 
 
 def pinning_round():
@@ -81,7 +81,7 @@ def pinning_round():
 class TestEquilibriumSolveSvr:
     def test_null_update(self):
         state, spec = one_member_s_state()
-        db, dtheta = equilibrium_solve(state, spec, 0.0, np.zeros(1))
+        db, dtheta = equilibrium_solve(state, model.column_cache(state, spec), 0.0, np.zeros(1))
         assert db == 0.0
         assert np.allclose(dtheta, 0.0)
 
@@ -216,6 +216,42 @@ class TestUpdateMultiSvr:
             fresh = -work.cached_inverse.apply(rhs)
             assert np.max(np.abs(direction[np.r_[0, 1 + live]] - fresh)) <= 1e-10
             assert np.max(np.abs(direction[1 + pinned])) <= 1e-10
+
+    def test_a_tiny_pivot_leaves_the_rest_to_a_fresh_solve(self, monkeypatch):
+        """When ``Z_PP`` has a tiny pivot the walk stops after its snaps and the
+        next pass solves afresh over the members left: the round ends with the
+        tags and predictions of the round whose walk pinned them."""
+        state, upd, hyper = pinning_round()
+        want = online.update_multi(state, upd, SPEC, hyper)
+        pinned_direction, walk = online._pinned_direction, online._walk
+        raised, exits = [], []
+
+        def singular_once(*args):
+            if not raised:
+                raised.append(args)
+                raise SingularCornerBlock("a tiny pivot in the pinned block")
+            return pinned_direction(*args)
+
+        def kept_walk(*args):
+            before = len(raised)
+            out = walk(*args)
+            if len(raised) > before:
+                exits.append(out)
+            return out
+
+        monkeypatch.setattr(online, "_pinned_direction", singular_once)
+        monkeypatch.setattr(online, "_walk", kept_walk)
+        got = online.update_multi(state, upd, SPEC, hyper)
+        assert len(raised) == 1 and len(exits) == 1
+        events, step = exits[0]
+        assert events >= 1 and 1e-12 < step < 1.0  # the walk stopped short of its target
+        assert clean(got, hyper=hyper)
+        assert np.array_equal(got.ids, want.ids)
+        assert np.array_equal(got.partition, want.partition)
+        grid = np.linspace(0, 2 * np.pi, 25)[:, None]
+        gap = np.abs(kernels.decision_values(grid, got, SPEC)
+                     - kernels.decision_values(grid, want, SPEC))
+        assert gap.max() <= 1e-10
 
     def test_each_pinned_event_draws_on_the_budget(self, monkeypatch):
         """The round above needs one unit of the repair budget per pass and per

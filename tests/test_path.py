@@ -48,7 +48,7 @@ class TestDirections:
         work = state.copy()
         ps = PathState(drive_rows=np.zeros(0, dtype=int),
                        removal_rows=np.zeros(0, dtype=int))
-        d = path._direction(work, SPEC, ps, HYPER, kernels.ColumnCache(work.X, SPEC))
+        d = path._direction(work, ps, HYPER, kernels.ColumnCache(work.X, SPEC))
         assert d.db == 0.0
         assert np.allclose(d.dalpha_s, 0.0)
 
@@ -63,7 +63,7 @@ class TestDirections:
         state.margins = model.compute_residuals(state, spec)
         hyper = Hyperparams(C=0.3)
         ps = PathState(drive_rows=np.array([1]), removal_rows=np.zeros(0, dtype=int))
-        d = path._direction(state, spec, ps, hyper, kernels.ColumnCache(state.X, spec))
+        d = path._direction(state, ps, hyper, kernels.ColumnCache(state.X, spec))
         # driving 0 -> C=0.3 mirrors the worked equilibrium example scaled by C
         assert d.d_add[0] == pytest.approx(0.3)
         assert d.dalpha_s[0] == pytest.approx(0.3)
@@ -72,7 +72,7 @@ class TestDirections:
     def test_label_balance_per_unit_step(self):
         _, state, arrivals, remove_ids = svm_path_fixture(seed=3)
         work, ps = prepared_path(state, arrivals, remove_ids)
-        d = path._direction(work, SPEC, ps, HYPER, kernels.ColumnCache(work.X, SPEC))
+        d = path._direction(work, ps, HYPER, kernels.ColumnCache(work.X, SPEC))
         total = (
             work.y[work.s_rows] @ d.dalpha_s
             + work.y[ps.drive_rows] @ d.d_add
@@ -88,7 +88,7 @@ class TestSensitivity:
         ps = PathState(drive_rows=np.zeros(0, dtype=int),
                        removal_rows=np.zeros(0, dtype=int))
         columns = kernels.ColumnCache(work.X, SPEC)
-        d = path._direction(work, SPEC, ps, HYPER, columns)
+        d = path._direction(work, ps, HYPER, columns)
         phi = sensitivity_phi(work, ps, d, columns)
         assert np.max(np.abs(phi)) <= 1e-12
 
@@ -96,7 +96,7 @@ class TestSensitivity:
         _, state, arrivals, remove_ids = svm_path_fixture(seed=2)
         work, ps = prepared_path(state, arrivals, remove_ids)
         columns = kernels.ColumnCache(work.X, SPEC)
-        d = path._direction(work, SPEC, ps, HYPER, columns)
+        d = path._direction(work, ps, HYPER, columns)
         phi = sensitivity_phi(work, ps, d, columns)
         assert np.max(np.abs(phi[work.s_rows])) <= 1e-10
 
@@ -104,7 +104,7 @@ class TestSensitivity:
         _, state, arrivals, remove_ids = svm_path_fixture(seed=4)
         work, ps = prepared_path(state, arrivals, remove_ids)
         columns = kernels.ColumnCache(work.X, SPEC)
-        d = path._direction(work, SPEC, ps, HYPER, columns)
+        d = path._direction(work, ps, HYPER, columns)
         phi = sensitivity_phi(work, ps, d, columns)
         h = 1e-6
         bumped = work.copy()
@@ -156,7 +156,7 @@ class TestMigrate:
     @staticmethod
     def assert_inverse_follows_tags(work, before):
         assert work.cached_inverse is before  # migrate writes no inverse
-        inv = model.ensure_cached_inverse(work, SPEC)
+        inv = model.ensure_cached_inverse(work, model.column_cache(work, SPEC))
         assert list(inv.ids) == list(work.ids[work.s_rows])
         fresh = work.copy()
         model.refresh_cached_inverse(fresh, SPEC)
@@ -307,7 +307,7 @@ class TestPathUpdateSvr:
         work, ps = prepared_path(state, arrivals, [samples[0].id],
                                  hyper=SVR_HYPER)
         columns = kernels.ColumnCache(work.X, SPEC)
-        d = path._direction(work, SPEC, ps, SVR_HYPER, columns)
+        d = path._direction(work, ps, SVR_HYPER, columns)
         phi = sensitivity_phi(work, ps, d, columns)
         h = 1e-6
         bumped = work.copy()

@@ -34,7 +34,7 @@ def inverse_residual(state, inverse) -> float:
     s = state.s_rows
     m = np.zeros((s.size + 1, s.size + 1))
     m[0, 1:] = m[1:, 0] = 1.0
-    m[1:, 1:] = model._gram_block(state, SPEC, s)
+    m[1:, 1:] = kernels.q_matrix_svr(state.X[s], SPEC)
     return float(np.max(np.abs(m @ inverse - np.eye(s.size + 1))))
 
 
