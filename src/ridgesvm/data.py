@@ -346,18 +346,11 @@ def load_model(path):
             raise ValueError(f"unknown task {task!r}")
         if not set(doc["partition"]) <= {model.REGION_S, model.REGION_B, model.REGION_O}:
             raise ValueError("a region tag is not S, B or O")
-        if len({s.features.shape for s in samples}) > 1:
-            raise ValueError("feature rows of different lengths")
-        if len({s.id for s in samples}) != len(samples):
-            raise ValueError("a sample id is repeated")
-        finite = [np.isfinite(s.features).all() and math.isfinite(s.target) for s in samples]
-        if not (all(finite) and np.isfinite(multipliers).all() and math.isfinite(bias)):
-            raise ValueError("a feature, target, multiplier or the bias is not finite")
         standardizer = _stats_from_doc(doc.get("standardizer"))
+        state = _STATE_CLASSES[task](samples, multipliers, bias)
     except (KeyError, TypeError, ValueError) as err:
         raise CorruptFile(f"{path}: {err}") from err
 
-    state = _STATE_CLASSES[task](samples, multipliers, bias)
     state.partition = partition
     state.resid = model.compute_residuals(state, spec)
     return state, spec, hyper, standardizer, task

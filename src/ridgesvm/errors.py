@@ -25,7 +25,7 @@ class SingularCornerBlock(RidgeSvmError):
 
 # -- kernels ----------------------------------------------------------------
 
-class DimensionMismatch(RidgeSvmError):
+class DimensionMismatch(RidgeSvmError, ValueError):
     """Feature vectors with incompatible dimensions."""
 
 
@@ -43,8 +43,14 @@ class InvalidParameter(RidgeSvmError, ValueError):
     """A kernel, penalty or solver parameter outside its domain (NaN is outside every one)."""
 
 
+class InvalidSample(RidgeSvmError, ValueError):
+    """A state is built from a repeated or fractional id, a non-finite value or an
+    SVM label other than -1 or +1."""
+
+
 class InvalidBatch(RidgeSvmError, ValueError):
-    """An update batch names an arrival id that is not fresh or a removal twice."""
+    """An update batch names an arrival id that is not fresh, a removal twice, a
+    fractional id, a non-finite value or an SVM label other than -1 or +1."""
 
 
 # -- solvers ----------------------------------------------------------------

@@ -47,47 +47,17 @@ def _pending_limit(order: int) -> float:
     memory: at order 520 a rank-9 rewrite takes 5.7 ms against 0.08 ms for
     one product with ``inv`` (one core of a Xeon host, one BLAS thread).  A
     pending column adds only O(order) to each solve plus its share of the
-    p x p capacitance factors, and a change of k only appends: O(order k)
-    for its rows of ``(inv V)^T``, O(p k) for its capacitance entries (only
-    those among the joins are kept) and one copy of the p x p factors as
-    they are extended.  A pending join that leaves is pinned by one more
-    column, so it counts twice.  Carrying up to
+    p x p capacitance factors, and a change of k appends k columns into new
+    arrays: one copy of the p + k rows of ``(inv V)^T``, O(order (p + k)),
+    one of the joins' block of ``S`` when it joins rows, and one of the p x p
+    factors as they are extended.  A pending join that leaves is pinned by
+    one more column, so it counts twice.  Carrying up to
     order/4 columns keeps a solve within about 1.6 products with ``inv``,
     while a rewrite happens once per order/4 changes instead of at every
     grow.  The floor keeps small inverses from rewriting on almost every
     change, where a rewrite's fixed costs outweigh its O(order^2) work.
     """
     return max(16, order / 4)
-
-
-class _Store:
-    """Amortised storage that the versions of one growing array share.
-
-    A version of size ``s`` reads the leading ``s`` rows of ``data`` (the
-    leading ``s x s`` block of a ``square`` store).  An extension writes only
-    outside that block, and only in place for the version written last
-    (``filled == s``); any other version's extension copies its block into a
-    new store (:func:`_room`).  So no entry a version reads is ever written
-    after it is built.
-    """
-
-    def __init__(self, capacity: int, width: int | None):
-        self.square = width is None
-        self.data = np.zeros((capacity, capacity if self.square else width))
-        self.filled = 0
-
-
-def _room(store: _Store, size: int, k: int) -> _Store:
-    """The store into which version ``size`` of ``store`` writes its ``k`` next rows (and
-    columns, if square): ``store`` itself when that version was written last and there is
-    room, else a copy of its block with room for as much again."""
-    end = size + k
-    if store.filled != size or end > store.data.shape[0]:
-        old, store = store, _Store(2 * end, None if store.square else store.data.shape[1])
-        head = np.s_[:size, :size] if store.square else np.s_[:size]
-        store.data[head] = old.data[head]
-    store.filled = end
-    return store
 
 
 @dataclass(frozen=True)
@@ -111,27 +81,16 @@ class _Pending:
     pivot is ``-(S^-1)_jj`` for the join ``j`` it pins.  ``cap`` holds the
     entries of ``S`` among the joins, those that left included: the Schur
     block of the joins against the whole base, which a rewrite grows by.
-    ``ht`` and ``cap`` are views of the append-only ``stores``, in that order.
+    Every array is built whole and never written after, so the versions of
+    one inverse share them; an extension copies ``ht`` and ``cap`` into new
+    arrays with the appended entries.
     """
 
     rows: np.ndarray
     live: np.ndarray
     lu: tuple | None
-    stores: tuple
-
-    @property
-    def joins(self) -> int:
-        """How many columns are joins, those that left included."""
-        return int(np.count_nonzero(self.rows == _JOIN))
-
-    @property
-    def ht(self) -> np.ndarray:
-        return self.stores[0].data[:self.rows.size]
-
-    @property
-    def cap(self) -> np.ndarray:
-        j = self.joins
-        return self.stores[1].data[:j, :j]
+    ht: np.ndarray
+    cap: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -144,21 +103,15 @@ class BorderedInverse:
     change since, in Schur-complement form (see :class:`_Pending`);
     :meth:`compact` rewrites them into a plain inverse.  ``ids`` optionally
     names the samples behind the live rows of ``Q``, in order, so a holder
-    can tell which of its rows the inverse covers.  No array entry a holder
-    reads is ever written after it is built, so holders may share them.
+    can tell which of its rows the inverse covers.  No array a holder reads
+    is ever written after it is built, so holders may share them: a change
+    builds new pending arrays rather than extending the old ones in place.
     """
 
     order: int
     inv: np.ndarray
     ids: np.ndarray | None = None
     pending: _Pending | None = None
-
-    @property
-    def z(self) -> float:
-        """The top-left scalar of the live inverse."""
-        e0 = np.zeros(self.order + 1)
-        e0[0] = 1.0
-        return float(self.apply(e0)[0])
 
     def apply(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the live bordered system for ``rhs`` (border entry first).
@@ -207,7 +160,7 @@ class BorderedInverse:
         if self.pending is not None:
             return self.pending
         n = self.inv.shape[0]
-        return _Pending(_NO_ROWS, np.arange(n), None, (_Store(0, n), _Store(0, None)))
+        return _Pending(_NO_ROWS, np.arange(n), None, np.zeros((0, n)), _NO_BLOCK)
 
     def shrink(self, positions) -> BorderedInverse:
         """Drop the live inner rows at ``positions`` (the border row is 0).
@@ -271,21 +224,17 @@ class BorderedInverse:
         entries and ``h`` their rows of ``(inv V)^T``; the entries of joins
         among the joins are kept in ``cap``.
         """
-        p, k = pend.rows.size, rows.size
+        k, lu, cap = rows.size, pend.lu, pend.cap
         cap_new = 0.5 * (cap_new + cap_new.T)
-        lu = pend.lu
-        if k:  # checked before any store is written
+        if k:
             lu = (_checked_lu(cap_new, exc) if lu is None
                   else _extended_lu(lu, cap_cross, cap_new, exc))
-        ht, cap = pend.stores
-        ht = _room(ht, p, k)
-        ht.data[p:p + k] = h
         if k and rows[0] == _JOIN:
-            j, among = pend.joins, cap_cross[pend.rows == _JOIN]
-            cap = _room(cap, j, k)
-            cap.data[:j, j:j + k], cap.data[j:j + k, :j] = among, among.T
-            cap.data[j:j + k, j:j + k] = cap_new
-        pend = _Pending(np.concatenate([pend.rows, rows]), live, lu, (ht, cap))
+            j, among = cap.shape[0], cap_cross[pend.rows == _JOIN]
+            cap = np.empty((j + k, j + k))  # filled by slices: np.block costs more per call
+            cap[:j, :j], cap[:j, j:], cap[j:, :j], cap[j:, j:] = pend.cap, among, among.T, cap_new
+        pend = _Pending(np.concatenate([pend.rows, rows]), live, lu,
+                        np.concatenate([pend.ht, h]), cap)
         out = BorderedInverse(order=live.size - 1, inv=self.inv, ids=ids, pending=pend)
         if not pend.rows.size or pend.rows.size > _pending_limit(out.order):
             return out.compact()
@@ -322,10 +271,7 @@ class BorderedInverse:
         where[src] = np.arange(src.size)
         perm = where[pend.live]
         perm = None if np.array_equal(perm, np.arange(perm.size)) else perm
-        if dropped.size or joins.size or perm is not None:
-            inv = _grow_shrink(self.inv, dropped, pend.ht[joins].T, cap, perm)
-        else:
-            inv = self.inv
+        inv = _grow_shrink(self.inv, dropped, pend.ht[joins].T, cap, perm)
         return BorderedInverse(order=inv.shape[0] - 1, inv=inv, ids=self.ids)
 
 

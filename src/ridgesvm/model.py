@@ -16,13 +16,14 @@ than ``HARD_TOL`` signals a broken equilibrium.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import kernels, linalg
-from .errors import (EmptyS, InconsistentState, InvalidBatch, InvalidParameter, SingleClassInput,
-                     UnknownId)
+from .errors import (DimensionMismatch, EmptyS, InconsistentState, InvalidBatch, InvalidParameter,
+                     InvalidSample, SingleClassInput, UnknownId)
 
 REGION_TOL = 1e-6
 HARD_TOL = 1e-3
@@ -70,11 +71,44 @@ class UpdateBatch:
         return not self.add and not self.remove
 
 
+def _whole_ids(values, exc) -> np.ndarray:
+    """``values`` as integer sample ids, raising ``exc`` for one that is not an integer."""
+    ids = np.asarray(values)
+    if ids.dtype.kind not in "iu":
+        ids = ids.astype(float)
+        bad = ids[~((np.abs(ids) < 2.0 ** 62) & (ids == np.round(ids)))]  # NaN fails both
+        if bad.size:
+            raise exc(f"sample id {bad[0]} is not an integer")
+    return ids.astype(int)
+
+
+def _check_samples(state, samples, exc) -> np.ndarray:
+    """Ids of ``samples``, which may join ``state``: raises ``exc`` for an id that is not an
+    integer, a feature or target that is not finite or an SVM label other than -1 or
+    +1, and :class:`DimensionMismatch` for feature rows of unequal widths (the stored rows'
+    included).  Reads only ``samples`` and the width of the stored rows."""
+    ids = _whole_ids([s.id for s in samples], exc)
+    try:
+        x = np.array([s.features for s in samples], dtype=float)
+    except ValueError as err:
+        raise DimensionMismatch(f"feature rows of unequal widths ({err})") from None
+    if samples and (x.ndim != 2 or state.n and x.shape[1] != state.X.shape[1]):
+        raise DimensionMismatch(f"feature rows of shape {x.shape[1:]}, stored {state.X.shape[1:]}")
+    # a list, not an array: cheaper for the few arrivals of an update
+    t = [float(s.target) for s in samples]
+    if not (all(map(math.isfinite, t)) and np.isfinite(x).all()):
+        raise exc("a feature or target is not finite")
+    if isinstance(state, SvmState) and any(abs(v) != 1 for v in t):
+        raise exc(f"label {next(v for v in t if abs(v) != 1):g} is not -1 or +1")
+    return ids
+
+
 def _check_batch(state, batch: UpdateBatch) -> np.ndarray:
-    """Removal rows; rejects a stored or repeated arrival id, an unknown or repeated
-    removal, and an SVM batch that leaves samples of one class only."""
-    add_ids = np.array([s.id for s in batch.add], dtype=int)
-    rows = state.rows_of(batch.remove, fresh=add_ids)
+    """Removal rows; rejects an inadmissible arrival (:func:`_check_samples`), a stored
+    or repeated arrival id, a fractional, unknown or repeated removal, and an SVM batch
+    that leaves samples of one class only."""
+    add_ids = _check_samples(state, batch.add, InvalidBatch)
+    rows = state.rows_of(_whole_ids(batch.remove, InvalidBatch), fresh=add_ids)
     twice = np.sort(rows)
     twice = twice[1:][twice[1:] == twice[:-1]]
     if twice.size:
@@ -130,6 +164,11 @@ class _StateBase:
     def __init__(self, samples, mult=None, b=0.0):
         samples = list(samples)
         self.X, self.ids, self.targets = np.zeros((0, 0)), np.zeros(0, dtype=int), np.zeros(0)
+        ids = _check_samples(self, samples, InvalidSample)
+        if np.unique(ids).size < ids.size:
+            raise InvalidSample("a sample id is repeated")
+        if not (mult is None or np.isfinite(mult).all()) or not np.isfinite(b):
+            raise InvalidSample("a multiplier or the bias is not finite")
         self.partition, self.mult, self.resid = np.zeros(0, dtype="<U1"), np.zeros(0), np.zeros(0)
         self.cache_slots = np.zeros(0, dtype=np.intp)
         self.cached_inverse: linalg.BorderedInverse | None = None

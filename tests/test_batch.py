@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ridgesvm import batch, data, kernels, model
-from ridgesvm.errors import InvalidParameter, NoConvergence, SingleClassInput
+from ridgesvm.errors import (DimensionMismatch, InvalidParameter, InvalidSample, NoConvergence,
+                             SingleClassInput)
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample
 
@@ -280,6 +281,53 @@ class TestNonFiniteInput:
     def test_max_passes_outside_the_domain_is_rejected(self, passes):
         with pytest.raises(InvalidParameter):
             batch.SolverConfig(max_passes=passes)
+
+
+class TestInadmissibleSamples:
+    """A state is built only from admissible samples, so training stops before any work."""
+
+    SPEC = KernelSpec(family="rbf", sigma=1.0, ridge=0.5)
+
+    @staticmethod
+    def spoiled(task, how):
+        samples = data.two_gaussians(20, seed=1) if task == "svm" else data.noisy_sine(20, seed=2)
+        sid, x, t = samples[3].id, np.array(samples[3].features, dtype=float), samples[3].target
+        if how == "repeated-id":
+            sid = samples[0].id
+        elif how == "fractional-id":
+            sid = 3.5
+        elif how == "nan-feature":
+            x[0] = np.nan
+        elif how == "nan-target":
+            t = np.nan
+        elif how == "label":
+            t = 0.5
+        samples[3] = Sample(sid, x, t)
+        return samples
+
+    @pytest.mark.parametrize("task", ["svm", "svr"])
+    @pytest.mark.parametrize("how", ["repeated-id", "fractional-id", "nan-feature", "nan-target"])
+    def test_training_rejects(self, task, how):
+        train = batch.train_svm_batch if task == "svm" else batch.train_svr_batch
+        hyper = Hyperparams(C=1.0, epsilon=0.0 if task == "svm" else 0.2)
+        with pytest.raises(InvalidSample):
+            train(self.spoiled(task, how), self.SPEC, hyper)
+
+    def test_svm_label_other_than_plus_or_minus_one(self):
+        with pytest.raises(InvalidSample, match="label 0.5 is not -1 or"):
+            batch.train_svm_batch(self.spoiled("svm", "label"), self.SPEC, Hyperparams(C=1.0))
+        # any finite target is a regression target
+        batch.train_svr_batch(self.spoiled("svr", "label"), self.SPEC, Hyperparams(C=1.0))
+
+    def test_feature_rows_of_unequal_widths(self):
+        with pytest.raises(DimensionMismatch):
+            model.SvrState([Sample(0, np.zeros(2), 0.0), Sample(1, np.zeros(3), 0.0)])
+
+    @pytest.mark.parametrize("mult, b", [([0.0, np.inf], 0.0), ([0.0, 0.0], np.nan)])
+    def test_non_finite_multiplier_or_bias(self, mult, b):
+        samples = [Sample(0, np.zeros(2), 0.0), Sample(1, np.ones(2), 1.0)]
+        with pytest.raises(InvalidSample, match="not finite"):
+            model.SvrState(samples, np.array(mult), b)
 
 
 def reference_pair_values(beta, resid, epsilon):

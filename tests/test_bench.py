@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 
 from ridgesvm import bench, data
 from ridgesvm.data import RoundSchedule, SplitPlan, apply_standardizer, fit_standardizer, split
+from ridgesvm.errors import RepairDivergence
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams
 
@@ -59,6 +62,31 @@ class TestRunBench:
         assert [r.accuracy_or_mse for r in r1.records] == [
             r.accuracy_or_mse for r in r2.records
         ]
+
+    def test_a_failed_round_ends_an_incomplete_report(self, tmp_path, monkeypatch):
+        train, pool, test, hyper = small_setup("classification", seed=10)
+        schedule = RoundSchedule(rounds=3, add_per_round=3, remove_per_round=1, seed=11)
+        calls, update = [], bench.update_multi
+
+        def fails_in_round_two(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RepairDivergence("membership did not settle")
+            return update(*args)
+
+        monkeypatch.setattr(bench, "update_multi", fails_in_round_two)
+        report = bench.run_bench("classification", train, pool, test, SPEC, hyper, schedule,
+                                 arms=("proposed", "retrain"))
+        assert report.incomplete
+        assert report.failure == "RepairDivergence: membership did not settle"
+        # the first round of the failing arm is kept; no later arm ran, no parity was judged
+        assert [(r.arm, r.round) for r in report.records] == [("proposed", 1)]
+        assert report.parity == []
+        assert bench.format_table(report).endswith(
+            "INCOMPLETE: RepairDivergence: membership did not settle")
+        bench.write_report(report, str(tmp_path / "out"))
+        doc = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert doc["incomplete"] and doc["failure"] == report.failure
 
     def test_report_files(self, tmp_path):
         train, pool, test, hyper = small_setup("classification", seed=8)

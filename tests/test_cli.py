@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from ridgesvm import data
+from ridgesvm import cli, data
 from ridgesvm.cli import main
+from ridgesvm.errors import RepairDivergence
 
 
 def write_toy_csv(path, rows):
@@ -18,6 +19,10 @@ def two_blob_csv(path, n=40, seed=0, start_id=0):
     rows = [list(s.features) + [s.target] for s in samples]
     write_toy_csv(path, rows)
     return samples
+
+
+def sine_csv(path, n=40, seed=0):
+    write_toy_csv(path, [list(s.features) + [s.target] for s in data.noisy_sine(n, seed=seed)])
 
 
 class TestTrain:
@@ -82,6 +87,25 @@ class TestTrain:
         doc = json.loads(out.read_text())
         assert doc["kernel"]["family"] == "polynomial"
         assert doc["kernel"]["degree"] == 2
+
+    def test_linear_kernel_flag(self, tmp_path):
+        csv = tmp_path / "train.csv"
+        two_blob_csv(csv, n=30, seed=3)
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(csv), "--kernel", "linear", "--ridge", "0.25",
+                     "--out", str(out)]) == 0
+        kernel = json.loads(out.read_text())["kernel"]
+        assert kernel["family"] == "linear" and kernel["ridge"] == 0.25
+
+    def test_regression_train_and_eval(self, tmp_path, capsys):
+        csv, model_path = tmp_path / "sine.csv", tmp_path / "m.json"
+        sine_csv(csv)
+        assert main(["train", "--data", str(csv), "--task", "regression", "--epsilon", "0.2",
+                     "--out", str(model_path)]) == 0
+        assert "train MSE " in capsys.readouterr().out
+        assert json.loads(model_path.read_text())["task"] == "regression"
+        assert main(["eval", "--model", str(model_path), "--data", str(csv)]) == 0
+        assert "(standardized labels)" in capsys.readouterr().out
 
 
 class TestUpdateEval:
@@ -167,6 +191,19 @@ class TestUpdateEval:
         assert main(["eval", "--model", str(broken),
                      "--data", str(tmp_path / "x.csv")]) == 2
 
+    def test_update_failure_exits_4_and_keeps_the_model(self, tmp_path, capsys, monkeypatch):
+        model_path = self.make_model(tmp_path, seed=4)
+        before = model_path.read_bytes()
+
+        def diverging(*args):
+            raise RepairDivergence("membership did not settle")
+
+        monkeypatch.setattr(cli, "update_multi", diverging)
+        capsys.readouterr()
+        assert main(["update", "--model", str(model_path), "--remove", "0,3"]) == 4
+        assert capsys.readouterr().err == "update failed: membership did not settle\n"
+        assert model_path.read_bytes() == before
+
     @pytest.mark.parametrize("command", ["eval", "update", "wec"])
     def test_ragged_model_is_input_error(self, tmp_path, capsys, command):
         model_path = self.make_model(tmp_path, seed=2)
@@ -205,6 +242,17 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and "Traceback" not in err
         assert not out.exists()
+
+    def test_bench_on_a_csv(self, tmp_path, capsys):
+        csv, out = tmp_path / "data.csv", tmp_path / "rep"
+        two_blob_csv(csv, n=120, seed=5)
+        assert main(["bench", "--data", str(csv), "--rounds", "1", "--add-per-round", "3",
+                     "--remove-per-round", "1", "--arms", "proposed,retrain",
+                     "--out", str(out)]) == 0
+        assert "parity round 1" in capsys.readouterr().out
+        meta = json.loads((out / "metadata.json").read_text())["metadata"]
+        # the split keeps every row of the file
+        assert meta["n_train"] + meta["n_pool"] + meta["n_test"] == 120
 
     def test_regression_bench(self, tmp_path):
         out = tmp_path / "rep"

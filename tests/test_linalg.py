@@ -19,6 +19,13 @@ def random_spd(rng, n):
     return a.T @ a + np.eye(n)
 
 
+def e0(order):
+    """The unit vector of the border row; ``apply(e0(order))[0]`` is the live inverse's corner."""
+    out = np.zeros(order + 1)
+    out[0] = 1.0
+    return out
+
+
 class TestInvertSpd:
     def test_scalar_reciprocal(self):
         assert np.allclose(linalg.invert_spd([[2.0]]), [[0.5]])
@@ -55,7 +62,7 @@ class TestInvertSpd:
 class TestBorderedInverse:
     def test_order_one(self):
         out = linalg.bordered_inverse([[2.0]], [1.0])
-        assert out.z == pytest.approx(-2.0)
+        assert out.apply(e0(1))[0] == pytest.approx(-2.0)
         assert np.allclose(out.inv, [[-2.0, 1.0], [1.0, 0.0]])
 
     def test_identity_block_by_adjugate(self):
@@ -63,13 +70,13 @@ class TestBorderedInverse:
         expected = np.array(
             [[-0.5, 0.5, -0.5], [0.5, 0.5, 0.5], [-0.5, 0.5, 0.5]]
         )
-        assert out.z == pytest.approx(-0.5)
+        assert out.apply(e0(2))[0] == pytest.approx(-0.5)
         assert np.allclose(out.inv, expected, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_all_ones_border_identity_block(self, n):
         out = linalg.bordered_inverse(np.eye(n), np.ones(n))
-        assert out.z == pytest.approx(-1.0 / n)
+        assert out.apply(e0(n))[0] == pytest.approx(-1.0 / n)
 
     def test_product_with_bordered_matrix(self):
         rng = np.random.default_rng(3)
@@ -83,7 +90,7 @@ class TestBorderedInverse:
             full[1:, 1:] = q
             assert np.max(np.abs(full @ out.inv - np.eye(n + 1))) <= 1e-8
             assert np.allclose(out.inv, out.inv.T, atol=1e-10)
-            assert out.inv[0, 0] == pytest.approx(out.z)
+            assert out.inv[0, 0] == pytest.approx(out.apply(e0(n))[0])
 
     def test_singular_border(self):
         # an indefinite block where v^T Q^-1 v = 0; it stops at the definiteness check
@@ -318,7 +325,8 @@ class TestDeferredShrink:
         lazy = full.shrink([2, 5]).shrink([3, 8])
         explicit = linalg.inverse_shrink(linalg.inverse_shrink(full.inv, [2, 5]), [3, 8])
         assert lazy.inv is full.inv
-        assert lazy.order == 8 and lazy.z == pytest.approx(explicit[0, 0], abs=1e-12)
+        assert lazy.order == 8
+        assert lazy.apply(e0(8))[0] == pytest.approx(explicit[0, 0], abs=1e-12)
         rhs = rng.standard_normal(lazy.order + 1)
         assert np.max(np.abs(lazy.apply(rhs) - explicit @ rhs)) <= 1e-10
 
@@ -438,7 +446,7 @@ class Membership:
         rebuilt = self.rebuilt_inverse().inv
         assert self.inv.pending is not None  # nothing was rewritten
         assert self.inv.order == len(self.live) and list(self.inv.ids) == self.live
-        assert self.inv.z == pytest.approx(rebuilt[0, 0], abs=1e-10)
+        assert self.inv.apply(e0(self.inv.order))[0] == pytest.approx(rebuilt[0, 0], abs=1e-10)
         assert np.max(np.abs(self.inv.apply(np.eye(len(self.live) + 1)) - rebuilt)) <= 1e-10
         materialised = self.inv.compact().inv
         assert np.max(np.abs(materialised - rebuilt)) <= 1e-10
@@ -603,8 +611,8 @@ def branch(m):
 
 class TestAppendOnly:
     """Every membership change appends pending columns: a pending join that
-    leaves is pinned, the pending arrays grow in shared stores that only
-    their last writer extends in place, and a rewrite reuses ``ht``."""
+    leaves is pinned, the pending arrays a holder reads are never written,
+    and a rewrite reuses ``ht``."""
 
     def test_departing_joins_factor_only_the_change(self, monkeypatch):
         rng = np.random.default_rng(70)
@@ -646,19 +654,12 @@ class TestAppendOnly:
         ]
         if first:
             holders.reverse()
-        stores = [None, None]
         for step in range(6):
-            for h, (holder, plan) in enumerate(zip(holders, changes)):
+            for holder, plan in zip(holders, changes):
                 kind, samples = plan[step]
                 getattr(holder, kind)(samples)
-                if step == 0:  # the parent's stores have room: the first holder writes in place
-                    in_place = holder.inv.pending.stores[0] is pend.stores[0]
-                    assert in_place == (h == 0)
                 holder.check()
-                stores[h] = stores[h] or holder.inv.pending.stores[0]
                 assert [a.tobytes() for a in watched] == before
-        # both holders have grown past the capacity of the stores they first wrote
-        assert all(holder.inv.pending.stores[0] is not s for holder, s in zip(holders, stores))
         parent.check()
 
     def test_rewrite_reuses_the_joins_ht(self, monkeypatch):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ridgesvm import batch, data, kernels, linalg, model, online
-from ridgesvm.errors import InconsistentState, InvalidParameter, UnknownId
+from ridgesvm.errors import (DimensionMismatch, InconsistentState, InvalidBatch, InvalidParameter,
+                             UnknownId)
 from ridgesvm.kernels import KernelSpec
 from ridgesvm.model import Hyperparams, Sample, UpdateBatch
 from ridgesvm.online_svm import update_multi_svm
@@ -600,15 +601,53 @@ class TestBatchCheck:
         with pytest.raises(UnknownId, match="sample id 777 "):
             self.run(case, [904], [1, 777])
 
-
-    def test_removal_id_repeated_leaves_state_unchanged(self, case):
+    @staticmethod
+    def rejected(case, exc, match, add=(), remove=()):
+        """Run a batch that must raise ``exc``, and check the input state is unchanged."""
         engine, state, spec, hyper = engine_cases()[case]
         before = state.copy()
-        with pytest.raises(ValueError, match="removal id 3 is named twice"):
-            engine(state, UpdateBatch(remove=[5, 3, 3]), spec, hyper)
+        x = np.zeros(state.X.shape[1])
+        add = [Sample(sid, x if feats is None else feats, target) for sid, feats, target in add]
+        with pytest.raises(exc, match=match):
+            engine(state, UpdateBatch(add=add, remove=list(remove)), spec, hyper)
         for name in ("X", "ids", "targets", "partition", "mult", "resid"):
             assert np.array_equal(getattr(state, name), getattr(before, name))
         assert state.b == before.b
+
+    def test_removal_id_repeated_leaves_state_unchanged(self, case):
+        self.rejected(case, InvalidBatch, "removal id 3 is named twice", remove=[5, 3, 3])
+
+    def test_arrival_with_a_nan_feature(self, case):
+        x = np.zeros(engine_cases()[case][1].X.shape[1])
+        x[0] = np.nan
+        self.rejected(case, InvalidBatch, "not finite", add=[(900, None, 1.0), (901, x, -1.0)])
+
+    def test_arrival_with_a_nan_target(self, case):
+        self.rejected(case, InvalidBatch, "not finite", add=[(900, None, np.nan)])
+
+    def test_fractional_removal_id(self, case):
+        self.rejected(case, InvalidBatch, "id 3.7 is not an integer", remove=[5, 3.7])
+
+    def test_fractional_arrival_id(self, case):
+        self.rejected(case, InvalidBatch, "id 500.9 is not an integer",
+                      add=[(500.9, None, 1.0)])
+
+    def test_arrivals_of_unequal_widths(self, case):
+        self.rejected(case, DimensionMismatch, "feature rows of unequal widths",
+                      add=[(900, None, 1.0), (901, np.zeros(7), -1.0)])
+
+    def test_arrivals_wider_than_the_stored_rows(self, case):
+        width = engine_cases()[case][1].X.shape[1]
+        self.rejected(case, DimensionMismatch, rf"feature rows of shape \({width + 1},\), stored",
+                      add=[(900, np.zeros(width + 1), 1.0), (901, np.zeros(width + 1), -1.0)])
+
+    def test_svm_label_other_than_plus_or_minus_one(self, case):
+        if case >= 2:  # any finite target is a regression target
+            engine, state, spec, hyper = engine_cases()[case]
+            x = np.zeros(state.X.shape[1])
+            engine(state, UpdateBatch(add=[Sample(900, x, 0.5)]), spec, hyper)
+            return
+        self.rejected(case, InvalidBatch, "label 0.5 is not -1 or", add=[(900, None, 0.5)])
 
 
 @pytest.mark.parametrize("case", [0, 2])
